@@ -10,16 +10,15 @@ once it stops changing and the closed loop contracts to a single regime.
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .dp import (
     INFEASIBLE,
+    STEP_REASONS,
     DpEngine,
     ForwardEnsemble,
     StageTable,
     apply_policy,
-    backward_step,
     feasible_indices,
-    forward_step,
 )
 from .equilibrium import EquilibriumPoint, NoEquilibriumError, equilibrium_search
-from .grid import AxisSpec, CartesianGrid, DomainError
+from .grid import AxisSpec, CartesianGrid
 from .problem import (
     PendulumParams,
     ProblemDef,
@@ -55,7 +54,6 @@ __all__ = [
     "CartesianGrid",
     "ConfigError",
     "ConvergenceMetrics",
-    "DomainError",
     "DpEngine",
     "EquilibriumPoint",
     "ForwardEnsemble",
@@ -67,13 +65,13 @@ __all__ = [
     "ProblemDef",
     "RolloutTrace",
     "RunConfig",
+    "STEP_REASONS",
     "SolveReport",
     "SolverConfig",
     "SolverError",
     "StageTable",
     "achieved_average",
     "apply_policy",
-    "backward_step",
     "builtin_avg_angle_pendulum",
     "builtin_min_time_pendulum",
     "delta_mu",
@@ -81,7 +79,6 @@ __all__ = [
     "equilibrium_search",
     "feasible_indices",
     "finite_horizon_policies",
-    "forward_step",
     "horizon_sweep",
     "load_config",
     "parse_config",

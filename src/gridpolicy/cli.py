@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=0,
-            help="worker threads (0 = all CPUs); never changes the results",
+            help="worker threads (0 = all usable CPUs); never changes the results",
         )
         p.add_argument(
             "--quiet", action="store_true", help="suppress per-horizon progress"

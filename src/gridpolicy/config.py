@@ -63,7 +63,6 @@ _SCALAR_KEYS = {
     "sweep.trajectory_horizon": int,
     "equilibrium.tolerance": float,
     "output.dir": str,
-    "run.seed": int,
 }
 
 
@@ -111,7 +110,6 @@ class RunConfig:
     sweep_trajectory_horizon: int
     equilibrium_tolerance: float | None
     output_dir: str | None
-    seed: int | None
 
     def build_problem(self) -> ProblemDef:
         th_ax, om_ax = self.state_axes
@@ -142,8 +140,7 @@ class RunConfig:
 
         Two configs with equal canonical forms produce byte-identical policy
         tables, so this string keys the reuse of solved artifacts.  Output
-        directory, reference, sweep, and seed entries are deliberately
-        excluded.
+        directory, reference, and sweep entries are deliberately excluded.
         """
         items: list[tuple[str, str]] = [
             ("problem.kind", self.problem_kind),
@@ -287,7 +284,6 @@ def parse_config(text: str) -> RunConfig:
         sweep_trajectory_horizon=trajectory_horizon,
         equilibrium_tolerance=eq_tol,
         output_dir=values.get("output.dir"),
-        seed=values.get("run.seed"),
     )
 
 

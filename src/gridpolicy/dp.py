@@ -35,11 +35,13 @@ from .problem import ProblemDef, relaxed_cost
 
 INFEASIBLE = -1  # policy marker for nodes with no admissible control
 
-# Forward-step outcome labels, also used as rollout truncation reasons.
+# Closed-loop step outcomes, also used as rollout truncation reasons.
+# :func:`apply_policy` reports them as indices into ``STEP_REASONS``.
 STEP_OK = "ok"
 STEP_POLICY = "policy_undefined"
 STEP_CONSTRAINT = "constraint_violated"
 STEP_DOMAIN = "left_domain"
+STEP_REASONS = (STEP_OK, STEP_POLICY, STEP_CONSTRAINT, STEP_DOMAIN)
 
 
 @dataclass
@@ -109,9 +111,10 @@ class DpEngine:
         problem: the control problem.
         xgrid: state grid.
         ugrid: control grid.
-        threads: worker threads for chunked evaluation; 0 picks the CPU
-            count.  The chunks write disjoint slices, so the numerical output
-            is independent of this setting.
+        threads: worker threads for chunked evaluation, capped at the CPUs
+            this process may run on; 0 picks all of them.  The chunks write
+            disjoint slices, so the numerical output is independent of this
+            setting.
     """
 
     def __init__(
@@ -142,11 +145,14 @@ class DpEngine:
 
     @staticmethod
     def _resolve_threads(threads: int) -> int:
+        """``threads`` capped at the CPUs this process may run on (0 = all)."""
         if threads < 0:
             raise ValueError("threads must be >= 0")
-        if threads == 0:
-            return os.cpu_count() or 1
-        return threads
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            usable = os.cpu_count() or 1
+        return min(threads, usable) if threads else usable
 
     def _row_chunks(self) -> list[tuple[int, int]]:
         bounds = np.linspace(0, self.nx, self.threads + 1).astype(int)
@@ -243,79 +249,38 @@ class DpEngine:
     def forward(self, ensemble: ForwardEnsemble, table: StageTable) -> np.ndarray:
         """Advance every feasible entry one closed-loop step under ``table``.
 
-        An entry fails -- keeping its last state -- when, in order: the policy
-        interpolation stencil touches an infeasible node with positive weight,
-        the interpolated control violates an inequality component, or the
-        successor state leaves the grid box.
+        An entry that fails a check of :func:`apply_policy` becomes
+        infeasible and keeps its last state.
 
         Returns:
             Applied controls, shape ``(k, control_dim)``; NaN rows for entries
             that were already infeasible or failed during this step.
         """
-        k = ensemble.states.shape[0]
-        u_out = np.full((k, self.ugrid.ndim), np.nan)
+        u_out = np.full((ensemble.states.shape[0], self.ugrid.ndim), np.nan)
         active = np.flatnonzero(ensemble.feasible)
-        if active.size:
-            pts = ensemble.states[active]
-            idx, w, inside = self.xgrid.locate_cells(pts)
-            pol = table.policy[idx]
-            dead = ~inside | ((pol == INFEASIBLE) & (w > 0.0)).any(axis=1)
-
-            alive = np.flatnonzero(~dead)
-            if alive.size:
-                # Zero-weight corners may carry the -1 marker; their
-                # contribution is exactly 0 * coordinate.
-                uc = self._ucoords[pol[alive]]
-                u = np.einsum("kc,kcm->km", w[alive], uc)
-                pa = pts[alive]
-                g = np.asarray(self.problem.inequality(pa, u), dtype=float)
-                ok1 = ~(g > 0.0).any(axis=-1)
-                xn = self.problem.dynamics(pa[ok1], u[ok1])
-                ok2 = self.xgrid.in_domain(xn)
-
-                fail_g = alive[~ok1]
-                stepped = alive[ok1]
-                dead[fail_g] = True
-                dead[stepped[~ok2]] = True
-                moved = stepped[ok2]
-                ensemble.states[active[moved]] = xn[ok2]
-                u_out[active[moved]] = u[ok1][ok2]
-            ensemble.feasible[active[dead]] = False
+        reason, u, xn = apply_policy(
+            self.problem, self.xgrid, self.ugrid, table, ensemble.states[active]
+        )
+        ok = reason == 0
+        moved = active[ok]
+        ensemble.states[moved] = xn[ok]
+        u_out[moved] = u[ok]
+        ensemble.feasible[active[~ok]] = False
         ensemble.step += 1
         return u_out
 
 
-# ---------------------------------------------------------------------------
-# convenience wrappers (build a transient engine when none is supplied)
-# ---------------------------------------------------------------------------
+def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``fn(x, u)`` on the flat ``rows`` of the batch, shape ``(rows, -1)``.
 
-
-def backward_step(
-    problem: ProblemDef,
-    xgrid: CartesianGrid,
-    ugrid: CartesianGrid,
-    table: StageTable | None,
-    engine: DpEngine | None = None,
-    threads: int = 1,
-) -> StageTable:
-    """One backward recursion step; ``table=None`` seeds the zero field."""
-    if engine is None:
-        engine = DpEngine(problem, xgrid, ugrid, threads=threads)
-    return engine.backward(None if table is None else table.cost)
-
-
-def forward_step(
-    problem: ProblemDef,
-    xgrid: CartesianGrid,
-    ugrid: CartesianGrid,
-    table: StageTable,
-    ensemble: ForwardEnsemble,
-    engine: DpEngine | None = None,
-) -> np.ndarray:
-    """Advance ``ensemble`` one step under ``table``; returns applied controls."""
-    if engine is None:
-        engine = DpEngine(problem, xgrid, ugrid)
-    return engine.forward(ensemble, table)
+    When every row is selected the callable sees the caller's own batch
+    shape, so a single ``(n,)`` state is evaluated with scalar arithmetic.
+    """
+    if rows.size == u.shape[0]:
+        out = fn(x, u.reshape(x.shape[:-1] + u.shape[-1:]))
+    else:
+        out = fn(x.reshape(u.shape[0], -1)[rows], u[rows])
+    return np.asarray(out, dtype=float).reshape(rows.size, -1)
 
 
 def apply_policy(
@@ -324,27 +289,43 @@ def apply_policy(
     ugrid: CartesianGrid,
     table: StageTable,
     x: np.ndarray,
-) -> tuple[str, np.ndarray | None, np.ndarray | None]:
-    """One closed-loop step from a single state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One closed-loop step under ``table`` from every state in ``x``.
+
+    ``x`` has shape ``(..., state_dim)``; pass a single state as
+    ``(state_dim,)``.  A state fails at the first of these checks: its
+    policy interpolation stencil leaves the grid or touches an infeasible
+    node with positive weight, the interpolated control violates an
+    inequality component, or the successor state leaves the grid box.
 
     Returns:
-        ``(status, u, x_next)``.  ``status`` is ``"ok"`` on success, else one
-        of ``"policy_undefined"``, ``"constraint_violated"``,
-        ``"left_domain"`` naming the first failed check; ``u``/``x_next`` are
-        ``None`` from the failed check onward.
+        ``(reason, u, x_next)``.  ``reason`` is an int8 array of the batch
+        shape indexing :data:`STEP_REASONS` (0 is ``STEP_OK``, else the
+        failed check).  ``u`` has shape ``(..., control_dim)``, NaN where the
+        policy is undefined; ``x_next`` has the shape of ``x``, NaN wherever
+        the step failed.
     """
-    x = np.asarray(x, dtype=float).reshape(xgrid.ndim)
-    idx, w, inside = xgrid.locate_cells(x.reshape(1, -1))
-    if not inside[0]:
-        return STEP_POLICY, None, None
-    pol = table.policy[idx[0]]
-    if ((pol == INFEASIBLE) & (w[0] > 0.0)).any():
-        return STEP_POLICY, None, None
-    u = np.einsum("c,cm->m", w[0], ugrid.node_coords()[pol])
-    g = np.asarray(problem.inequality(x, u), dtype=float)
-    if (g > 0.0).any():
-        return STEP_CONSTRAINT, u, None
-    xn = np.asarray(problem.dynamics(x, u), dtype=float).reshape(xgrid.ndim)
-    if not xgrid.in_domain(xn):
-        return STEP_DOMAIN, u, None
-    return STEP_OK, u, xn
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    idx, w, inside = xgrid.locate_cells(x.reshape(-1, xgrid.ndim))
+    pol = table.policy[idx]
+    undefined = ~inside | ((pol == INFEASIBLE) & (w > 0.0)).any(axis=1)
+    reason = undefined.astype(np.int8)  # codes index STEP_REASONS
+    # Zero-weight corners may carry the -1 marker; their contribution is
+    # exactly 0 * coordinate.
+    u = np.einsum("kc,kcm->km", w, ugrid.node_coords()[pol])
+    u[undefined] = np.nan
+    xn = np.full((reason.size, xgrid.ndim), np.nan)
+
+    live = np.flatnonzero(~undefined)
+    if live.size:
+        g = _on_rows(problem.inequality, x, u, live)
+        violated = (g > 0.0).any(axis=-1)
+        reason[live[violated]] = 2
+        live = live[~violated]
+    if live.size:
+        step = _on_rows(problem.dynamics, x, u, live)
+        kept = xgrid.in_domain(step)
+        reason[live[~kept]] = 3
+        xn[live[kept]] = step[kept]
+    return reason.reshape(batch), u.reshape(batch + u.shape[-1:]), xn.reshape(x.shape)

@@ -33,10 +33,6 @@ _REL_TOL = 1e-9
 _SNAP_TOL = 1e-9
 
 
-class DomainError(ValueError):
-    """A query point lies outside the grid's node hull."""
-
-
 @dataclass(frozen=True)
 class AxisSpec:
     """One uniform axis: nodes ``lo + j * spacing`` for ``j = 0 .. n-1``.

@@ -18,9 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import STEP_OK, DpEngine, StageTable, apply_policy
+from .dp import STEP_REASONS, DpEngine, StageTable, apply_policy
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
+
+
+class InfeasibleRolloutError(RuntimeError):
+    """A closed-loop rollout failed a feasibility check.
+
+    Attributes:
+        step: index of the failed step.
+        reason: which check failed (see ``dp.STEP_REASONS``).
+    """
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"rollout infeasible at step {step} ({reason})")
+        self.step = step
+        self.reason = reason
 
 
 @dataclass
@@ -29,7 +43,7 @@ class RolloutTrace:
 
     ``states`` has one more row than the per-step arrays (it includes the
     terminal state).  ``reason`` is ``None`` for a complete rollout, else the
-    failed check (see ``dp.STEP_*``) at which the trace was truncated.
+    failed check (see ``dp.STEP_REASONS``) at which the trace was truncated.
     """
 
     states: np.ndarray
@@ -88,11 +102,11 @@ def _rollout(
     fa: list[float] = []
     reason = None
     for k, table in enumerate(tables):
-        status, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
-        if status != STEP_OK:
+        code, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
+        if code:
+            reason = STEP_REASONS[code]
             if k == 0:
-                raise _start_error(status)
-            reason = status
+                raise InfeasibleRolloutError(0, reason)
             break
         controls.append(u)
         fc.append(float(np.asarray(problem.stage_cost(x, u), dtype=float)))
@@ -109,12 +123,6 @@ def _rollout(
         average_values=np.asarray(fa, dtype=float),
         reason=reason,
     )
-
-
-def _start_error(status: str):
-    from .solver import InfeasibleRolloutError
-
-    return InfeasibleRolloutError(0, status)
 
 
 def rollout_time_varying(

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import DpEngine, ForwardEnsemble, StageTable, apply_policy, feasible_indices
+from .dp import DpEngine, ForwardEnsemble, StageTable, feasible_indices
 from .grid import CartesianGrid
 from .problem import ProblemDef
+from .reference import InfeasibleRolloutError, rollout_stationary
 
 
 class SolverError(RuntimeError):
@@ -39,20 +40,6 @@ class SolverError(RuntimeError):
 
 class InfeasibleProblemError(RuntimeError):
     """No grid node admits a feasible trajectory."""
-
-
-class InfeasibleRolloutError(RuntimeError):
-    """A closed-loop rollout failed a feasibility check.
-
-    Attributes:
-        step: index of the failed step.
-        reason: which check failed (see ``dp.STEP_*``).
-    """
-
-    def __init__(self, step: int, reason: str):
-        super().__init__(f"rollout infeasible at step {step} ({reason})")
-        self.step = step
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -192,15 +179,10 @@ def achieved_average(
     """
     if not 1 <= tail <= horizon:
         raise ValueError("need 1 <= tail <= horizon")
-    x = np.asarray(x0, dtype=float)
-    values = np.empty(horizon, dtype=float)
-    for k in range(horizon):
-        status, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
-        if xn is None:
-            raise InfeasibleRolloutError(k, status)
-        values[k] = float(np.asarray(problem.average_fn(x, u), dtype=float))
-        x = xn
-    return float(values[-tail:].mean())
+    trace = rollout_stationary(problem, xgrid, ugrid, table, x0, horizon)
+    if trace.reason is not None:
+        raise InfeasibleRolloutError(trace.length, trace.reason)
+    return float(trace.average_values[-tail:].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +215,7 @@ def solve(
         xgrid: state grid.
         ugrid: control grid.
         config: tolerances and horizon schedule; defaults throughout.
-        threads: worker threads for the vectorized kernels (0 = CPU count).
+        threads: worker threads for the vectorized kernels (0 = all usable CPUs).
             Results are independent of this setting.
         engine: reuse a prebuilt :class:`DpEngine` (must match the grids).
         progress: ``"stderr"`` (default) prints one line per tested horizon,

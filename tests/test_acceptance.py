@@ -16,7 +16,7 @@ import numpy as np
 
 import gridpolicy as gp
 from gridpolicy import (
-    backward_step,
+    DpEngine,
     equilibrium_search,
     finite_horizon_policies,
     horizon_sweep,
@@ -205,9 +205,10 @@ def test_criterion_5_backward_equals_enumeration():
         toy = random_lattice_toy(rng)
         nu = toy.ugrid.size
         horizon = max(1, min(6, int(math.log(4096) / math.log(nu))))
+        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
         table = None
         for _ in range(horizon):
-            table = backward_step(toy.problem, toy.xgrid, toy.ugrid, table)
+            table = engine.backward(None if table is None else table.cost)
         want_cost, want_first = enumerate_optimal(toy, horizon)
         if not (
             np.array_equal(table.cost, want_cost)
@@ -248,7 +249,9 @@ def _stationarity_gaps(run):
     picks the nearest state node of the cost-minimal set, which must lie
     within the state bound of that mean, and the gap is the smallest
     distance from the mean control to that node's cost-minimal controls.
-    Each bound is eps plus one grid spacing, componentwise."""
+    Each bound is eps plus one grid spacing, componentwise.  Hold: the tail's
+    mean pair (x, u) must itself be stationary, ``||f(x, u) - x||_inf``
+    within ``equilibrium_search``'s default ``eq_tol``."""
     eq = equilibrium_search(run.problem, run.xgrid, run.ugrid)
     ens = run.report.final_ensemble
     mean = ens.states[ens.feasible].mean(axis=0)
@@ -271,6 +274,7 @@ def _stationarity_gaps(run):
     u_refs = run.ugrid.node_coords()[iu[ix == nearest]]
     gaps = np.abs(u_tail.mean(axis=0) - u_refs)
     best = gaps.max(axis=1).argmin()
+    held = run.problem.dynamics(x_tail, u_tail.mean(axis=0))
     return SimpleNamespace(
         eq=eq,
         set_size=ix.size,
@@ -284,6 +288,8 @@ def _stationarity_gaps(run):
         ref_gap=np.abs(x_tail - x_ref),
         control_gap=gaps[best],
         control_bound=control_bound,
+        hold_residual=float(np.abs(held - x_tail).max()),
+        hold_bound=float(run.xgrid.spacings.max()) / 10.0,
         reason=trace.reason,
     )
 
@@ -298,6 +304,7 @@ def test_criterion_6_equilibrium_consistency(min_time_run, avg_angle_run):
         checks[f"{name}_state"] = bool((g.state_gap <= g.state_bound).all())
         checks[f"{name}_reference"] = bool((g.ref_gap <= g.state_bound).all())
         checks[f"{name}_control"] = bool((g.control_gap <= g.control_bound).all())
+        checks[f"{name}_holds"] = g.hold_residual <= g.hold_bound
         details.append(
             f"{name}: x_eq={g.eq.state.tolist()} u_eq={g.eq.control.tolist()} "
             f"state_gap={g.state_gap.tolist()} (bound {g.state_bound.tolist()}) "
@@ -305,7 +312,8 @@ def test_criterion_6_equilibrium_consistency(min_time_run, avg_angle_run):
             f"cost_minimal_pairs={g.set_size} "
             f"reference=(x={g.x_ref.tolist()}, u={g.u_ref.tolist()}) "
             f"control_gap={g.control_gap.tolist()} "
-            f"(bound {g.control_bound.tolist()})"
+            f"(bound {g.control_bound.tolist()}) "
+            f"hold_residual={g.hold_residual!r} (bound {g.hold_bound!r})"
         )
     ok = all(checks.values())
     detail = "; ".join(details)
@@ -403,9 +411,10 @@ def test_criterion_8_property_bundle(min_time_run, avg_angle_run, rng):
         gp.SolverConfig(eps_mu=1.0, eps_x=10.0, n_init=5, growth=3),
         progress=None,
     )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     fresh = None
     for _ in range(report.terminal_horizon):
-        fresh = backward_step(toy.problem, toy.xgrid, toy.ugrid, fresh)
+        fresh = engine.backward(None if fresh is None else fresh.cost)
     checks["resume_bit_identical"] = report.terminal_horizon == 15 and bool(
         np.array_equal(report.first_stage_policy.cost, fresh.cost)
         and np.array_equal(report.first_stage_policy.policy, fresh.policy)
@@ -422,10 +431,11 @@ def test_criterion_8_property_bundle(min_time_run, avg_angle_run, rng):
     mono = True
     for _ in range(5):
         t = random_lattice_toy(rng)
+        engine = DpEngine(t.problem, t.xgrid, t.ugrid)
         prev = None
         last_mask = None
         for _ in range(6):
-            prev = backward_step(t.problem, t.xgrid, t.ugrid, prev)
+            prev = engine.backward(None if prev is None else prev.cost)
             mask = prev.feasible_mask
             if last_mask is not None and not (last_mask | ~mask).all():
                 mono = False

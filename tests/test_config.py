@@ -33,8 +33,7 @@ def test_full_parse_round_trip():
             "sweep.horizons = 5, 40, 80\n"
             "sweep.trajectory_horizon = 1350\n"
             "equilibrium.tolerance = 0.003\n"
-            "output.dir = out/test\n"
-            "run.seed = 7"
+            "output.dir = out/test"
         )
     )
     assert cfg.problem_kind == "avg_angle_pendulum"
@@ -48,7 +47,6 @@ def test_full_parse_round_trip():
     assert cfg.sweep_trajectory_horizon == 1350
     assert cfg.equilibrium_tolerance == 0.003
     assert cfg.output_dir == "out/test"
-    assert cfg.seed == 7
 
     xg = cfg.state_grid()
     assert xg.shape == (101, 101)
@@ -71,7 +69,6 @@ def test_defaults():
     assert cfg.sweep_trajectory_horizon == 1350
     assert cfg.equilibrium_tolerance is None
     assert cfg.output_dir is None
-    assert cfg.seed is None
     assert cfg.torque_limit == 1.0
 
 
@@ -113,6 +110,11 @@ def test_comments_and_whitespace():
     "mutate, fragment",
     [
         (lambda t: t + "bogus.key = 1\n", "unknown configuration key"),
+        pytest.param(
+            lambda t: t + "run.seed = 1\n",
+            "unknown configuration key",
+            id="run.seed-unknown configuration key",
+        ),
         (lambda t: t + "problem.theta_ref = 0.6\n", "duplicate key"),
         (lambda t: t + "solver.n_init\n", "expected 'key = value'"),
         (lambda t: t + "solver.n_init =\n", "empty key or value"),
@@ -165,7 +167,7 @@ def test_theta_ref_rejected_for_min_time():
 
 
 def test_canonical_ignores_presentation_only_keys():
-    a = parse_config(_with("output.dir = out/a\nrun.seed = 1"))
+    a = parse_config(_with("output.dir = out/a"))
     b = parse_config(_with("output.dir = out/b\nreference.multiplier = 99"))
     assert a.canonical() == b.canonical()
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from gridpolicy import (
+    STEP_REASONS,
     AxisSpec,
     CartesianGrid,
     DpEngine,
     InfeasibleRolloutError,
     StageTable,
     apply_policy,
-    backward_step,
     builtin_min_time_pendulum,
     finite_horizon_policies,
     horizon_sweep,
@@ -37,10 +37,11 @@ def _trap_chain(avg=None, lam=None):
 
 def test_finite_horizon_policies_order():
     toy = _trap_chain()
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     chain = []
     prev = None
     for _ in range(4):
-        prev = backward_step(toy.problem, toy.xgrid, toy.ugrid, prev)
+        prev = engine.backward(None if prev is None else prev.cost)
         chain.append(prev)
     policies = finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 4)
     assert len(policies) == 4
@@ -91,24 +92,25 @@ def test_rollout_matches_apply_policy_chain():
     engine = DpEngine(problem, xg, ug)
     table = None
     for _ in range(5):
-        table = backward_step(problem, xg, ug, table, engine=engine)
+        table = engine.backward(None if table is None else table.cost)
     start = xg.node_coord(int(np.flatnonzero(table.feasible_mask)[0]))
     trace = rollout_stationary(problem, xg, ug, table, start, horizon=6)
 
     x = start
     for k in range(trace.length):
-        status, u, xn = apply_policy(problem, xg, ug, table, x)
-        assert status == "ok"
+        reason, u, xn = apply_policy(problem, xg, ug, table, x)
+        assert STEP_REASONS[reason] == "ok"
         np.testing.assert_array_equal(trace.controls[k], u)
         np.testing.assert_array_equal(trace.states[k + 1], xn)
         x = xn
     if trace.reason is not None:
-        assert apply_policy(problem, xg, ug, table, x)[0] == trace.reason
+        reason = apply_policy(problem, xg, ug, table, x)[0]
+        assert STEP_REASONS[reason] == trace.reason
 
 
 def test_stationary_equals_repeated_time_varying():
     toy = _trap_chain()
-    table = backward_step(toy.problem, toy.xgrid, toy.ugrid, None)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     a = rollout_stationary(toy.problem, toy.xgrid, toy.ugrid, table, [3.0], 2)
     b = rollout_time_varying(toy.problem, toy.xgrid, toy.ugrid, [table, table], [3.0])
     np.testing.assert_array_equal(a.states, b.states)
@@ -119,7 +121,7 @@ def test_stationary_equals_repeated_time_varying():
 
 def test_rollout_truncation_policy_undefined():
     toy = _trap_chain()
-    table = backward_step(toy.problem, toy.xgrid, toy.ugrid, None)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     trace = rollout_stationary(toy.problem, toy.xgrid, toy.ugrid, table, [3.0], 10)
     assert trace.reason == "policy_undefined"
     assert trace.length == 3  # 3 -> 2 -> 1 -> 0, then the trap
@@ -159,7 +161,7 @@ def test_rollout_truncation_constraint_violated():
 
 def test_rollout_infeasible_start_raises():
     toy = _trap_chain()
-    table = backward_step(toy.problem, toy.xgrid, toy.ugrid, None)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     with pytest.raises(InfeasibleRolloutError) as err:
         rollout_stationary(toy.problem, toy.xgrid, toy.ugrid, table, [0.0], 5)
     assert err.value.step == 0
@@ -167,7 +169,7 @@ def test_rollout_infeasible_start_raises():
 
 def test_rollout_zero_horizon():
     toy = _trap_chain()
-    table = backward_step(toy.problem, toy.xgrid, toy.ugrid, None)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     trace = rollout_stationary(toy.problem, toy.xgrid, toy.ugrid, table, [3.0], 0)
     assert trace.length == 0
     assert trace.reason is None
@@ -188,7 +190,7 @@ def test_horizon_sweep_matches_scalar_rollouts():
     assert set(sweep) == {1}
     costs = sweep[1]
 
-    table = backward_step(toy.problem, toy.xgrid, toy.ugrid, None)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     for node in range(4):
         if not table.feasible_mask[node]:
             assert np.isnan(costs[node])
