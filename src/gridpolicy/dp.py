@@ -13,13 +13,23 @@ policy marker ``-1``, and infeasibility is monotone: once a node is
 infeasible at some horizon it stays infeasible at every longer horizon.
 
 :class:`DpEngine` precomputes the expensive geometry once per
-(problem, state grid, control grid): successor states, stage costs,
-admissibility flags, and the interpolation stencil of every state/control
-pair.  Stencil corners with zero weight (and every corner of an inadmissible
+(problem, state grid, control grid): successor states, stage costs and the
+interpolation stencil of every state/control pair.  The stencil is stored
+corner-major, one contiguous row of ``nx * nu`` indices and weights per
+corner, so each corner of a backward step is one sequential pass.
+Stencil corners with zero weight (and every corner of an inadmissible
 pair) are redirected to a sentinel row whose cost is 0, so the weighted sum
-never multiplies 0 by inf.  Work is split over contiguous state-row chunks;
-each chunk writes a disjoint output slice, so results are bit-identical for
-every thread count.
+never multiplies 0 by inf.  Inadmissible pairs carry ``+inf`` in the stage
+cost itself: their corners sum to exactly 0, and adding the stage cost last
+gives ``+inf``.
+
+The backward step walks blocks of whole state rows of about
+:data:`BLOCK_PAIRS` pairs: each corner row is streamed once per block into
+two reused work buffers that stay in cache.  Every pair is summed corner by
+corner in the same order with the stage cost last, and the argmin is taken
+per state row, so results are bit-identical for every block size.  Work is
+split over contiguous state-row chunks; each chunk writes a disjoint output
+slice, so results are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
 INFEASIBLE = -1  # policy marker for nodes with no admissible control
+
+# Pairs per backward block, rounded down to whole state rows (at least one).
+# The two float work buffers (1 MiB) stay in a 2 MiB L2; much smaller blocks
+# run so many short numpy calls that row-chunk threads stall on the GIL.
+BLOCK_PAIRS = 65536
 
 # Closed-loop step outcomes, also used as rollout truncation reasons.
 # :func:`apply_policy` reports them as indices into ``STEP_REASONS``.
@@ -172,9 +187,8 @@ class DpEngine:
         nx, nu, nc = self.nx, self.nu, self._ncorners
         p = nx * nu
         self._sc = np.empty(p, dtype=float)
-        self._idx = np.empty((p, nc), dtype=np.int32)
-        self._w = np.empty((p, nc), dtype=float)
-        self._bad = np.empty(p, dtype=bool)
+        self._idx = np.empty((nc, p), dtype=np.int32)
+        self._w = np.empty((nc, p), dtype=float)
 
         # Pair p = ix * nu + iu, row-major over (state node, control node).
         def build_rows(r0: int, r1: int) -> None:
@@ -183,7 +197,6 @@ class DpEngine:
             s = slice(r0 * nu, r1 * nu)
             g = np.asarray(self.problem.inequality(x, u), dtype=float)
             bad = (g > 0.0).any(axis=-1)
-            self._sc[s] = relaxed_cost(self.problem, x, u)
             xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
             idx, w, inside = self.xgrid.locate_cells(xn)
             bad |= ~inside
@@ -191,9 +204,12 @@ class DpEngine:
             # Sentinel row nx holds cost 0; redirect every zero-weight corner
             # there so that inf-valued corners never meet a zero weight.
             idx[w == 0.0] = self.nx
-            self._idx[s] = idx
-            self._w[s] = w
-            self._bad[s] = bad
+            self._idx[:, s] = idx.T
+            self._w[:, s] = w.T
+            # Stage costs last: the pages of _sc are first touched after
+            # locate_cells has freed its temporaries, off the build's peak.
+            self._sc[s] = relaxed_cost(self.problem, x, u)
+            self._sc[s][bad] = np.inf
 
         self._run_chunks(build_rows)
 
@@ -217,21 +233,32 @@ class DpEngine:
 
         cost = np.empty(nx, dtype=float)
         policy = np.empty(nx, dtype=np.int64)
+        idx, w, sc = self._idx, self._w, self._sc
+        block_rows = max(1, BLOCK_PAIRS // nu)
 
         def step_rows(r0: int, r1: int) -> None:
-            s = slice(r0 * nu, r1 * nu)
-            val = self._w[s, 0] * caug[self._idx[s, 0]]
-            for c in range(1, self._ncorners):
-                val += self._w[s, c] * caug[self._idx[s, c]]
-            val += self._sc[s]
-            val[self._bad[s]] = np.inf
-            tbl = val.reshape(r1 - r0, nu)
-            arg = tbl.argmin(axis=1)
-            best = tbl[np.arange(r1 - r0), arg]
-            pol = arg.astype(np.int64)
-            pol[~np.isfinite(best)] = INFEASIBLE
-            cost[r0:r1] = best
-            policy[r0:r1] = pol
+            size = min(block_rows, r1 - r0) * nu
+            val_buf = np.empty(size, dtype=float)
+            tmp_buf = np.empty(size, dtype=float)
+            for b0 in range(r0, r1, block_rows):
+                b1 = min(b0 + block_rows, r1)
+                s = slice(b0 * nu, b1 * nu)
+                val = val_buf[: (b1 - b0) * nu]
+                tmp = tmp_buf[: val.size]
+                # Every index lies in [0, nx] by construction; mode="clip"
+                # only spares np.take a buffered copy of ``out``.
+                np.take(caug, idx[0, s], out=val, mode="clip")
+                np.multiply(w[0, s], val, out=val)
+                for c in range(1, self._ncorners):
+                    np.take(caug, idx[c, s], out=tmp, mode="clip")
+                    np.multiply(w[c, s], tmp, out=tmp)
+                    np.add(val, tmp, out=val)
+                np.add(val, sc[s], out=val)
+                arg = val.reshape(b1 - b0, nu).argmin(axis=1)
+                best = val[np.arange(0, val.size, nu) + arg]
+                arg[~np.isfinite(best)] = INFEASIBLE
+                cost[b0:b1] = best
+                policy[b0:b1] = arg
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)

@@ -105,6 +105,16 @@ class CartesianGrid:
         self._upper = np.asarray([ax.upper for ax in self.axes], dtype=float)
         self._spacing = np.asarray([ax.spacing for ax in self.axes], dtype=float)
         self._ncorners = 1 << self.ndim
+        # Domain bounds with the face slack of :meth:`in_domain`.
+        atol = self._spacing * _REL_TOL
+        self._lo_slack = self._lo - atol
+        self._upper_slack = self._upper + atol
+        self._max_cell = np.maximum(np.asarray(self.shape, dtype=np.int64) - 2, 0)
+        # Corner c sets axis a's bit (c >> (ndim - 1 - a)) & 1; its flat
+        # offset from the cell's base node is bits @ strides.
+        shifts = np.arange(self.ndim - 1, -1, -1)
+        bits = (np.arange(self._ncorners)[:, None] >> shifts) & 1
+        self._corner_offsets = bits @ self._strides
         self._coords_cache: np.ndarray | None = None
 
     # -- basic geometry ------------------------------------------------------
@@ -182,8 +192,7 @@ class CartesianGrid:
             exactly onto the boundary are not spuriously rejected.
         """
         pts = np.asarray(points, dtype=float)
-        atol = self._spacing * _REL_TOL
-        ok = (pts >= self._lo - atol) & (pts <= self._upper + atol)
+        ok = (pts >= self._lo_slack) & (pts <= self._upper_slack)
         return ok.all(axis=-1)
 
     def locate_cells(
@@ -204,29 +213,36 @@ class CartesianGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.ndim:
             raise ValueError(f"expected (k, {self.ndim}) points, got {pts.shape}")
-        k = pts.shape[0]
         inside = self.in_domain(pts)
 
         t = (pts - self._lo) / self._spacing
         snapped = np.rint(t)
         t = np.where(np.abs(t - snapped) <= _SNAP_TOL, snapped, t)
-        nmax = np.asarray(self.shape, dtype=np.int64) - 2
-        cell = np.clip(np.floor(t).astype(np.int64), 0, np.maximum(nmax, 0))
+        # np.minimum/np.maximum: np.clip costs twice as much on one point
+        cell = np.minimum(np.maximum(np.floor(t).astype(np.int64), 0), self._max_cell)
         frac = t - cell
 
-        idx = np.zeros((k, self._ncorners), dtype=np.int64)
-        w = np.ones((k, self._ncorners), dtype=float)
-        for c in range(self._ncorners):
-            flat = np.zeros(k, dtype=np.int64)
-            wc = np.ones(k, dtype=float)
-            for a in range(self.ndim):
-                bit = (c >> (self.ndim - 1 - a)) & 1
-                flat += (cell[:, a] + bit) * self._strides[a]
-                wc = wc * (frac[:, a] if bit else 1.0 - frac[:, a])
-            idx[:, c] = flat
-            w[:, c] = wc
-        w[~inside] = 0.0
-        idx[~inside] = 0
+        idx = (cell @ self._strides)[:, None] + self._corner_offsets
+        # Corner weights as an outer product over axes, filled in place axis
+        # by axis so that each weight is ((f_0 * f_1) * f_2)..., where f_a is
+        # frac (bit set) or 1 - frac (bit clear); C order puts axis 0 in the
+        # top bit of the corner index.
+        k = pts.shape[0]
+        w = np.empty((k,) + (2,) * self.ndim)
+        for a in range(self.ndim):
+            f = frac[:, a].reshape((k,) + (1,) * (self.ndim - 1))
+            head = (slice(None),) * (a + 1)
+            off, on = w[head + (0,)], w[head + (1,)]  # views: bit a clear / set
+            if a == 0:
+                off[...] = 1.0 - f
+                on[...] = f
+            else:
+                off *= 1.0 - f
+                on *= f
+        w = w.reshape(k, self._ncorners)
+        if not inside.all():
+            w[~inside] = 0.0
+            idx[~inside] = 0
         return idx, w, inside
 
     def interpolate(self, field: np.ndarray, point: np.ndarray) -> float:

@@ -3,8 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridpolicy as gp
+from gridpolicy import dp
 from gridpolicy import (
     STEP_REASONS,
     AxisSpec,
@@ -39,6 +42,24 @@ def test_control_coords_marks_infeasible():
 
 
 # -- backward recursion ------------------------------------------------------
+
+
+def _chain(engine, steps):
+    tables, prev = [], None
+    for _ in range(steps):
+        prev = engine.backward(None if prev is None else prev.cost)
+        tables.append(prev)
+    return tables
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_prev_cost(rng, nx):
+    """A cost-to-go field with ``+inf`` at a random share of the nodes."""
+    prev = rng.uniform(-2.0, 5.0, nx)
+    prev[rng.random(nx) < rng.uniform(0.0, 0.6)] = np.inf
+    return prev
 
 
 def test_backward_step_hand_computed():
@@ -108,17 +129,15 @@ def test_backward_equals_literal_enumeration(rng):
         np.testing.assert_array_equal(got.policy, want_first)
 
 
-def test_feasibility_monotone(rng):
-    for _ in range(10):
-        toy = random_lattice_toy(rng)
-        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-        prev = None
-        masks = []
-        for _ in range(6):
-            prev = engine.backward(None if prev is None else prev.cost)
-            masks.append(prev.feasible_mask)
-        for a, b in zip(masks, masks[1:]):
-            assert (a | ~b).all(), "a node regained feasibility at a longer horizon"
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS)
+def test_feasibility_monotone(seed):
+    toy = random_lattice_toy(np.random.default_rng(seed))
+    tables = _chain(DpEngine(toy.problem, toy.xgrid, toy.ugrid), 6)
+    for a, b in zip(tables, tables[1:]):
+        assert (a.feasible_mask | ~b.feasible_mask).all(), (
+            "a node regained feasibility at a longer horizon"
+        )
 
 
 def test_cost_monotone_for_nonnegative_stage_costs(rng):
@@ -187,27 +206,108 @@ def test_backward_interpolation_cross_check(rng):
             assert table.policy[flat] == arg
 
 
-def test_backward_never_produces_nan(rng):
-    for _ in range(5):
-        toy = random_lattice_toy(rng)
-        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-        prev = None
-        for _ in range(5):
-            prev = engine.backward(None if prev is None else prev.cost)
-            assert not np.isnan(prev.cost).any()
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS)
+def test_backward_never_produces_nan(seed):
+    rng = np.random.default_rng(seed)
+    toy = random_lattice_toy(rng)
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    tables = _chain(engine, 5) + [engine.backward(_random_prev_cost(rng, engine.nx))]
+    for table in tables:
+        assert not np.isnan(table.cost).any()
 
 
-def test_engine_thread_count_is_immaterial(rng):
+@settings(max_examples=50, deadline=None)
+@given(seed=_SEEDS)
+def test_engine_thread_count_is_immaterial(seed):
+    # one thread and every usable CPU give the same bytes
+    rng = np.random.default_rng(seed)
     toy = random_lattice_toy(rng)
     e1 = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=1)
-    e3 = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=3)
-    prev1 = prev3 = None
+    e0 = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=0)
+    prev = _random_prev_cost(rng, toy.xgrid.size)
     for _ in range(4):
-        t1 = e1.backward(None if prev1 is None else prev1.cost)
-        t3 = e3.backward(None if prev3 is None else prev3.cost)
-        np.testing.assert_array_equal(t1.cost, t3.cost)
-        np.testing.assert_array_equal(t1.policy, t3.policy)
-        prev1, prev3 = t1, t3
+        t1, t0 = e1.backward(prev), e0.backward(prev)
+        assert t1.cost.tobytes() == t0.cost.tobytes()
+        assert t1.policy.tobytes() == t0.policy.tobytes()
+        prev = t1.cost
+
+
+def _seam_blocks(nx, nu):
+    """Block sizes around the row length, a ragged prime and one block."""
+    primes = (7, 11, 13, 101, 1009, 10007)
+    prime = next(q for q in primes if q > nu + 1 and (nx * nu) % q)
+    return [1, nu - 1, nu, nu + 1, prime, 10**9]
+
+
+def _interpolating_pendulum():
+    # off-node successors, bounds tighter than the grid: many infeasible nodes
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.25), AxisSpec(-1.5, 2.0, 0.25)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
+    prob = gp.builtin_min_time_pendulum(
+        theta_bounds=(-1.5, 3.0), omega_bounds=(-1.2, 1.8), torque_limit=0.8
+    )
+    return prob, xg, ug
+
+
+def test_backward_block_seams_are_immaterial(rng, monkeypatch):
+    # the row-block loop, its ragged last block and one-row blocks give the
+    # same bytes as a single block, at one and two threads
+    toy = random_lattice_toy(rng)
+    cases = [(toy.problem, toy.xgrid, toy.ugrid), _interpolating_pendulum()]
+    for problem, xg, ug in cases:
+        ref = None
+        for threads in (1, 2):
+            engine = DpEngine(problem, xg, ug, threads=threads)
+            for block in _seam_blocks(xg.size, ug.size):
+                monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+                got = _chain(engine, 4)
+                if ref is None:
+                    ref = got
+                for a, b in zip(got, ref):
+                    assert a.cost.tobytes() == b.cost.tobytes(), (threads, block)
+                    assert a.policy.tobytes() == b.policy.tobytes(), (threads, block)
+        if problem is toy.problem:
+            want_cost, want_first = enumerate_optimal(toy, 4)
+            np.testing.assert_array_equal(ref[-1].cost, want_cost)
+            np.testing.assert_array_equal(ref[-1].policy, want_first)
+        else:
+            assert (ref[-1].policy == -1).any() and (ref[-1].policy != -1).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS)
+def test_backward_inf_exactly_without_a_finite_successor(seed):
+    # lattice successors carry weight 1 on one node: a node is +inf exactly
+    # when no admissible control leads to a node of finite cost-to-go
+    rng = np.random.default_rng(seed)
+    toy = random_lattice_toy(rng)
+    prev = _random_prev_cost(rng, toy.xgrid.size)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(prev)
+    assert not np.isnan(table.cost).any()
+    nxt = toy.next_index
+    reach = toy.admissible & (nxt >= 0) & np.isfinite(prev[np.where(nxt >= 0, nxt, 0)])
+    np.testing.assert_array_equal(np.isinf(table.cost), ~reach.any(axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEEDS)
+def test_backward_inf_propagates_through_positive_weight_corners(seed):
+    # off-node successors: a pair is finite exactly when it is admissible,
+    # its successor is inside the grid and every corner of positive weight
+    # holds a finite cost-to-go
+    rng = np.random.default_rng(seed)
+    prob, xg, ug = _interpolating_pendulum()
+    prev = _random_prev_cost(rng, xg.size)
+    table = DpEngine(prob, xg, ug).backward(prev)
+    assert not np.isnan(table.cost).any()
+    x = np.repeat(xg.node_coords(), ug.size, axis=0)
+    u = np.tile(ug.node_coords(), (xg.size, 1))
+    ok = (np.asarray(prob.inequality(x, u)) <= 0.0).all(axis=-1)
+    idx, w, inside = xg.locate_cells(prob.dynamics(x, u))
+    ok &= inside & ((w == 0.0) | np.isfinite(prev[idx])).all(axis=1)
+    reach = ok.reshape(xg.size, ug.size).any(axis=1)
+    np.testing.assert_array_equal(np.isinf(table.cost), ~reach)
 
 
 def test_resolve_threads_caps_at_usable_cpus(monkeypatch):

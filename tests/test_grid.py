@@ -152,6 +152,69 @@ def test_locate_cells_weights(rng):
     assert (idx[:-1] >= 0).all() and (idx[:-1] < g.size).all()
 
 
+def _locate_cells_corner_loop(g, points):
+    """The per-corner loop ``locate_cells`` used to run, kept as an oracle."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = pts.shape[0]
+    inside = g.in_domain(pts)
+    t = (pts - g.lows) / g.spacings
+    snapped = np.rint(t)
+    t = np.where(np.abs(t - snapped) <= 1e-9, snapped, t)
+    nmax = np.asarray(g.shape, dtype=np.int64) - 2
+    cell = np.clip(np.floor(t).astype(np.int64), 0, np.maximum(nmax, 0))
+    frac = t - cell
+    strides = [int(np.prod(g.shape[a + 1 :])) for a in range(g.ndim)]
+    idx = np.zeros((k, 1 << g.ndim), dtype=np.int64)
+    w = np.ones((k, 1 << g.ndim), dtype=float)
+    for c in range(1 << g.ndim):
+        flat = np.zeros(k, dtype=np.int64)
+        wc = np.ones(k, dtype=float)
+        for a in range(g.ndim):
+            bit = (c >> (g.ndim - 1 - a)) & 1
+            flat += (cell[:, a] + bit) * strides[a]
+            wc = wc * (frac[:, a] if bit else 1.0 - frac[:, a])
+        idx[:, c] = flat
+        w[:, c] = wc
+    w[~inside] = 0.0
+    idx[~inside] = 0
+    return idx, w, inside
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_locate_cells_matches_corner_loop(rng, ndim):
+    # bitwise equal to the per-corner loop on interior, outside, on-face,
+    # node, snapped-to-node and just-off-node points
+    g = CartesianGrid(
+        [AxisSpec(-1.0 + 0.3 * a, 1.0 + 0.7 * a, 0.1 + 0.15 * a) for a in range(ndim)]
+    )
+    lo, hi, h = g.lows, g.uppers, g.spacings
+    nodes = g.node_coords()[rng.integers(0, g.size, 300)]
+    jitter = rng.choice([0.0, 1e-12, -1e-12, 1e-7, -1e-7], size=nodes.shape)
+    faces = rng.uniform(lo, hi, size=(200, ndim))
+    axis = rng.integers(0, ndim, 200)
+    slack = rng.choice([0.0, 0.5e-9, -0.5e-9, 1e-8, -1e-8], size=200)
+    side = rng.random(200) < 0.5
+    faces[np.arange(200), axis] = np.where(side, lo[axis], hi[axis]) + slack * h[axis]
+    pts = np.vstack(
+        [
+            rng.uniform(lo, hi, size=(500, ndim)),
+            rng.uniform(lo - 3 * h, hi + 3 * h, size=(500, ndim)),
+            nodes + jitter * h,
+            faces,
+        ]
+    )
+    got = g.locate_cells(pts)
+    want = _locate_cells_corner_loop(g, pts)
+    assert not got[2].all() and got[2].any()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    # one point at a time, as a closed-loop step passes it
+    for p in pts[::97]:
+        for a, b in zip(g.locate_cells(p), _locate_cells_corner_loop(g, p)):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_three_dimensional_interpolation(rng):
     g = CartesianGrid(
         [AxisSpec(0.0, 1.0, 0.5), AxisSpec(0.0, 1.0, 0.25), AxisSpec(0.0, 1.0, 1.0)]
