@@ -23,13 +23,19 @@ never multiplies 0 by inf.  Inadmissible pairs carry ``+inf`` in the stage
 cost itself: their corners sum to exactly 0, and adding the stage cost last
 gives ``+inf``.
 
-The backward step walks blocks of whole state rows of about
-:data:`BLOCK_PAIRS` pairs: each corner row is streamed once per block into
-two reused work buffers that stay in cache.  Every pair is summed corner by
-corner in the same order with the stage cost last, and the argmin is taken
-per state row, so results are bit-identical for every block size.  Work is
-split over contiguous state-row chunks; each chunk writes a disjoint output
-slice, so results are bit-identical for every thread count.
+The build and the backward step walk the same blocks of whole state rows of
+about :data:`BLOCK_PAIRS` pairs.  The build evaluates constraints, dynamics,
+``locate_cells`` and stage costs one block at a time and writes straight
+into the engine arrays, so its peak memory is the engine plus one block's
+temporaries per thread (:func:`engine_bytes` estimates it, and the build
+raises :class:`MemoryError` up front when that exceeds what the process can
+still get).  The backward step streams each corner row once per block into
+two reused work buffers that stay in cache.  Every pair is evaluated
+element by element in row-major order, summed corner by corner in the same
+order with the stage cost last, and the argmin is taken per state row, so
+results are bit-identical for every block size.  Work is split over
+contiguous state-row chunks; each chunk writes a disjoint output slice, so
+results are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ INFEASIBLE = -1  # policy marker for nodes with no admissible control
 # The two float work buffers (1 MiB) stay in a 2 MiB L2; much smaller blocks
 # run so many short numpy calls that row-chunk threads stall on the GIL.
 BLOCK_PAIRS = 65536
+
+# Bound on the build's temporaries per pair of one block (inputs, successors,
+# the integrator's and locate_cells' arrays); tracemalloc measures 180-205 B
+# on the 2-D pendulums.
+BUILD_BYTES_PER_BLOCK_PAIR = 512
 
 # Closed-loop step outcomes, also used as rollout truncation reasons.
 # :func:`apply_policy` reports them as indices into ``STEP_REASONS``.
@@ -119,6 +130,46 @@ def feasible_indices(ensemble: ForwardEnsemble) -> np.ndarray:
     return np.flatnonzero(ensemble.feasible)
 
 
+def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
+    """Bytes a :class:`DpEngine` build needs: its arrays plus live temporaries.
+
+    Each of the ``nx * nu`` pairs stores ``2**ndim`` int32 corner indices and
+    float64 weights and one float64 stage cost; each of ``threads`` row
+    chunks holds the temporaries of one block of :data:`BLOCK_PAIRS`.
+    """
+    pairs = nx * nu
+    block_pairs = min(max(1, BLOCK_PAIRS // nu), nx) * nu
+    temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
+    return pairs * (12 * 2**ndim + 8) + temps
+
+
+def _available_bytes(proc: str = "/proc", cgroup: str = "/sys/fs/cgroup") -> int | None:
+    """Memory this process can still get, or None when it cannot be read.
+
+    The smaller of ``MemAvailable`` in ``/proc/meminfo`` and, under a cgroup
+    v2 memory limit, ``memory.max - memory.current``.
+    """
+    limits = []
+    try:
+        with open(os.path.join(proc, "meminfo")) as f:
+            line = next(ln for ln in f if ln.startswith("MemAvailable:"))
+        limits.append(int(line.split()[1]) * 1024)  # reported in kB
+    except (OSError, ValueError, IndexError, StopIteration):
+        pass
+    try:
+        with open(os.path.join(proc, "self", "cgroup")) as f:
+            path = next(ln[3:].strip() for ln in f if ln.startswith("0::"))
+        base = os.path.join(cgroup, path.lstrip("/"))
+        with open(os.path.join(base, "memory.max")) as f:
+            cap = f.read().strip()
+        if cap != "max":
+            with open(os.path.join(base, "memory.current")) as f:
+                limits.append(int(cap) - int(f.read()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(limits) if limits else None
+
+
 class DpEngine:
     """Precomputed vectorized kernels for one (problem, grids) triple.
 
@@ -173,6 +224,11 @@ class DpEngine:
         bounds = np.linspace(0, self.nx, self.threads + 1).astype(int)
         return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
+    def _row_blocks(self, r0: int, r1: int) -> list[tuple[int, int]]:
+        """Rows ``[r0, r1)`` cut into blocks of about :data:`BLOCK_PAIRS` pairs."""
+        rows = max(1, BLOCK_PAIRS // self.nu)
+        return [(b0, min(b0 + rows, r1)) for b0 in range(r0, r1, rows)]
+
     def _run_chunks(self, fn) -> None:
         chunks = self._row_chunks()
         if len(chunks) == 1:
@@ -185,6 +241,13 @@ class DpEngine:
 
     def _build(self) -> None:
         nx, nu, nc = self.nx, self.nu, self._ncorners
+        need = engine_bytes(nx, nu, self.xgrid.ndim, self.threads)
+        avail = _available_bytes()
+        if avail is not None and need > avail:
+            raise MemoryError(
+                f"engine for nx={nx} states x nu={nu} controls needs about "
+                f"{need} bytes; {avail} bytes are available"
+            )
         p = nx * nu
         self._sc = np.empty(p, dtype=float)
         self._idx = np.empty((nc, p), dtype=np.int32)
@@ -192,24 +255,27 @@ class DpEngine:
 
         # Pair p = ix * nu + iu, row-major over (state node, control node).
         def build_rows(r0: int, r1: int) -> None:
-            x = np.repeat(self._xcoords[r0:r1], nu, axis=0)
-            u = np.tile(self._ucoords, (r1 - r0, 1))
-            s = slice(r0 * nu, r1 * nu)
-            g = np.asarray(self.problem.inequality(x, u), dtype=float)
-            bad = (g > 0.0).any(axis=-1)
-            xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
-            idx, w, inside = self.xgrid.locate_cells(xn)
-            bad |= ~inside
-            w[bad] = 0.0
-            # Sentinel row nx holds cost 0; redirect every zero-weight corner
-            # there so that inf-valued corners never meet a zero weight.
-            idx[w == 0.0] = self.nx
-            self._idx[:, s] = idx.T
-            self._w[:, s] = w.T
-            # Stage costs last: the pages of _sc are first touched after
-            # locate_cells has freed its temporaries, off the build's peak.
-            self._sc[s] = relaxed_cost(self.problem, x, u)
-            self._sc[s][bad] = np.inf
+            for b0, b1 in self._row_blocks(r0, r1):
+                x = np.repeat(self._xcoords[b0:b1], nu, axis=0)
+                u = np.tile(self._ucoords, (b1 - b0, 1))
+                s = slice(b0 * nu, b1 * nu)
+                g = np.asarray(self.problem.inequality(x, u), dtype=float)
+                bad = (g > 0.0).any(axis=-1)
+                del g  # off the integrator's peak
+                xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
+                idx, w, inside = self.xgrid.locate_cells(xn)
+                bad |= ~inside
+                w[bad] = 0.0
+                # Sentinel row nx holds cost 0; redirect every zero-weight
+                # corner there so that inf-valued corners never meet a zero
+                # weight.
+                idx[w == 0.0] = nx
+                self._idx[:, s] = idx.T
+                self._w[:, s] = w.T
+                self._sc[s] = relaxed_cost(self.problem, x, u)
+                self._sc[s][bad] = np.inf
+                # Free this block's temporaries before the next one allocates.
+                del x, u, bad, xn, idx, w, inside
 
         self._run_chunks(build_rows)
 
@@ -234,14 +300,13 @@ class DpEngine:
         cost = np.empty(nx, dtype=float)
         policy = np.empty(nx, dtype=np.int64)
         idx, w, sc = self._idx, self._w, self._sc
-        block_rows = max(1, BLOCK_PAIRS // nu)
 
         def step_rows(r0: int, r1: int) -> None:
-            size = min(block_rows, r1 - r0) * nu
+            blocks = self._row_blocks(r0, r1)
+            size = (blocks[0][1] - blocks[0][0]) * nu  # the first is the largest
             val_buf = np.empty(size, dtype=float)
             tmp_buf = np.empty(size, dtype=float)
-            for b0 in range(r0, r1, block_rows):
-                b1 = min(b0 + block_rows, r1)
+            for b0, b1 in blocks:
                 s = slice(b0 * nu, b1 * nu)
                 val = val_buf[: (b1 - b0) * nu]
                 tmp = tmp_buf[: val.size]

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +277,97 @@ def test_backward_block_seams_are_immaterial(rng, monkeypatch):
             assert (ref[-1].policy == -1).any() and (ref[-1].policy != -1).any()
 
 
+def _engine_arrays(engine):
+    return engine._idx.tobytes(), engine._w.tobytes(), engine._sc.tobytes()
+
+
+def test_build_block_seams_are_immaterial(rng, monkeypatch):
+    # engines built in one-row blocks, blocks around the row length, a
+    # ragged prime and threads 1 and 2 hold the same bytes as a single-block
+    # build and step the same
+    toy = random_lattice_toy(rng)
+    cases = [(toy.problem, toy.xgrid, toy.ugrid), _interpolating_pendulum()]
+    for problem, xg, ug in cases:
+        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+        single = DpEngine(problem, xg, ug, threads=1)
+        want, want_chain = _engine_arrays(single), _chain(single, 4)
+        for threads in (1, 2):
+            for block in _seam_blocks(xg.size, ug.size):
+                monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+                engine = DpEngine(problem, xg, ug, threads=threads)
+                assert _engine_arrays(engine) == want, (threads, block)
+                monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+                for a, b in zip(_chain(engine, 4), want_chain):
+                    assert a.cost.tobytes() == b.cost.tobytes(), (threads, block)
+                    assert a.policy.tobytes() == b.policy.tobytes(), (threads, block)
+
+
+def test_build_temporaries_stay_within_one_block(monkeypatch):
+    # numpy reports its buffers to tracemalloc: beyond the engine's own
+    # arrays the build holds at most 512 B per pair of one block
+    monkeypatch.setattr(dp, "BLOCK_PAIRS", 4096)
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
+    assert (xg.shape, ug.size) == ((56, 36), 51)
+    tracemalloc.start()
+    try:
+        engine = DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = engine._idx.nbytes + engine._w.nbytes + engine._sc.nbytes
+    block_pairs = (4096 // ug.size) * ug.size
+    assert peak - arrays <= 512 * block_pairs, (peak - arrays) / block_pairs
+
+
+def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
+    toy = random_lattice_toy(rng)
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(x, u):
+            calls.append(name)
+            return fn(x, u)
+
+        return wrapped
+
+    fields = ("dynamics", "stage_cost", "inequality", "average_fn")
+    problem = dataclasses.replace(
+        toy.problem, **{f: recording(f, getattr(toy.problem, f)) for f in fields}
+    )
+    nx, nu = toy.xgrid.size, toy.ugrid.size
+    need = dp.engine_bytes(nx, nu, toy.xgrid.ndim)
+    monkeypatch.setattr(dp, "_available_bytes", lambda: need - 1)
+    with pytest.raises(MemoryError) as err:
+        DpEngine(problem, toy.xgrid, toy.ugrid, threads=1)
+    for part in (f"nx={nx}", f"nu={nu}", str(need), str(need - 1)):
+        assert part in str(err.value)
+    assert calls == []
+
+    monkeypatch.setattr(dp, "_available_bytes", lambda: 100 * need)
+    engine = DpEngine(problem, toy.xgrid, toy.ugrid, threads=1)
+    assert calls
+    assert need >= engine._idx.nbytes + engine._w.nbytes + engine._sc.nbytes
+    assert dp.engine_bytes(nx, nu, toy.xgrid.ndim, threads=2) > need
+
+
+def test_available_bytes_reads_meminfo_and_cgroup_v2(tmp_path):
+    proc, cgroup = tmp_path / "proc", tmp_path / "cgroup"
+    (proc / "self").mkdir(parents=True)
+    (cgroup / "jobs" / "a").mkdir(parents=True)
+    assert dp._available_bytes(str(proc), str(cgroup)) is None
+    (proc / "meminfo").write_text("MemTotal: 9000 kB\nMemAvailable: 2000 kB\n")
+    assert dp._available_bytes(str(proc), str(cgroup)) == 2000 * 1024
+    (proc / "self" / "cgroup").write_text("0::/jobs/a\n")
+    (cgroup / "jobs" / "a" / "memory.max").write_text("max\n")
+    assert dp._available_bytes(str(proc), str(cgroup)) == 2000 * 1024
+    (cgroup / "jobs" / "a" / "memory.max").write_text("1000000\n")
+    (cgroup / "jobs" / "a" / "memory.current").write_text("400000\n")
+    assert dp._available_bytes(str(proc), str(cgroup)) == 600000
+    (proc / "meminfo").unlink()
+    assert dp._available_bytes(str(proc), str(cgroup)) == 600000
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=_SEEDS)
 def test_backward_inf_exactly_without_a_finite_successor(seed):
@@ -434,6 +527,41 @@ def test_forward_matches_apply_policy(rng):
             np.testing.assert_array_equal(ens.states[i], xn)
         else:
             assert not ens.feasible[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS)
+def test_forward_equals_single_state_steps(seed):
+    # one ensemble step equals a separate (n,) apply_policy call per live
+    # entry; entries already dead, or failing now, keep their state bytes
+    rng = np.random.default_rng(seed)
+    toy = random_lattice_toy(rng)
+    xg, ug = toy.xgrid, toy.ugrid
+    engine = DpEngine(toy.problem, xg, ug)
+    policy = rng.integers(0, ug.size, size=xg.size)
+    policy[rng.random(xg.size) < 0.2] = -1
+    table = StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy)
+    k = int(rng.integers(1, 40))
+    starts = rng.uniform(xg.lows - 0.5, xg.uppers + 0.5, size=(k, xg.ndim))
+    on_node = rng.random(k) < 0.5
+    starts[on_node] = xg.node_coords()[rng.integers(0, xg.size, on_node.sum())]
+    alive = rng.random(k) >= 0.25
+
+    ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())
+    controls = engine.forward(ens, table)
+    assert ens.step == 1 and controls.shape == (k, ug.ndim)
+    for i in range(k):
+        ok = False
+        if alive[i]:
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table, starts[i])
+            ok = reason == 0
+        assert ens.feasible[i] == ok
+        if ok:
+            assert controls[i].tobytes() == u.tobytes()
+            assert ens.states[i].tobytes() == xn.tobytes()
+        else:
+            assert np.isnan(controls[i]).all()
+            assert ens.states[i].tobytes() == starts[i].tobytes()
 
 
 def test_apply_policy_statuses():
