@@ -497,8 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=0,
-            help="worker threads (0 = all usable CPUs); never changes the results",
+            default=1,
+            help=(
+                "worker threads for the backward kernel (0 = all usable CPUs); "
+                "never changes the results.  Default 1: on a 2-CPU host two "
+                "threads ran a backward step at 0.56-1.35x the speed of one, "
+                "since each block's short numpy calls pass the GIL back and forth"
+            ),
         )
         p.add_argument(
             "--quiet", action="store_true", help="suppress per-horizon progress"

@@ -328,6 +328,29 @@ class DpEngine:
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
 
+    def extend(self, stages: list[StageTable]) -> StageTable:
+        """Append the next backward stage to ``stages`` and return it.
+
+        ``stages`` is a backward stack in recursion order (``stages[j-1]``
+        holds the ``j``-step table), empty at first and grown only by this
+        method; a caller may drop all but its last two entries.  Once a
+        stage's cost is bitwise equal to the one before it (the zero
+        terminal field before stage 1), the cost field has reached its
+        fixpoint: every later stage is that same table object, and the
+        backward kernel is not run again.  The cost and policy arrays of
+        every appended table are read-only.
+        """
+        if stages:
+            before = stages[-2].cost if len(stages) > 1 else np.zeros(self.nx)
+            if _same_bits(stages[-1].cost, before):
+                stages.append(stages[-1])
+                return stages[-1]
+        table = self.backward(stages[-1].cost if stages else None)
+        table.cost.flags.writeable = False
+        table.policy.flags.writeable = False
+        stages.append(table)
+        return table
+
     # -- forward ensemble step ---------------------------------------------------
 
     def seed_ensemble(self, table: StageTable) -> ForwardEnsemble:
@@ -360,6 +383,11 @@ class DpEngine:
         ensemble.feasible[active[~ok]] = False
         ensemble.step += 1
         return u_out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float64 fields (``-0.0`` differs from ``0.0``)."""
+    return a is b or np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -71,20 +71,19 @@ def finite_horizon_policies(
 
     Returns:
         Tables in forward time order: entry ``k`` is the policy to apply at
-        step ``k`` (i.e. the table with ``horizon - k`` steps to go).
+        step ``k`` (i.e. the table with ``horizon - k`` steps to go).  The
+        stages past the cost fixpoint (see :meth:`DpEngine.extend`) are one
+        shared read-only table.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if engine is None:
         engine = DpEngine(problem, xgrid, ugrid, threads=threads)
-    backward: list[StageTable] = []
-    prev = None
-    for _ in range(horizon):
-        table = engine.backward(prev)
-        backward.append(table)
-        prev = table.cost
-    backward.reverse()
-    return backward
+    stages: list[StageTable] = []
+    while len(stages) < horizon:
+        engine.extend(stages)
+    stages.reverse()
+    return stages
 
 
 def _rollout(
@@ -173,7 +172,9 @@ def horizon_sweep(
     For each ``N`` in ``problem_horizons``, the ``N``-step first-stage policy
     is rolled out ``trajectory_horizon`` steps from *every* grid node (one
     vectorized ensemble), and the relaxed stage costs are averaged along each
-    surviving trajectory.
+    surviving trajectory.  The backward chain holds only its last two
+    tables and the wanted first-stage tables; design horizons past the cost
+    fixpoint (see :meth:`DpEngine.extend`) share one read-only table.
 
     Returns:
         Mapping ``N -> (size,)`` array of per-node mean costs; NaN at nodes
@@ -189,12 +190,12 @@ def horizon_sweep(
 
     wanted = set(horizons)
     first_stage: dict[int, StageTable] = {}
-    prev = None
+    stages: list[StageTable] = []
     for n in range(1, horizons[-1] + 1):
-        table = engine.backward(prev)
+        table = engine.extend(stages)
+        del stages[:-2]  # all that extend reads
         if n in wanted:
             first_stage[n] = table
-        prev = table.cost
 
     out: dict[int, np.ndarray] = {}
     for n in horizons:

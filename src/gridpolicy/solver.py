@@ -210,6 +210,10 @@ def solve(
 ) -> SolveReport:
     """Solve for a stationary grid policy on a growing horizon.
 
+    The backward stack grows through :meth:`DpEngine.extend`: its tables,
+    the returned ``first_stage_policy`` among them, are read-only, and the
+    stages past the cost fixpoint are one shared table.
+
     Args:
         problem: the control problem.
         xgrid: state grid.
@@ -243,8 +247,7 @@ def solve(
 
     while True:
         while len(stages) < target:
-            prev = stages[-1].cost if stages else None
-            stages.append(engine.backward(prev))
+            engine.extend(stages)
         table = stages[-1]
 
         ensemble = engine.seed_ensemble(table)

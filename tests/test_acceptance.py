@@ -5,6 +5,7 @@ then asserts it, so the suite doubles as a readable acceptance report.  The
 session-scoped benchmark fixtures in ``conftest.py`` are shared across tests;
 the reference-trajectory tests are the slow part (a few minutes in total,
 dominated by the backward recursion over the full comparison window).
+Every test that solves or sweeps a paper-scale grid is marked ``slow``.
 """
 
 import math
@@ -13,6 +14,7 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import gridpolicy as gp
 from gridpolicy import (
@@ -46,6 +48,7 @@ def _quantized(values, spacing: float, tol: float = 1e-9) -> bool:
     return bool(np.all(np.abs(q - np.rint(q)) <= tol))
 
 
+@pytest.mark.slow
 def test_criterion_1_convergence_and_budget(min_time_run, tmp_path):
     report = min_time_run.report
     checks = {
@@ -99,6 +102,7 @@ def test_criterion_1_convergence_and_budget(min_time_run, tmp_path):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_2_min_time_cost_parity(min_time_run):
     run = min_time_run
     window = 10 * run.report.terminal_horizon
@@ -121,6 +125,7 @@ def test_criterion_2_min_time_cost_parity(min_time_run):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_3_avg_angle_tracking(avg_angle_run):
     run = avg_angle_run
     window = 10 * run.report.terminal_horizon
@@ -160,6 +165,7 @@ def test_criterion_3_avg_angle_tracking(avg_angle_run):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_4_horizon_sweep_band():
     cfg = load_config(str(CONFIGS / "pendulum_avg_angle_sweep.cfg"))
     horizons = list(cfg.sweep_horizons)
@@ -294,6 +300,7 @@ def _stationarity_gaps(run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_equilibrium_consistency(min_time_run, avg_angle_run):
     checks = {}
     details = []
@@ -323,6 +330,7 @@ def test_criterion_6_equilibrium_consistency(min_time_run, avg_angle_run):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_7_thread_count_byte_identity(tmp_path):
     cfg = str(CONFIGS / "pendulum_min_time_coarse.cfg")
     outs = {}
@@ -351,6 +359,7 @@ def test_criterion_7_thread_count_byte_identity(tmp_path):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_8_property_bundle(min_time_run, avg_angle_run, rng):
     checks = {}
 

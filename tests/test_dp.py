@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,6 +433,133 @@ def test_row_chunks_never_exceed_the_cap(rng):
     assert 1 <= len(chunks) <= cap
     assert chunks[0][0] == 0 and chunks[-1][1] == engine.nx
     assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+# -- backward chain with the cost-fixpoint short-circuit ---------------------
+
+
+def _fixpoint_toy(rng, settles):
+    """A lattice toy whose cost field reaches a bitwise fixpoint, or never.
+
+    A settling toy only steps to a lower node or stays put at zero cost, so
+    from stage ``nx`` on a stage's cheapest paths are the last stage's with
+    one more zero-cost stay.  The other kind pays at least 0.5 per step and
+    can always stay at node 0, so node 0's cost grows without end.
+    """
+    nx, nu = int(rng.integers(2, 13)), int(rng.integers(2, 5))
+    rows = np.arange(nx)[:, None]
+    if settles:
+        nxt = (rng.random((nx, nu)) * (rows + 1)).astype(np.int64)
+        cost = np.where(nxt == rows, 0.0, rng.uniform(-1.0, 2.0, (nx, nu)))
+    else:
+        nxt = rng.integers(0, nx, (nx, nu))
+        cost = rng.uniform(0.5, 2.0, (nx, nu))
+    nxt[rng.random((nx, nu)) < 0.15] = -1
+    admissible = rng.random((nx, nu)) >= 0.12
+    if not settles:
+        nxt[0, 0], admissible[0, 0] = 0, True
+    return lattice_problem((nx,), (nu,), nxt, cost, admissible)
+
+
+def _same_tables(a, b):
+    return len(a) == len(b) and all(
+        s.cost.tobytes() == t.cost.tobytes() and s.policy.tobytes() == t.policy.tobytes()
+        for s, t in zip(a, b)
+    )
+
+
+def _extend_counting(engine, steps):
+    """``steps`` calls of ``engine.extend`` and the kernel calls they made."""
+    calls = []
+    backward = DpEngine.backward
+
+    def counting(self, prev_cost):
+        calls.append(prev_cost)
+        return backward(self, prev_cost)
+
+    stages = []
+    with mock.patch.object(DpEngine, "backward", counting):
+        for _ in range(steps):
+            engine.extend(stages)
+    return stages, len(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=_SEEDS, settles=st.booleans())
+def test_extend_equals_step_chain_and_stops_at_the_fixpoint(seed, settles):
+    toy = _fixpoint_toy(np.random.default_rng(seed), settles)
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    plain = _chain(engine, 3 * (engine.nx + 1))
+    costs = [np.zeros(engine.nx)] + [t.cost for t in plain]
+    fixpoint = next(
+        (k for k in range(1, len(costs)) if costs[k].tobytes() == costs[k - 1].tobytes()),
+        None,
+    )
+    assert (fixpoint is not None) == settles
+    steps = 3 * fixpoint if settles else len(plain)
+
+    stages, calls = _extend_counting(engine, steps)
+    assert _same_tables(stages, plain[:steps])
+    assert calls == (fixpoint if settles else steps)
+    if settles:
+        assert all(t is stages[fixpoint - 1] for t in stages[fixpoint:])
+
+
+def _signed_zero_toy(length=6):
+    """1-D chain whose cost fields differ from stage 1 on only in zero signs.
+
+    Nodes 0 and 1 pay the smallest negative subnormal and step to 0.5, so
+    their cost stays at it, and half of it rounds to ``-0.0``.  Node
+    ``i >= 2`` pays ``-0.0`` and steps to ``i - 1.5``, midway between two
+    nodes, so it turns ``-0.0`` at stage ``i``, once both corners have.
+    """
+    tiny = -np.nextafter(0.0, 1.0)
+    problem = gp.ProblemDef(
+        state_dim=1,
+        control_dim=1,
+        dynamics=lambda x, u: np.where(x <= 1.0, 0.5, x - 1.5),
+        stage_cost=lambda x, u: np.where(x[..., 0] <= 1.0, tiny, -0.0),
+        inequality=lambda x, u: np.full(x.shape[:-1] + (1,), -1.0),
+        average_fn=lambda x, u: np.zeros(x.shape[:-1]),
+    )
+    xg = CartesianGrid([AxisSpec(0.0, float(length), 1.0)])
+    ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
+    return DpEngine(problem, xg, ug)
+
+
+def test_extend_fixpoint_is_bitwise_not_numeric(monkeypatch):
+    engine = _signed_zero_toy()
+    plain = _chain(engine, 12)
+    # stage k is plain[k - 1]; stages 1..12 are equal by value
+    assert all(np.array_equal(a.cost, b.cost) for a, b in zip(plain, plain[1:]))
+    assert np.signbit(plain[4].cost).sum() == 6 and np.signbit(plain[5].cost).all()
+
+    stages, calls = _extend_counting(engine, 12)
+    assert _same_tables(stages, plain)
+    assert calls == 7  # stage 7 repeats stage 6 bit for bit
+
+    # a fixpoint test by value takes stage 2 for the fixpoint
+    monkeypatch.setattr(dp, "_same_bits", np.array_equal)
+    stages, calls = _extend_counting(engine, 12)
+    assert calls == 2
+    assert not _same_tables(stages, plain)
+
+
+def test_extended_tables_are_read_only():
+    toy = _absorbing_toy()
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages = []
+    for _ in range(4):
+        engine.extend(stages)
+    assert stages[-1] is stages[-2]  # past the fixpoint
+    tables = stages + gp.finite_horizon_policies(
+        toy.problem, toy.xgrid, toy.ugrid, 3, engine=engine
+    )
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.cost[0] = 1.0
+        with pytest.raises(ValueError):
+            table.policy[0] = 1
 
 
 # -- forward propagation -----------------------------------------------------
