@@ -15,7 +15,6 @@ from .dp import (
     ForwardEnsemble,
     StageTable,
     apply_policy,
-    feasible_indices,
 )
 from .equilibrium import EquilibriumPoint, NoEquilibriumError, equilibrium_search
 from .grid import AxisSpec, CartesianGrid
@@ -77,7 +76,6 @@ __all__ = [
     "delta_mu",
     "delta_x",
     "equilibrium_search",
-    "feasible_indices",
     "finite_horizon_policies",
     "horizon_sweep",
     "load_config",

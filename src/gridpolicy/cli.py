@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -192,7 +193,7 @@ def write_sweep_csv(path: str, results: dict[int, np.ndarray]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# solve-artifact reuse
+# solve artifacts
 # ---------------------------------------------------------------------------
 
 
@@ -208,73 +209,53 @@ def _write_lock(path: str, report: SolveReport, cfg: RunConfig) -> None:
     _write(path, lines)
 
 
-def _read_lock(out_dir: str, cfg: RunConfig) -> dict | None:
-    """Header fields of a lock that matches ``cfg`` exactly, else None."""
-    path = os.path.join(out_dir, "solve.lock")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        return None
-    lines = text.splitlines()
-    if not lines or lines[0] != _LOCK_MAGIC or "" not in lines:
-        return None
-    split = lines.index("")
-    header: dict[str, str] = {}
-    for line in lines[1:split]:
-        key, _, val = line.partition(" ")
-        header[key] = val
-    if "\n".join(lines[split + 1 :]) != cfg.canonical():
-        return None
-    if "status" not in header or "terminal_horizon" not in header:
-        return None
-    return header
+def _write_artifact(path: str, report: SolveReport, cfg: RunConfig) -> None:
+    """The first-stage table bitwise, keyed by the canonical config."""
+    table = report.first_stage_policy
+    np.savez(
+        path,
+        cost=table.cost,
+        policy=table.policy,
+        status=report.status,
+        terminal_horizon=report.terminal_horizon,
+        canonical=cfg.canonical(),
+    )
 
 
-def _load_policy_csv(out_dir: str, cfg: RunConfig, terminal: int) -> StageTable | None:
-    """Reconstruct the first-stage policy from a previously written CSV.
+def _read_artifact(out_dir: str, cfg: RunConfig) -> tuple[StageTable, str, int] | None:
+    """``(table, status, terminal_horizon)`` that ``solve`` wrote for ``cfg``.
 
-    Control coordinates round-trip exactly through ``repr``, so the policy
-    indices recovered by rounding are identical to the solved ones.  The
-    cost column is an average and only feasibility is trusted from it.
+    None when ``policy.npz`` is missing, unreadable, malformed or keyed by
+    another config; the caller then solves afresh.
     """
-    path = os.path.join(out_dir, "policy.csv")
-    xg = cfg.state_grid()
-    ug = cfg.control_grid()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
+        # a plain .npy in its place loads as an array: no context manager
+        with np.load(os.path.join(out_dir, "policy.npz"), allow_pickle=False) as npz:
+            cost, policy, status, terminal, canonical = [
+                npz[key]
+                for key in ("cost", "policy", "status", "terminal_horizon", "canonical")
+            ]
+    except (OSError, EOFError, TypeError, zipfile.BadZipFile, ValueError, KeyError):
         return None
-    if len(lines) != xg.size + 1:
+    nx, nu = cfg.state_grid().size, cfg.control_grid().size
+    if (
+        str(canonical) != cfg.canonical()
+        or str(status) not in ("converged", "hit_n_max")
+        or terminal.shape != ()
+        or terminal.dtype != np.int64
+        or terminal < 1
+        or cost.shape != (nx,)
+        or cost.dtype != np.float64
+        or policy.shape != (nx,)
+        or policy.dtype != np.int64
+        or ((policy < INFEASIBLE) | (policy >= nu)).any()
+    ):
         return None
-    n, m = xg.ndim, ug.ndim
-    lo = ug.lows
-    sp = ug.spacings
-    strides = np.ones(m, dtype=np.int64)
-    for a in range(m - 2, -1, -1):
-        strides[a] = strides[a + 1] * ug.shape[a + 1]
-    cost = np.empty(xg.size)
-    policy = np.empty(xg.size, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != n + m + 2:
-            return None
-        if cells[n + m] == "0":
-            cost[i] = np.inf
-            policy[i] = INFEASIBLE
-            continue
-        try:
-            u = np.asarray([float(c) for c in cells[n : n + m]])
-            avg = float(cells[n + m + 1])
-        except ValueError:
-            return None
-        ui = np.rint((u - lo) / sp).astype(np.int64)
-        if (ui < 0).any() or (ui >= np.asarray(ug.shape)).any():
-            return None
-        cost[i] = avg * terminal
-        policy[i] = int(np.dot(ui, strides))
-    return StageTable(cost=cost, policy=policy)
+    try:
+        table = StageTable(cost=cost, policy=policy)
+    except ValueError:  # infinite cost and policy marker -1 disagree
+        return None
+    return table, str(status), int(terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +300,7 @@ def _run_solve(args: argparse.Namespace, cfg: RunConfig, out: str) -> SolveRepor
     write_metrics_csv(os.path.join(out, "metrics.csv"), report, cfg)
     write_report_txt(os.path.join(out, "report.txt"), report)
     _write_lock(os.path.join(out, "solve.lock"), report, cfg)
+    _write_artifact(os.path.join(out, "policy.npz"), report, cfg)
     return report
 
 
@@ -338,21 +320,14 @@ def cmd_rollout(args: argparse.Namespace) -> int:
     out = _out_dir(args, cfg)
     x0 = _parse_x0(args, cfg)
 
-    table = None
-    lock = _read_lock(out, cfg)
-    if lock is not None:
-        table = _load_policy_csv(out, cfg, int(lock["terminal_horizon"]))
-    if table is not None:
-        status = lock["status"]
-        terminal = int(lock["terminal_horizon"])
-    else:
-        report = _run_solve(args, cfg, out)
-        table = report.first_stage_policy
-        status = report.status
-        terminal = report.terminal_horizon
-
     if args.horizon is not None and args.horizon < 0:
         raise ConfigError(f"--horizon must be nonnegative, got {args.horizon}")
+
+    solved = _read_artifact(out, cfg)
+    if solved is None:
+        report = _run_solve(args, cfg, out)
+        solved = report.first_stage_policy, report.status, report.terminal_horizon
+    table, status, terminal = solved
     horizon = (
         args.horizon
         if args.horizon is not None

@@ -97,14 +97,6 @@ class StageTable:
     def feasible_mask(self) -> np.ndarray:
         return self.policy != INFEASIBLE
 
-    def control_coords(self, ugrid: CartesianGrid) -> np.ndarray:
-        """Policy in control coordinates, NaN rows at infeasible nodes."""
-        out = np.full((self.policy.shape[0], ugrid.ndim), np.nan)
-        ok = self.feasible_mask
-        if ok.any():
-            out[ok] = ugrid.node_coords()[self.policy[ok]]
-        return out
-
 
 @dataclass
 class ForwardEnsemble:
@@ -123,11 +115,6 @@ class ForwardEnsemble:
         self.feasible = np.asarray(self.feasible, dtype=bool)
         if self.states.ndim != 2 or self.feasible.shape != (self.states.shape[0],):
             raise ValueError("states must be (k, n) with a (k,) feasibility mask")
-
-
-def feasible_indices(ensemble: ForwardEnsemble) -> np.ndarray:
-    """Flat indices of the entries still feasible, in ensemble order."""
-    return np.flatnonzero(ensemble.feasible)
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:

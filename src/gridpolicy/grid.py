@@ -270,13 +270,3 @@ class CartesianGrid:
             if wc > 0.0:
                 total += wc * field[idx[0, c]]
         return float(total)
-
-    # -- field constructors ----------------------------------------------------
-
-    def zeros(self) -> np.ndarray:
-        """All-zero flat field."""
-        return np.zeros(self.size, dtype=float)
-
-    def full(self, value: float) -> np.ndarray:
-        """Constant flat field."""
-        return np.full(self.size, value, dtype=float)

@@ -96,9 +96,6 @@ def _rollout(
     x = np.asarray(x0, dtype=float).reshape(xgrid.ndim)
     states = [x]
     controls: list[np.ndarray] = []
-    fc: list[float] = []
-    fcr: list[float] = []
-    fa: list[float] = []
     reason = None
     for k, table in enumerate(tables):
         code, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
@@ -108,18 +105,18 @@ def _rollout(
                 raise InfeasibleRolloutError(0, reason)
             break
         controls.append(u)
-        fc.append(float(np.asarray(problem.stage_cost(x, u), dtype=float)))
-        fcr.append(float(relaxed_cost(problem, x, u)))
-        fa.append(float(np.asarray(problem.average_fn(x, u), dtype=float)))
         states.append(xn)
         x = xn
-    m = ugrid.ndim
+    xs = np.asarray(states, dtype=float)
+    us = np.asarray(controls, dtype=float).reshape(len(controls), ugrid.ndim)
+    # the problem callables act row by row, so one call on all (x_k, u_k)
+    # gives the per-step values
     return RolloutTrace(
-        states=np.asarray(states, dtype=float),
-        controls=np.asarray(controls, dtype=float).reshape(len(controls), m),
-        stage_costs=np.asarray(fc, dtype=float),
-        relaxed_costs=np.asarray(fcr, dtype=float),
-        average_values=np.asarray(fa, dtype=float),
+        states=xs,
+        controls=us,
+        stage_costs=np.asarray(problem.stage_cost(xs[:-1], us), dtype=float),
+        relaxed_costs=relaxed_cost(problem, xs[:-1], us),
+        average_values=np.asarray(problem.average_fn(xs[:-1], us), dtype=float),
         reason=reason,
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import DpEngine, ForwardEnsemble, StageTable, feasible_indices
+from .dp import DpEngine, ForwardEnsemble, StageTable
 from .grid import CartesianGrid
 from .problem import ProblemDef
 from .reference import InfeasibleRolloutError, rollout_stationary
@@ -255,7 +255,7 @@ def solve(
             raise InfeasibleProblemError("no grid node admits a feasible control")
         for _ in range((target + 1) // 2):
             engine.forward(ensemble, table)
-        survivors = feasible_indices(ensemble)
+        survivors = np.flatnonzero(ensemble.feasible)
 
         dmu = delta_mu(stages, survivors, ugrid)
         dx = delta_x(ensemble)

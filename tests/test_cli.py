@@ -2,10 +2,11 @@ import os
 import pathlib
 import shutil
 
+import numpy as np
 import pytest
 
-from gridpolicy import load_config
-from gridpolicy.cli import _load_policy_csv, _read_lock, main, write_policy_csv
+from gridpolicy import load_config, parse_config, solve
+from gridpolicy.cli import _read_artifact, main, write_policy_csv
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 COARSE = str(CONFIGS / "pendulum_min_time_coarse.cfg")
@@ -54,7 +55,7 @@ def _lines(path) -> list[str]:
 
 
 def test_solve_writes_artifacts(solved_dir):
-    for name in ("policy.csv", "metrics.csv", "report.txt", "solve.lock"):
+    for name in ("policy.csv", "metrics.csv", "report.txt", "solve.lock", "policy.npz"):
         assert (solved_dir / name).is_file()
 
     policy = _lines(solved_dir / "policy.csv")
@@ -78,18 +79,36 @@ def test_solve_writes_artifacts(solved_dir):
 
 def test_policy_csv_round_trip(solved_dir, tmp_path):
     cfg = load_config(COARSE)
-    lock = _read_lock(str(solved_dir), cfg)
-    assert lock is not None and lock["status"] == "converged"
-    table = _load_policy_csv(str(solved_dir), cfg, int(lock["terminal_horizon"]))
-    assert table is not None
+    solved = _read_artifact(str(solved_dir), cfg)
+    assert solved is not None
+    table, status, terminal = solved
+    assert status == "converged"
 
     class _Stub:
         first_stage_policy = table
-        terminal_horizon = int(lock["terminal_horizon"])
+        terminal_horizon = terminal
 
     rewritten = tmp_path / "policy.csv"
     write_policy_csv(str(rewritten), _Stub, cfg)
     assert rewritten.read_bytes() == (solved_dir / "policy.csv").read_bytes()
+
+
+def test_policy_npz_is_the_solved_table(tmp_path):
+    # the text export loses bits here: avg_cost_to_go x N reproduced only
+    # 79 of the 95 finite costs
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_AVG, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    cfg = parse_config(TINY_AVG)
+    report = solve(
+        cfg.build_problem(), cfg.state_grid(), cfg.control_grid(), cfg.solver
+    )
+    expected = report.first_stage_policy
+    table, status, terminal = _read_artifact(str(out), cfg)
+    assert table.cost.tobytes() == expected.cost.tobytes()
+    assert table.policy.tobytes() == expected.policy.tobytes()
+    assert (status, terminal) == (report.status, report.terminal_horizon)
 
 
 def test_solve_default_out_dir(tmp_path, monkeypatch):
@@ -227,10 +246,8 @@ def test_rollout_x0_validation(solved_dir, capsys):
         assert "config error" in capsys.readouterr().err
 
 
-def test_rollout_stale_lock_triggers_resolve(solved_dir, tmp_path):
-    workdir = tmp_path / "o"
-    shutil.copytree(solved_dir, workdir)
-    (workdir / "solve.lock").write_text("stale\n", encoding="utf-8")
+def _rollout_resolves(solved_dir, workdir, capsys):
+    """Roll out of ``workdir`` and check that it solved afresh, exit 0."""
     before = os.stat(workdir / "policy.csv").st_mtime_ns
     rc = main(
         [
@@ -245,14 +262,101 @@ def test_rollout_stale_lock_triggers_resolve(solved_dir, tmp_path):
         ]
     )
     assert rc == 0
+    assert "rollout ok steps=5" in capsys.readouterr().out
     assert os.stat(workdir / "policy.csv").st_mtime_ns != before  # re-solved
     # and the refreshed artifacts match the originals byte for byte
-    assert (workdir / "policy.csv").read_bytes() == (
-        solved_dir / "policy.csv"
-    ).read_bytes()
-    assert (workdir / "solve.lock").read_bytes() == (
-        solved_dir / "solve.lock"
-    ).read_bytes()
+    for name in ("policy.csv", "metrics.csv", "solve.lock"):
+        assert (workdir / name).read_bytes() == (solved_dir / name).read_bytes()
+    table, _, _ = _read_artifact(str(workdir), load_config(COARSE))
+    original, _, _ = _read_artifact(str(solved_dir), load_config(COARSE))
+    assert table.cost.tobytes() == original.cost.tobytes()
+    assert table.policy.tobytes() == original.policy.tobytes()
+
+
+def test_rollout_stale_artifact_triggers_resolve(solved_dir, tmp_path, capsys):
+    workdir = tmp_path / "o"
+    shutil.copytree(solved_dir, workdir)
+    with np.load(workdir / "policy.npz") as npz:
+        fields = dict(npz)
+    fields["canonical"] = parse_config(TINY_AVG).canonical()  # another config
+    np.savez(workdir / "policy.npz", **fields)
+    _rollout_resolves(solved_dir, workdir, capsys)
+
+
+def _corrupt_fields(fields, nu):
+    feasible = int(np.flatnonzero(fields["policy"] >= 0)[0])
+
+    def edit(key, index, value):
+        arr = fields[key].copy()
+        arr[index] = value
+        return {**fields, key: arr}
+
+    return {
+        "missing_key": {k: v for k, v in fields.items() if k != "policy"},
+        "policy_index_past_nu": edit("policy", feasible, nu),
+        "policy_index_below_minus_one": edit("policy", feasible, -2),
+        "inf_cost_with_control": edit("cost", feasible, np.inf),
+        "wrong_length": {
+            **fields,
+            "cost": fields["cost"][:-1],
+            "policy": fields["policy"][:-1],
+        },
+        "float_policy": {**fields, "policy": fields["policy"].astype(float)},
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "truncated",
+        "empty",
+        "plain_npy",
+        "missing_key",
+        "policy_index_past_nu",
+        "policy_index_below_minus_one",
+        "inf_cost_with_control",
+        "wrong_length",
+        "float_policy",
+    ],
+)
+def test_rollout_corrupt_artifact_triggers_resolve(solved_dir, tmp_path, capsys, case):
+    workdir = tmp_path / "o"
+    shutil.copytree(solved_dir, workdir)
+    path = workdir / "policy.npz"
+    raw = path.read_bytes()
+    with np.load(path) as npz:
+        fields = dict(npz)
+    if case == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "plain_npy":
+        with open(path, "wb") as fh:
+            np.save(fh, fields["cost"])
+    else:
+        nu = load_config(COARSE).control_grid().size
+        with open(path, "wb") as fh:
+            np.savez(fh, **_corrupt_fields(fields, nu)[case])
+    _rollout_resolves(solved_dir, workdir, capsys)
+
+
+def test_rollout_reads_no_text_export(solved_dir, tmp_path, capsys):
+    # a hand-edited policy.csv and a malformed solve.lock are exports only
+    workdir = tmp_path / "o"
+    shutil.copytree(solved_dir, workdir)
+    rows = _lines(workdir / "policy.csv")
+    i = next(i for i, row in enumerate(rows) if row.split(",")[3] == "1")
+    rows[i] = ",".join(rows[i].split(",")[:-1] + ["inf"])
+    (workdir / "policy.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (workdir / "solve.lock").write_text(
+        "gridpolicy-lock 1\nstatus converged\nterminal_horizon 13x5\n",
+        encoding="utf-8",
+    )
+    before = os.stat(workdir / "policy.npz").st_mtime_ns
+    rc = main(["rollout", "--config", COARSE, "--out", str(workdir), "--quiet"])
+    assert rc == 0
+    assert "rollout ok steps=1350" in capsys.readouterr().out
+    assert os.stat(workdir / "policy.npz").st_mtime_ns == before  # no re-solve
 
 
 # -- compare ---------------------------------------------------------------------

@@ -19,7 +19,6 @@ from gridpolicy import (
     ForwardEnsemble,
     StageTable,
     apply_policy,
-    feasible_indices,
 )
 
 from _toys import enumerate_optimal, lattice_problem, random_lattice_toy
@@ -34,14 +33,6 @@ def test_stage_table_invariant():
         StageTable(cost=np.array([1.0, np.inf]), policy=np.array([0, 0]))
     with pytest.raises(ValueError):
         StageTable(cost=np.array([np.inf, 1.0]), policy=np.array([0, -1]))
-
-
-def test_control_coords_marks_infeasible():
-    ug = CartesianGrid([AxisSpec(0.0, 2.0, 1.0)])
-    t = StageTable(cost=np.array([0.5, np.inf]), policy=np.array([2, -1]))
-    coords = t.control_coords(ug)
-    assert coords[0, 0] == 2.0
-    assert np.isnan(coords[1, 0])
 
 
 # -- backward recursion ------------------------------------------------------
@@ -585,7 +576,7 @@ def test_forward_step_deaths_and_freeze():
     np.testing.assert_array_equal(table.feasible_mask, [True, True, False, True])
 
     ens = engine.seed_ensemble(table)
-    np.testing.assert_array_equal(feasible_indices(ens), [0, 1, 3])
+    np.testing.assert_array_equal(np.flatnonzero(ens.feasible), [0, 1, 3])
 
     controls = engine.forward(ens, table)
     assert ens.step == 1

@@ -9,9 +9,11 @@ from gridpolicy import (
     InfeasibleRolloutError,
     StageTable,
     apply_policy,
+    builtin_avg_angle_pendulum,
     builtin_min_time_pendulum,
     finite_horizon_policies,
     horizon_sweep,
+    relaxed_cost,
     rollout_stationary,
     rollout_time_varying,
 )
@@ -85,18 +87,13 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
         )
 
 
-def test_rollout_matches_apply_policy_chain():
-    problem = builtin_min_time_pendulum()
-    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.5), AxisSpec(-1.5, 2.0, 0.5)])
-    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.5)])
-    engine = DpEngine(problem, xg, ug)
-    table = None
-    for _ in range(5):
-        table = engine.backward(None if table is None else table.cost)
-    start = xg.node_coord(int(np.flatnonzero(table.feasible_mask)[0]))
-    trace = rollout_stationary(problem, xg, ug, table, start, horizon=6)
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
 
-    x = start
+
+def _assert_rollout_matches_apply_policy_chain(problem, xg, ug, table, start, horizon):
+    trace = rollout_stationary(problem, xg, ug, table, start, horizon=horizon)
+    x = np.asarray(start, dtype=float)
     for k in range(trace.length):
         reason, u, xn = apply_policy(problem, xg, ug, table, x)
         assert STEP_REASONS[reason] == "ok"
@@ -106,6 +103,54 @@ def test_rollout_matches_apply_policy_chain():
     if trace.reason is not None:
         reason = apply_policy(problem, xg, ug, table, x)[0]
         assert STEP_REASONS[reason] == trace.reason
+    # the batched cost bookkeeping equals one (n,) evaluation per step, bitwise
+    steps = [(trace.states[k], trace.controls[k]) for k in range(trace.length)]
+    for name, fn in (
+        ("stage_costs", problem.stage_cost),
+        ("relaxed_costs", lambda xk, uk: relaxed_cost(problem, xk, uk)),
+        ("average_values", problem.average_fn),
+    ):
+        got = getattr(trace, name)
+        assert got.shape == (trace.length,)
+        assert _bits(got) == _bits([fn(xk, uk) for xk, uk in steps]), name
+    return trace
+
+
+def test_rollout_matches_apply_policy_chain():
+    pendulums = (
+        (
+            builtin_min_time_pendulum(),
+            CartesianGrid([AxisSpec(-2.0, 3.5, 0.5), AxisSpec(-1.5, 2.0, 0.5)]),
+            CartesianGrid([AxisSpec(-1.0, 1.0, 0.5)]),
+        ),
+        (
+            builtin_avg_angle_pendulum(0.5),
+            CartesianGrid([AxisSpec(-1.0, 1.0, 0.2), AxisSpec(-1.0, 1.0, 0.2)]),
+            CartesianGrid([AxisSpec(-1.0, 1.0, 0.2)]),
+        ),
+    )
+    for problem, xg, ug in pendulums:
+        engine = DpEngine(problem, xg, ug)
+        table = None
+        for _ in range(5):
+            table = engine.backward(None if table is None else table.cost)
+        feasible = np.flatnonzero(table.feasible_mask)
+        for node in (feasible[0], feasible[feasible.size // 2]):
+            start = xg.node_coord(int(node))
+            for horizon in (0, 6, 40):
+                trace = _assert_rollout_matches_apply_policy_chain(
+                    problem, xg, ug, table, start, horizon
+                )
+                assert trace.length == horizon or trace.reason is not None
+
+    # a truncated trace: the trap chain dies after three steps
+    toy = _trap_chain(avg=np.arange(8.0).reshape(4, 2), lam=-0.5)
+    table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
+    trace = _assert_rollout_matches_apply_policy_chain(
+        toy.problem, toy.xgrid, toy.ugrid, table, [3.0], 10
+    )
+    assert trace.reason == "policy_undefined" and trace.length == 3
+    assert not np.array_equal(trace.relaxed_costs, trace.stage_costs)
 
 
 def test_stationary_equals_repeated_time_varying():
