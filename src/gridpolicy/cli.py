@@ -21,13 +21,14 @@ are byte-identical across repetitions and ``--threads`` settings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import zipfile
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _parse_value, load_config
 from .dp import INFEASIBLE, DpEngine, StageTable
 from .equilibrium import NoEquilibriumError, equilibrium_search
 from .reference import (
@@ -263,6 +264,20 @@ def _read_artifact(out_dir: str, cfg: RunConfig) -> tuple[StageTable, str, int] 
 # ---------------------------------------------------------------------------
 
 
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The ``--config`` file with each given flag whose dest is a config key.
+
+    The flag's text is parsed and range-checked as that key's value.
+    """
+    cfg = load_config(args.config)
+    given = {
+        key.replace(".", "_"): _parse_value(key, raw)
+        for key, raw in vars(args).items()
+        if "." in key and raw is not None
+    }
+    return dataclasses.replace(cfg, **given)
+
+
 def _out_dir(args: argparse.Namespace, cfg: RunConfig) -> str:
     out = args.out or cfg.output_dir or "out"
     os.makedirs(out, exist_ok=True)
@@ -286,16 +301,17 @@ def _progress(args: argparse.Namespace):
     return None if args.quiet else "stderr"
 
 
-def _run_solve(args: argparse.Namespace, cfg: RunConfig, out: str) -> SolveReport:
-    problem = cfg.build_problem()
-    report = solve(
-        problem,
-        cfg.state_grid(),
-        cfg.control_grid(),
-        cfg.solver,
-        threads=args.threads,
-        progress=_progress(args),
+def _engine(args: argparse.Namespace, cfg: RunConfig) -> DpEngine:
+    """The command's one engine: the config's problem and grids at ``--threads``."""
+    return DpEngine(
+        cfg.build_problem(), cfg.state_grid(), cfg.control_grid(), threads=args.threads
     )
+
+
+def _run_solve(args: argparse.Namespace, cfg: RunConfig, out: str) -> SolveReport:
+    engine = _engine(args, cfg)
+    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
+    report = solve(problem, xg, ug, cfg.solver, engine=engine, progress=_progress(args))
     write_policy_csv(os.path.join(out, "policy.csv"), report, cfg)
     write_metrics_csv(os.path.join(out, "metrics.csv"), report, cfg)
     write_report_txt(os.path.join(out, "report.txt"), report)
@@ -305,7 +321,7 @@ def _run_solve(args: argparse.Namespace, cfg: RunConfig, out: str) -> SolveRepor
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     out = _out_dir(args, cfg)
     report = _run_solve(args, cfg, out)
     print(
@@ -316,7 +332,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_rollout(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     out = _out_dir(args, cfg)
     x0 = _parse_x0(args, cfg)
 
@@ -350,13 +366,11 @@ def cmd_rollout(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     out = _out_dir(args, cfg)
     x0 = _parse_x0(args, cfg)
-    problem = cfg.build_problem()
-    xg = cfg.state_grid()
-    ug = cfg.control_grid()
-    engine = DpEngine(problem, xg, ug, threads=args.threads)
+    engine = _engine(args, cfg)
+    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
     report = solve(
         problem, xg, ug, cfg.solver, engine=engine, progress=_progress(args)
     )
@@ -398,28 +412,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    if args.horizons:
-        try:
-            horizons = [int(p) for p in args.horizons.split(",")]
-        except ValueError:
-            raise ConfigError(
-                f"--horizons must be comma-separated integers, got {args.horizons!r}"
-            )
-    elif cfg.sweep_horizons:
-        horizons = list(cfg.sweep_horizons)
-    else:
+    if cfg.sweep_horizons is None:
         raise ConfigError("sweep needs --horizons or sweep.horizons in the config")
-    trajectory = args.trajectory_horizon or cfg.sweep_trajectory_horizon
-
+    engine = _engine(args, cfg)
     results = horizon_sweep(
-        cfg.build_problem(),
-        cfg.state_grid(),
-        cfg.control_grid(),
-        horizons,
-        trajectory,
-        threads=args.threads,
+        engine.problem,
+        engine.xgrid,
+        engine.ugrid,
+        cfg.sweep_horizons,
+        cfg.sweep_trajectory_horizon,
+        engine=engine,
     )
     write_sweep_csv(os.path.join(out, "sweep.csv"), results)
     print(f"sweep ok horizons={sorted(results)} out={out}")
@@ -427,12 +431,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    tol = args.tolerance if args.tolerance is not None else cfg.equilibrium_tolerance
-    if tol is not None and tol <= 0.0:
-        raise ConfigError(f"--tolerance must be positive, got {tol!r}")
+    cfg = _load_config(args)
     eq = equilibrium_search(
-        cfg.build_problem(), cfg.state_grid(), cfg.control_grid(), eq_tol=tol
+        cfg.build_problem(),
+        cfg.state_grid(),
+        cfg.control_grid(),
+        eq_tol=cfg.equilibrium_tolerance,
     )
     n = eq.state.shape[0]
     m = eq.control.shape[0]
@@ -459,6 +463,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _thread_count(raw: str) -> int:
+    """``--threads``: a nonnegative integer."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gridpolicy",
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_thread_count,
             default=1,
             help=(
                 "worker threads for the backward kernel (0 = all usable CPUs); "
@@ -506,11 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="mean rollout cost vs design horizon")
     common(p)
-    p.add_argument("--horizons", default=None, help="comma-separated design horizons")
+    p.add_argument(
+        "--horizons",
+        dest="sweep.horizons",
+        help="comma-separated design horizons",
+    )
     p.add_argument(
         "--trajectory-horizon",
-        type=int,
-        default=None,
+        dest="sweep.trajectory_horizon",
         help="rollout length used for every design horizon",
     )
     p.set_defaults(func=cmd_sweep)
@@ -518,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="best gridded stationary pair")
     p.add_argument("--config", required=True, help="path to a key=value config")
     p.add_argument(
-        "--tolerance", type=float, default=None, help="stationarity tolerance"
+        "--tolerance",
+        dest="equilibrium.tolerance",
+        help="stationarity tolerance",
     )
     p.set_defaults(func=cmd_equilibrium)
 
@@ -537,10 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except InfeasibleProblemError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleRolloutError as exc:
+    except (InfeasibleProblemError, InfeasibleRolloutError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except NoEquilibriumError as exc:

@@ -20,6 +20,7 @@ falling back to defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -42,52 +43,82 @@ _AXIS_KEY = re.compile(r"^(state|control)\.(\d+)\.(lo|hi|spacing)$")
 
 _PROBLEM_KINDS = ("min_time_pendulum", "avg_angle_pendulum")
 
-# Scalar keys with their parsers; axis keys are matched by pattern.
+
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("not finite")
+    return v
+
+
+def _list(parse):
+    return lambda raw: tuple(parse(p) for p in raw.split(","))
+
+
+def _check(parse, ok, demand: str):
+    """``parse`` followed by the range check ``ok``; ``demand`` says what it wants."""
+
+    def checked(raw: str):
+        v = parse(raw)
+        if not ok(v):
+            raise ValueError(demand)
+        return v
+
+    return checked
+
+
+_positive_floats = _check(
+    _list(_finite), lambda v: min(v) > 0.0, "components must be positive"
+)
+_at_least_one = _check(int, lambda v: v >= 1, "must be at least 1")
+
+# Scalar keys with their parsers, each with the range check of its key;
+# axis keys are matched by pattern.
 _SCALAR_KEYS = {
     "problem.kind": str,
-    "problem.mass": float,
-    "problem.gravity": float,
-    "problem.length": float,
-    "problem.damping": float,
-    "problem.sample_time": float,
+    "problem.mass": _finite,
+    "problem.gravity": _finite,
+    "problem.length": _finite,
+    "problem.damping": _finite,
+    "problem.sample_time": _finite,
     "problem.substeps": int,
-    "problem.theta_ref": float,
-    "problem.torque_limit": float,
-    "solver.eps_mu": "floats",
-    "solver.eps_x": "floats",
+    "problem.theta_ref": _finite,
+    "problem.torque_limit": _finite,
+    "solver.eps_mu": _positive_floats,
+    "solver.eps_x": _positive_floats,
     "solver.n_init": int,
     "solver.n_max": int,
     "solver.growth": int,
-    "reference.multiplier": int,
-    "sweep.horizons": "ints",
-    "sweep.trajectory_horizon": int,
-    "equilibrium.tolerance": float,
+    "reference.multiplier": _at_least_one,
+    "sweep.horizons": _check(
+        _list(int), lambda v: min(v) >= 1, "must be positive integers"
+    ),
+    "sweep.trajectory_horizon": _at_least_one,
+    "equilibrium.tolerance": _check(_finite, lambda v: v > 0.0, "must be positive"),
     "output.dir": str,
 }
 
 
 def _parse_value(key: str, raw: str):
-    kind = _SCALAR_KEYS[key]
+    """``raw`` parsed and range-checked as the value of ``key``.
+
+    Axis keys take finite floats.  The CLI flags that override a key parse
+    their text here too.
+    """
     try:
-        if kind is str:
-            return raw
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            v = float(raw)
-            if not math.isfinite(v):
-                raise ValueError("not finite")
-            return v
-        if kind == "floats":
-            vals = tuple(float(p) for p in raw.split(","))
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError("not finite")
-            return vals
-        if kind == "ints":
-            return tuple(int(p) for p in raw.split(","))
+        return _SCALAR_KEYS.get(key, _finite)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    raise AssertionError(f"unhandled parser for {key}")
+
+
+def _set_fields(values: dict, prefix: str, cls) -> dict:
+    """The values of keys ``<prefix>.<field of cls>`` the file sets, by field."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {
+        key.partition(".")[2]: v
+        for key, v in values.items()
+        if key.startswith(prefix + ".") and key.partition(".")[2] in names
+    }
 
 
 @dataclass(frozen=True)
@@ -142,16 +173,15 @@ class RunConfig:
         tables, so this string keys the reuse of solved artifacts.  Output
         directory, reference, and sweep entries are deliberately excluded.
         """
-        items: list[tuple[str, str]] = [
+        items = [
             ("problem.kind", self.problem_kind),
-            ("problem.mass", repr(self.pendulum.mass)),
-            ("problem.gravity", repr(self.pendulum.gravity)),
-            ("problem.length", repr(self.pendulum.length)),
-            ("problem.damping", repr(self.pendulum.damping)),
-            ("problem.sample_time", repr(self.pendulum.sample_time)),
-            ("problem.substeps", repr(self.pendulum.substeps)),
             ("problem.torque_limit", repr(self.torque_limit)),
         ]
+        for prefix, params in (("problem", self.pendulum), ("solver", self.solver)):
+            for f in dataclasses.fields(params):
+                v = getattr(params, f.name)
+                v = "default" if v is None else repr(v)  # None: eps from spacing
+                items.append((f"{prefix}.{f.name}", v))
         if self.theta_ref is not None:
             items.append(("problem.theta_ref", repr(self.theta_ref)))
         for prefix, axes in (("state", self.state_axes), ("control", self.control_axes)):
@@ -159,17 +189,6 @@ class RunConfig:
                 items.append((f"{prefix}.{i}.lo", repr(ax.lo)))
                 items.append((f"{prefix}.{i}.hi", repr(ax.hi)))
                 items.append((f"{prefix}.{i}.spacing", repr(ax.spacing)))
-        eps_mu = self.solver.eps_mu
-        eps_x = self.solver.eps_x
-        items.append(
-            ("solver.eps_mu", "default" if eps_mu is None else repr(tuple(eps_mu)))
-        )
-        items.append(
-            ("solver.eps_x", "default" if eps_x is None else repr(tuple(eps_x)))
-        )
-        items.append(("solver.n_init", repr(self.solver.n_init)))
-        items.append(("solver.n_max", repr(self.solver.n_max)))
-        items.append(("solver.growth", repr(self.solver.growth)))
         return "\n".join(f"{k} = {v}" for k, v in sorted(items))
 
 
@@ -193,9 +212,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown configuration key {key!r}")
         entries[key] = raw
 
-    values = {
-        k: _parse_value(k, v) for k, v in entries.items() if k in _SCALAR_KEYS
-    }
+    values = {k: _parse_value(k, v) for k, v in entries.items()}
 
     kind = values.get("problem.kind")
     if kind is None:
@@ -211,21 +228,8 @@ def parse_config(text: str) -> RunConfig:
     if kind == "min_time_pendulum" and theta_ref is not None:
         raise ConfigError("'problem.theta_ref' is only valid for avg_angle_pendulum")
 
-    default_damping = 0.0 if kind == "min_time_pendulum" else 1.0
-    try:
-        pendulum = PendulumParams(
-            mass=values.get("problem.mass", 1.0),
-            gravity=values.get("problem.gravity", 1.0),
-            length=values.get("problem.length", 1.0),
-            damping=values.get("problem.damping", default_damping),
-            sample_time=values.get("problem.sample_time", 0.2),
-            substeps=values.get("problem.substeps", 10),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    state_axes = _collect_axes(entries, "state")
-    control_axes = _collect_axes(entries, "control")
+    state_axes = _collect_axes(values, "state")
+    control_axes = _collect_axes(values, "control")
     if len(state_axes) != 2:
         raise ConfigError(
             f"pendulum problems need exactly 2 state axes, got {len(state_axes)}"
@@ -237,39 +241,24 @@ def parse_config(text: str) -> RunConfig:
 
     def _eps(key: str, dims: int):
         v = values.get(key)
-        if v is None:
-            return None
-        if len(v) == 1:
+        if v is not None and len(v) == 1:
             v = v * dims
-        if len(v) != dims:
+        if v is not None and len(v) != dims:
             raise ConfigError(f"{key} needs 1 or {dims} components, got {len(v)}")
-        if any(c <= 0.0 for c in v):
-            raise ConfigError(f"{key} components must be positive")
         return v
 
+    # The pendulum and solver defaults live on their dataclasses; only the
+    # damping default depends on the problem kind.
+    physics = _set_fields(values, "problem", PendulumParams)
+    physics.setdefault("damping", 0.0 if kind == "min_time_pendulum" else 1.0)
+    schedule = _set_fields(values, "solver", SolverConfig)
+    schedule["eps_mu"] = _eps("solver.eps_mu", len(control_axes))
+    schedule["eps_x"] = _eps("solver.eps_x", len(state_axes))
     try:
-        solver = SolverConfig(
-            eps_mu=_eps("solver.eps_mu", len(control_axes)),
-            eps_x=_eps("solver.eps_x", len(state_axes)),
-            n_init=values.get("solver.n_init", 5),
-            n_max=values.get("solver.n_max", 10_000),
-            growth=values.get("solver.growth", 3),
-        )
+        pendulum = PendulumParams(**physics)
+        solver = SolverConfig(**schedule)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    multiplier = values.get("reference.multiplier", 10)
-    if multiplier < 1:
-        raise ConfigError("reference.multiplier must be at least 1")
-    trajectory_horizon = values.get("sweep.trajectory_horizon", 1350)
-    if trajectory_horizon < 1:
-        raise ConfigError("sweep.trajectory_horizon must be at least 1")
-    horizons = values.get("sweep.horizons")
-    if horizons is not None and (not horizons or min(horizons) < 1):
-        raise ConfigError("sweep.horizons must be positive integers")
-    eq_tol = values.get("equilibrium.tolerance")
-    if eq_tol is not None and eq_tol <= 0.0:
-        raise ConfigError("equilibrium.tolerance must be positive")
 
     return RunConfig(
         problem_kind=kind,
@@ -279,10 +268,10 @@ def parse_config(text: str) -> RunConfig:
         state_axes=state_axes,
         control_axes=control_axes,
         solver=solver,
-        reference_multiplier=multiplier,
-        sweep_horizons=horizons,
-        sweep_trajectory_horizon=trajectory_horizon,
-        equilibrium_tolerance=eq_tol,
+        reference_multiplier=values.get("reference.multiplier", 10),
+        sweep_horizons=values.get("sweep.horizons"),
+        sweep_trajectory_horizon=values.get("sweep.trajectory_horizon", 1350),
+        equilibrium_tolerance=values.get("equilibrium.tolerance"),
         output_dir=values.get("output.dir"),
     )
 
@@ -297,20 +286,12 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _collect_axes(entries: dict[str, str], prefix: str) -> tuple[AxisSpec, ...]:
+def _collect_axes(values: dict, prefix: str) -> tuple[AxisSpec, ...]:
     fields: dict[int, dict[str, float]] = {}
-    for key, raw in entries.items():
+    for key, val in values.items():
         m = _AXIS_KEY.match(key)
-        if not m or m.group(1) != prefix:
-            continue
-        idx = int(m.group(2))
-        try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
-        if not math.isfinite(val):
-            raise ConfigError(f"bad value for {key!r}: {raw!r} (not finite)")
-        fields.setdefault(idx, {})[m.group(3)] = val
+        if m and m.group(1) == prefix:
+            fields.setdefault(int(m.group(2)), {})[m.group(3)] = val
 
     if not fields:
         raise ConfigError(f"no {prefix} axes configured")

@@ -372,6 +372,27 @@ class DpEngine:
         return u_out
 
 
+def _engine_for(
+    problem: ProblemDef,
+    xgrid: CartesianGrid,
+    ugrid: CartesianGrid,
+    engine: DpEngine | None = None,
+) -> DpEngine:
+    """``engine``, checked to be built for exactly these arguments.
+
+    None builds the default one-thread engine.  :class:`ValueError` names
+    each argument that is not ``==`` to the engine's (a :class:`ProblemDef`
+    compares its callables by identity).
+    """
+    if engine is None:
+        return DpEngine(problem, xgrid, ugrid)
+    given = {"problem": problem, "xgrid": xgrid, "ugrid": ugrid}
+    differ = [name for name, v in given.items() if getattr(engine, name) != v]
+    if differ:
+        raise ValueError(f"engine was built for another {', '.join(differ)}")
+    return engine
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality of two float64 fields (``-0.0`` differs from ``0.0``)."""
     return a is b or np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import STEP_REASONS, DpEngine, StageTable, apply_policy
+from .dp import STEP_REASONS, DpEngine, StageTable, _engine_for, apply_policy
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
@@ -65,9 +65,11 @@ def finite_horizon_policies(
     ugrid: CartesianGrid,
     horizon: int,
     engine: DpEngine | None = None,
-    threads: int = 1,
 ) -> list[StageTable]:
     """Optimal time-varying policies for the ``horizon``-step problem.
+
+    ``engine`` is as in :func:`~gridpolicy.solver.solve`: built for exactly
+    these arguments, else :class:`ValueError`; None builds a one-thread one.
 
     Returns:
         Tables in forward time order: entry ``k`` is the policy to apply at
@@ -77,8 +79,7 @@ def finite_horizon_policies(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if engine is None:
-        engine = DpEngine(problem, xgrid, ugrid, threads=threads)
+    engine = _engine_for(problem, xgrid, ugrid, engine)
     stages: list[StageTable] = []
     while len(stages) < horizon:
         engine.extend(stages)
@@ -162,7 +163,6 @@ def horizon_sweep(
     problem_horizons: list[int],
     trajectory_horizon: int,
     engine: DpEngine | None = None,
-    threads: int = 1,
 ) -> dict[int, np.ndarray]:
     """Mean per-step relaxed cost of every node, per design horizon.
 
@@ -172,6 +172,7 @@ def horizon_sweep(
     surviving trajectory.  The backward chain holds only its last two
     tables and the wanted first-stage tables; design horizons past the cost
     fixpoint (see :meth:`DpEngine.extend`) share one read-only table.
+    ``engine`` is as in :func:`finite_horizon_policies`.
 
     Returns:
         Mapping ``N -> (size,)`` array of per-node mean costs; NaN at nodes
@@ -182,8 +183,7 @@ def horizon_sweep(
         raise ValueError("problem horizons must be positive integers")
     if trajectory_horizon < 1:
         raise ValueError("trajectory_horizon must be at least 1")
-    if engine is None:
-        engine = DpEngine(problem, xgrid, ugrid, threads=threads)
+    engine = _engine_for(problem, xgrid, ugrid, engine)
 
     wanted = set(horizons)
     first_stage: dict[int, StageTable] = {}

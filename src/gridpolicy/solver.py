@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp import DpEngine, ForwardEnsemble, StageTable
+from .dp import DpEngine, ForwardEnsemble, StageTable, _engine_for
 from .grid import CartesianGrid
 from .problem import ProblemDef
 from .reference import InfeasibleRolloutError, rollout_stationary
@@ -204,7 +204,6 @@ def solve(
     xgrid: CartesianGrid,
     ugrid: CartesianGrid,
     config: SolverConfig | None = None,
-    threads: int = 1,
     engine: DpEngine | None = None,
     progress: object = "stderr",
 ) -> SolveReport:
@@ -219,9 +218,9 @@ def solve(
         xgrid: state grid.
         ugrid: control grid.
         config: tolerances and horizon schedule; defaults throughout.
-        threads: worker threads for the vectorized kernels (0 = all usable CPUs).
-            Results are independent of this setting.
-        engine: reuse a prebuilt :class:`DpEngine` (must match the grids).
+        engine: a prebuilt :class:`DpEngine` for exactly these ``problem``,
+            ``xgrid`` and ``ugrid``, which also sets the thread count; None
+            builds a one-thread engine.
         progress: ``"stderr"`` (default) prints one line per tested horizon,
             ``None`` silences, a callable receives each line.
 
@@ -229,14 +228,14 @@ def solve(
         A :class:`SolveReport`.
 
     Raises:
+        ValueError: when ``engine`` was built for another problem or grid.
         InfeasibleProblemError: when no node survives a forward test, which
             under monotone infeasibility means no longer horizon can succeed.
     """
     cfg = config or SolverConfig()
     eps_mu = _resolve_eps(cfg.eps_mu, ugrid)
     eps_x = _resolve_eps(cfg.eps_x, xgrid)
-    if engine is None:
-        engine = DpEngine(problem, xgrid, ugrid, threads=threads)
+    engine = _engine_for(problem, xgrid, ugrid, engine)
 
     t0 = time.perf_counter()
     stages: list[StageTable] = []

@@ -177,7 +177,6 @@ def test_criterion_4_horizon_sweep_band():
         cfg.control_grid(),
         horizons,
         trajectory,
-        threads=1,
     )
 
     checks = {}

@@ -385,6 +385,18 @@ def test_compare_writes_csv(tmp_path, capsys):
         assert dev <= 0.15
 
 
+def test_compare_and_sweep_thread_count_identity(tmp_path):
+    sweep = ["--horizons", "5,40", "--trajectory-horizon", "30"]
+    for threads in ("1", "2"):
+        common = ["--config", COARSE, "--out", str(tmp_path / threads), "--quiet"]
+        common += ["--threads", threads]
+        assert main(["compare"] + common) == 0
+        assert main(["sweep"] + common + sweep) == 0
+    for name in ("compare.csv", "sweep.csv"):
+        one, two = ((tmp_path / t / name).read_bytes() for t in ("1", "2"))
+        assert one == two, name
+
+
 # -- sweep -----------------------------------------------------------------------
 
 
@@ -448,12 +460,42 @@ def test_equilibrium_stdout_frozen_values(capsys):
 def test_equilibrium_tolerance_validation(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_AVG, encoding="utf-8")
-    rc = main(["equilibrium", "--config", str(cfg), "--tolerance", "0"])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    for tol in ("0", "nan", "inf"):
+        rc = main(["equilibrium", "--config", str(cfg), "--tolerance", tol])
+        assert rc == 1, tol
+        assert "config error" in capsys.readouterr().err, tol
 
 
 # -- usage / errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["sweep", "--horizons", "0,3"],
+            "config error: bad value for 'sweep.horizons'",
+        ),
+        (
+            ["sweep", "--horizons", "5", "--trajectory-horizon", "-5"],
+            "config error: bad value for 'sweep.trajectory_horizon'",
+        ),
+        (
+            ["sweep", "--horizons", "5", "--trajectory-horizon", "0"],
+            "config error: bad value for 'sweep.trajectory_horizon'",
+        ),
+        (["solve", "--threads", "-1"], "usage error: argument --threads"),
+    ],
+    ids=["horizons-0", "trajectory-negative", "trajectory-0", "threads-negative"],
+)
+def test_bad_flag_values_exit_1(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_AVG, encoding="utf-8")
+    rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and "Traceback" not in err, err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,19 +7,28 @@ import pytest
 from gridpolicy import (
     AxisSpec,
     CartesianGrid,
+    DpEngine,
     InfeasibleProblemError,
     InfeasibleRolloutError,
     SolverConfig,
     SolverError,
     StageTable,
     achieved_average,
+    builtin_avg_angle_pendulum,
     delta_mu,
     delta_x,
+    finite_horizon_policies,
+    horizon_sweep,
+    load_config,
     solve,
 )
 from gridpolicy.dp import ForwardEnsemble
 
 from _toys import lattice_problem
+
+COARSE = pathlib.Path(__file__).resolve().parents[1] / "configs" / (
+    "pendulum_min_time_coarse.cfg"
+)
 
 
 def _ugrid3():
@@ -246,8 +256,17 @@ def test_solve_progress_lines():
 def test_solve_thread_count_is_immaterial():
     toy = _late_switch_toy()
     cfg = SolverConfig(eps_mu=1.0, eps_x=10.0, n_init=5, growth=3)
-    r1 = solve(toy.problem, toy.xgrid, toy.ugrid, config=cfg, threads=1, progress=None)
-    r2 = solve(toy.problem, toy.xgrid, toy.ugrid, config=cfg, threads=3, progress=None)
+    r1, r2 = (
+        solve(
+            toy.problem,
+            toy.xgrid,
+            toy.ugrid,
+            config=cfg,
+            engine=DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads),
+            progress=None,
+        )
+        for threads in (1, 3)
+    )
     assert r1.terminal_horizon == r2.terminal_horizon
     np.testing.assert_array_equal(
         r1.first_stage_policy.policy, r2.first_stage_policy.policy
@@ -328,3 +347,53 @@ def test_solve_notes_when_average_rollout_fails():
     assert math.isnan(report.achieved_average)
     assert len(report.notes) == 1
     assert "rollout" in report.notes[0]
+
+
+# -- engine check --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    """The coarse min-time config's objects and its engine, built at 2 threads."""
+    cfg = load_config(str(COARSE))
+    problem, xg, ug = cfg.build_problem(), cfg.state_grid(), cfg.control_grid()
+    engine = DpEngine(problem, xg, ug, threads=2)
+    return cfg, problem, xg, ug, engine
+
+
+_ENGINE_USERS = {
+    "solve": lambda cfg, p, xg, ug, e: solve(
+        p, xg, ug, cfg.solver, engine=e, progress=None
+    ),
+    "finite_horizon_policies": lambda cfg, p, xg, ug, e: finite_horizon_policies(
+        p, xg, ug, 3, engine=e
+    ),
+    "horizon_sweep": lambda cfg, p, xg, ug, e: horizon_sweep(
+        p, xg, ug, [3], 5, engine=e
+    ),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_ENGINE_USERS))
+@pytest.mark.parametrize("other", ["problem", "xgrid", "ugrid"])
+def test_engine_built_for_other_arguments_is_rejected(coarse, user, other):
+    cfg, problem, xg, ug, engine = coarse
+    args = {"problem": problem, "xgrid": xg, "ugrid": ug}
+    args[other] = {
+        # same state and control dimensions, so only the check can tell
+        "problem": builtin_avg_angle_pendulum(0.5),
+        "xgrid": CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.125)]),
+        "ugrid": CartesianGrid([AxisSpec(-2.0, 2.0, 0.04)]),
+    }[other]
+    with pytest.raises(ValueError, match=f"engine was built for another {other}"):
+        _ENGINE_USERS[user](cfg, *args.values(), engine)
+
+
+@pytest.mark.parametrize("user", sorted(_ENGINE_USERS))
+def test_engine_built_for_the_arguments_is_accepted(coarse, user):
+    cfg, problem, xg, ug, engine = coarse
+    out = _ENGINE_USERS[user](cfg, problem, xg, ug, engine)
+    if user == "solve":
+        assert (out.status, out.terminal_horizon) == ("converged", 135)
+    else:
+        assert len(out) == (3 if user == "finite_horizon_policies" else 1)
