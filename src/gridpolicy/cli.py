@@ -31,6 +31,8 @@ import numpy as np
 from .config import ConfigError, RunConfig, _parse_value, load_config
 from .dp import INFEASIBLE, DpEngine, StageTable
 from .equilibrium import NoEquilibriumError, equilibrium_search
+from .grid import CartesianGrid
+from .problem import ProblemDef
 from .reference import (
     RolloutTrace,
     finite_horizon_policies,
@@ -58,9 +60,38 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _write(path: str, lines: list[str]) -> None:
+def _write(path: str | None, lines: list[str]) -> None:
+    """``lines`` to the file ``path``, or to stdout when ``path`` is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+
+
+def _cell(value) -> str:
+    """Text as is, integers in decimal, floats through :func:`_fmt`."""
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, (int, np.integer)) else _fmt(value)
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    _write(path, [",".join(header)] + [",".join(map(_cell, row)) for row in rows])
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def _status_lines(report: SolveReport) -> list[str]:
+    """The header that ``report.txt`` and ``solve.lock`` share."""
+    return [
+        f"status {report.status}",
+        f"terminal_horizon {report.terminal_horizon}",
+        f"achieved_average {_fmt(report.achieved_average)}",
+    ]
 
 
 def write_policy_csv(
@@ -72,58 +103,29 @@ def write_policy_csv(
     node is infeasible), feasibility flag, and cost-to-go divided by the
     terminal horizon (``inf`` when infeasible).
     """
-    xg = cfg.state_grid()
-    ug = cfg.control_grid()
+    xg, ug = cfg.state_grid(), cfg.control_grid()
     table = report.first_stage_policy
-    n = xg.ndim
-    m = ug.ndim
-    header = (
-        [f"x{i}" for i in range(n)]
-        + [f"u{i}" for i in range(m)]
-        + ["feasible", "avg_cost_to_go"]
-    )
-    ucoords = ug.node_coords()
-    xcoords = xg.node_coords()
-    horizon = float(report.terminal_horizon)
-    lines = [",".join(header)]
-    for i in range(xg.size):
-        cells = [_fmt(c) for c in xcoords[i]]
-        p = table.policy[i]
-        if p == INFEASIBLE:
-            cells += ["inf"] * m + ["0", "inf"]
-        else:
-            cells += [_fmt(c) for c in ucoords[p]]
-            cells += ["1", _fmt(table.cost[i] / horizon)]
-        lines.append(",".join(cells))
-    _write(path, lines)
+    feasible = table.policy != INFEASIBLE
+    controls = np.where(feasible[:, None], ug.node_coords()[table.policy], np.inf)
+    avg = table.cost / float(report.terminal_horizon)  # inf stays inf
+    header = _names("x", xg.ndim) + _names("u", ug.ndim)
+    nodes = zip(xg.node_coords(), controls, feasible, avg)
+    rows = ([*x, *u, int(f), a] for x, u, f, a in nodes)
+    _write_csv(path, header + ["feasible", "avg_cost_to_go"], rows)
 
 
 def write_metrics_csv(path: str, report: SolveReport, cfg: RunConfig) -> None:
-    m = len(cfg.control_axes)
-    n = len(cfg.state_axes)
-    header = (
-        ["horizon"]
-        + [f"delta_mu_{i}" for i in range(m)]
-        + [f"delta_x_{i}" for i in range(n)]
-        + ["feasible_count"]
+    header = ["horizon", *_names("delta_mu_", len(cfg.control_axes))]
+    header += [*_names("delta_x_", len(cfg.state_axes)), "feasible_count"]
+    rows = (
+        [rec.horizon, *rec.delta_mu, *rec.delta_x, rec.feasible_count]
+        for rec in report.metrics
     )
-    lines = [",".join(header)]
-    for rec in report.metrics:
-        cells = [str(rec.horizon)]
-        cells += [_fmt(v) for v in rec.delta_mu]
-        cells += [_fmt(v) for v in rec.delta_x]
-        cells.append(str(rec.feasible_count))
-        lines.append(",".join(cells))
-    _write(path, lines)
+    _write_csv(path, header, rows)
 
 
 def write_report_txt(path: str, report: SolveReport) -> None:
-    lines = [
-        f"status {report.status}",
-        f"terminal_horizon {report.terminal_horizon}",
-        f"achieved_average {_fmt(report.achieved_average)}",
-        f"wall_time_s {report.wall_time:.3f}",
-    ]
+    lines = _status_lines(report) + [f"wall_time_s {report.wall_time:.3f}"]
     for rec in report.metrics:
         lines.append(
             "horizon {} delta_mu {} delta_x {} feasible {}".format(
@@ -133,64 +135,45 @@ def write_report_txt(path: str, report: SolveReport) -> None:
                 rec.feasible_count,
             )
         )
-    for note in report.notes:
-        lines.append(f"note {note}")
+    lines += [f"note {note}" for note in report.notes]
     _write(path, lines)
 
 
 def write_trajectory_csv(path: str, trace: RolloutTrace) -> None:
     """Per-step rows plus a terminal row holding only the final state."""
-    n = trace.states.shape[1]
-    m = trace.controls.shape[1]
-    header = (
-        ["step"]
-        + [f"x{i}" for i in range(n)]
-        + [f"u{i}" for i in range(m)]
-        + ["stage_cost", "relaxed_cost", "average_value"]
+    n, m = trace.states.shape[1], trace.controls.shape[1]
+    header = ["step", *_names("x", n), *_names("u", m)]
+    header += ["stage_cost", "relaxed_cost", "average_value"]
+    steps = zip(
+        trace.states,
+        trace.controls,
+        trace.stage_costs,
+        trace.relaxed_costs,
+        trace.average_values,
     )
-    lines = [",".join(header)]
-    for k in range(trace.length):
-        cells = [str(k)]
-        cells += [_fmt(c) for c in trace.states[k]]
-        cells += [_fmt(c) for c in trace.controls[k]]
-        cells += [
-            _fmt(trace.stage_costs[k]),
-            _fmt(trace.relaxed_costs[k]),
-            _fmt(trace.average_values[k]),
-        ]
-        lines.append(",".join(cells))
-    terminal = [str(trace.length)]
-    terminal += [_fmt(c) for c in trace.states[trace.length]]
-    terminal += [""] * (m + 3)
-    lines.append(",".join(terminal))
-    _write(path, lines)
+    rows = [[k, *x, *u, c, r, a] for k, (x, u, c, r, a) in enumerate(steps)]
+    rows.append([trace.length, *trace.states[trace.length]] + [""] * (m + 3))
+    _write_csv(path, header, rows)
 
 
 def write_compare_csv(path: str, rows: list[tuple[str, float, float]]) -> None:
-    lines = ["metric,solver,reference,relative_deviation"]
-    for name, a, b in rows:
+    def deviation(a: float, b: float) -> float:
         if b != 0.0:
-            dev = abs(a - b) / abs(b)
-        else:
-            dev = 0.0 if a == b else float("inf")
-        lines.append(f"{name},{_fmt(a)},{_fmt(b)},{_fmt(dev)}")
-    _write(path, lines)
+            return abs(a - b) / abs(b)
+        return 0.0 if a == b else float("inf")
+
+    header = ["metric", "solver", "reference", "relative_deviation"]
+    _write_csv(path, header, [(name, a, b, deviation(a, b)) for name, a, b in rows])
 
 
 def write_sweep_csv(path: str, results: dict[int, np.ndarray]) -> None:
-    lines = ["problem_horizon,min_avg_cost,max_avg_cost,mean_avg_cost,feasible_count"]
+    rows = []
     for horizon in sorted(results):
-        costs = results[horizon]
-        ok = np.isfinite(costs)
-        count = int(ok.sum())
-        if count:
-            mn, mx, mean = costs[ok].min(), costs[ok].max(), costs[ok].mean()
-        else:
-            mn = mx = mean = float("nan")
-        lines.append(
-            f"{horizon},{_fmt(mn)},{_fmt(mx)},{_fmt(mean)},{count}"
-        )
-    _write(path, lines)
+        ok = results[horizon][np.isfinite(results[horizon])]
+        stats = (ok.min(), ok.max(), ok.mean()) if ok.size else (float("nan"),) * 3
+        rows.append((horizon, *stats, ok.size))
+    header = ["problem_horizon", "min_avg_cost", "max_avg_cost", "mean_avg_cost"]
+    _write_csv(path, header + ["feasible_count"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +182,7 @@ def write_sweep_csv(path: str, results: dict[int, np.ndarray]) -> None:
 
 
 def _write_lock(path: str, report: SolveReport, cfg: RunConfig) -> None:
-    lines = [
-        _LOCK_MAGIC,
-        f"status {report.status}",
-        f"terminal_horizon {report.terminal_horizon}",
-        f"achieved_average {_fmt(report.achieved_average)}",
-        "",
-        cfg.canonical(),
-    ]
-    _write(path, lines)
+    _write(path, [_LOCK_MAGIC, *_status_lines(report), "", cfg.canonical()])
 
 
 def _write_artifact(path: str, report: SolveReport, cfg: RunConfig) -> None:
@@ -301,17 +276,18 @@ def _progress(args: argparse.Namespace):
     return None if args.quiet else "stderr"
 
 
+def _problem_grids(cfg: RunConfig) -> tuple[ProblemDef, CartesianGrid, CartesianGrid]:
+    return cfg.build_problem(), cfg.state_grid(), cfg.control_grid()
+
+
 def _engine(args: argparse.Namespace, cfg: RunConfig) -> DpEngine:
     """The command's one engine: the config's problem and grids at ``--threads``."""
-    return DpEngine(
-        cfg.build_problem(), cfg.state_grid(), cfg.control_grid(), threads=args.threads
-    )
+    return DpEngine(*_problem_grids(cfg), threads=args.threads)
 
 
 def _run_solve(args: argparse.Namespace, cfg: RunConfig, out: str) -> SolveReport:
-    engine = _engine(args, cfg)
-    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
-    report = solve(problem, xg, ug, cfg.solver, engine=engine, progress=_progress(args))
+    engine, progress = _engine(args, cfg), _progress(args)
+    report = solve(*_problem_grids(cfg), cfg.solver, engine=engine, progress=progress)
     write_policy_csv(os.path.join(out, "policy.csv"), report, cfg)
     write_metrics_csv(os.path.join(out, "metrics.csv"), report, cfg)
     write_report_txt(os.path.join(out, "report.txt"), report)
@@ -349,10 +325,7 @@ def cmd_rollout(args: argparse.Namespace) -> int:
         if args.horizon is not None
         else cfg.reference_multiplier * terminal
     )
-    problem = cfg.build_problem()
-    trace = rollout_stationary(
-        problem, cfg.state_grid(), cfg.control_grid(), table, x0, horizon
-    )
+    trace = rollout_stationary(*_problem_grids(cfg), table, x0, horizon)
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), trace)
     if trace.reason is not None:
         print(
@@ -369,8 +342,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     x0 = _parse_x0(args, cfg)
+    problem, xg, ug = _problem_grids(cfg)
     engine = _engine(args, cfg)
-    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
     report = solve(
         problem, xg, ug, cfg.solver, engine=engine, progress=_progress(args)
     )
@@ -416,14 +389,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args, cfg)
     if cfg.sweep_horizons is None:
         raise ConfigError("sweep needs --horizons or sweep.horizons in the config")
-    engine = _engine(args, cfg)
     results = horizon_sweep(
-        engine.problem,
-        engine.xgrid,
-        engine.ugrid,
+        *_problem_grids(cfg),
         cfg.sweep_horizons,
         cfg.sweep_trajectory_horizon,
-        engine=engine,
+        engine=_engine(args, cfg),
     )
     write_sweep_csv(os.path.join(out, "sweep.csv"), results)
     print(f"sweep ok horizons={sorted(results)} out={out}")
@@ -432,20 +402,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    eq = equilibrium_search(
-        cfg.build_problem(),
-        cfg.state_grid(),
-        cfg.control_grid(),
-        eq_tol=cfg.equilibrium_tolerance,
-    )
-    n = eq.state.shape[0]
-    m = eq.control.shape[0]
-    header = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-    header += ["cost", "residual"]
-    cells = [_fmt(v) for v in eq.state] + [_fmt(v) for v in eq.control]
-    cells += [_fmt(eq.cost), _fmt(eq.residual)]
-    print(",".join(header))
-    print(",".join(cells))
+    eq = equilibrium_search(*_problem_grids(cfg), eq_tol=cfg.equilibrium_tolerance)
+    header = _names("x", eq.state.size) + _names("u", eq.control.size)
+    row = [*eq.state, *eq.control, eq.cost, eq.residual]
+    _write_csv(None, header + ["cost", "residual"], [row])
     return 0
 
 

@@ -381,8 +381,9 @@ def _engine_for(
     """``engine``, checked to be built for exactly these arguments.
 
     None builds the default one-thread engine.  :class:`ValueError` names
-    each argument that is not ``==`` to the engine's (a :class:`ProblemDef`
-    compares its callables by identity).
+    each argument that is not ``==`` to the engine's (a built-in problem
+    compares by its parameters, a custom :class:`ProblemDef` its callables
+    by identity).
     """
     if engine is None:
         return DpEngine(problem, xgrid, ugrid)

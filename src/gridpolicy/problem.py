@@ -43,6 +43,9 @@ class ProblemDef:
             entirely (the relaxed cost degenerates to the stage cost).
         nominal_average: target long-run average of ``average_fn``, when the
             problem prescribes one.
+
+    Problems compare field by field: the built-in problems' callables
+    compare by their parameters, any other callable by identity.
     """
 
     state_dim: int
@@ -137,32 +140,57 @@ def pendulum_step(params: PendulumParams, x: Array, u: Array) -> Array:
     return np.stack([th, om], axis=-1)
 
 
-def _box_inequality(
-    torque_limit: float,
-    theta_bounds: tuple[float, float],
-    omega_bounds: tuple[float, float],
-) -> VectorFn:
+@dataclass(frozen=True)
+class _PendulumStep:
+    """``(x, u) -> x_next``: :func:`pendulum_step` at fixed ``params``."""
+
+    params: PendulumParams
+
+    def __call__(self, x: Array, u: Array) -> Array:
+        return pendulum_step(self.params, x, u)
+
+
+@dataclass(frozen=True)
+class _Box:
     """Componentwise ``g(x, u) <= 0`` encoding of box bounds on u, theta, omega."""
 
-    def g(x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        th = x[..., 0]
-        om = x[..., 1]
-        tq = u[..., 0]
-        return np.stack(
-            [
-                tq - torque_limit,
-                -torque_limit - tq,
-                th - theta_bounds[1],
-                theta_bounds[0] - th,
-                om - omega_bounds[1],
-                omega_bounds[0] - om,
-            ],
-            axis=-1,
-        )
+    torque_limit: float
+    theta_bounds: tuple[float, float]
+    omega_bounds: tuple[float, float]
 
-    return g
+    def __call__(self, x: Array, u: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        tq = np.asarray(u, dtype=float)[..., 0]
+        th, om = x[..., 0], x[..., 1]
+        (th_lo, th_hi), (om_lo, om_hi) = self.theta_bounds, self.omega_bounds
+        lim = self.torque_limit
+        g = [tq - lim, -lim - tq, th - th_hi, th_lo - th, om - om_hi, om_lo - om]
+        return np.stack(g, axis=-1)
+
+
+@dataclass(frozen=True)
+class _TargetWindow:
+    """Stage cost 0 strictly inside ``halfwidth`` of ``(pi, 0)``, else 1."""
+
+    halfwidth: tuple[float, float]
+
+    def __call__(self, x: Array, u: Array) -> Array:
+        x = np.asarray(x, dtype=float)
+        w_th, w_om = self.halfwidth
+        in_window = (np.abs(x[..., 0] - math.pi) < w_th) & (np.abs(x[..., 1]) < w_om)
+        return np.where(in_window, 0.0, 1.0)
+
+
+def _zero_output(x: Array, u: Array) -> Array:
+    return np.zeros(np.shape(x)[:-1])
+
+
+def _effort_cost(x: Array, u: Array) -> Array:
+    return np.asarray(u, dtype=float)[..., 0] ** 2
+
+
+def _angle_output(x: Array, u: Array) -> Array:
+    return np.asarray(x, dtype=float)[..., 0]
 
 
 def builtin_min_time_pendulum(
@@ -176,9 +204,8 @@ def builtin_min_time_pendulum(
 
     The stage cost is 1 outside a rectangular target window around
     ``(pi, 0)`` and 0 strictly inside it, so the optimal cost-to-go counts
-    samples until capture.  The window halfwidths are bound at construction
-    time; ``target_halfwidth[i]`` applies to state component ``i`` and the
-    window test is strict (``< halfwidth``) on both axes.
+    samples until capture.  ``target_halfwidth[i]`` applies to state
+    component ``i``, and the window test is strict (``< halfwidth``).
 
     ``lam`` is 0: the relaxed cost coincides with the stage cost.
     """
@@ -187,28 +214,13 @@ def builtin_min_time_pendulum(
     w_th, w_om = float(target_halfwidth[0]), float(target_halfwidth[1])
     if w_th <= 0.0 or w_om <= 0.0:
         raise ValueError("target halfwidths must be positive")
-
-    def dynamics(x: Array, u: Array) -> Array:
-        return pendulum_step(params, x, u)
-
-    def stage_cost(x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        th = x[..., 0]
-        om = x[..., 1]
-        in_window = (np.abs(th - math.pi) < w_th) & (np.abs(om) < w_om)
-        return np.where(in_window, 0.0, 1.0)
-
-    def average_fn(x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1], dtype=float)
-
     return ProblemDef(
         state_dim=2,
         control_dim=1,
-        dynamics=dynamics,
-        stage_cost=stage_cost,
-        inequality=_box_inequality(torque_limit, theta_bounds, omega_bounds),
-        average_fn=average_fn,
+        dynamics=_PendulumStep(params),
+        stage_cost=_TargetWindow((w_th, w_om)),
+        inequality=_Box(torque_limit, theta_bounds, omega_bounds),
+        average_fn=_zero_output,
         lam=0.0,
         nominal_average=None,
     )
@@ -242,25 +254,13 @@ def builtin_avg_angle_pendulum(
         )
     mgl = params.mass * params.gravity * params.length
     lam = -2.0 * mgl**2 * math.sin(theta_ref) * math.cos(theta_ref)
-
-    def dynamics(x: Array, u: Array) -> Array:
-        return pendulum_step(params, x, u)
-
-    def stage_cost(x: Array, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
-        return u[..., 0] ** 2
-
-    def average_fn(x: Array, u: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return x[..., 0]
-
     return ProblemDef(
         state_dim=2,
         control_dim=1,
-        dynamics=dynamics,
-        stage_cost=stage_cost,
-        inequality=_box_inequality(torque_limit, theta_bounds, omega_bounds),
-        average_fn=average_fn,
+        dynamics=_PendulumStep(params),
+        stage_cost=_effort_cost,
+        inequality=_Box(torque_limit, theta_bounds, omega_bounds),
+        average_fn=_angle_output,
         lam=lam,
         nominal_average=theta_ref,
     )

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from gridpolicy import load_config, parse_config, solve
-from gridpolicy.cli import _read_artifact, main, write_policy_csv
+from gridpolicy.cli import (
+    _read_artifact,
+    main,
+    write_compare_csv,
+    write_policy_csv,
+    write_sweep_csv,
+)
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 COARSE = str(CONFIGS / "pendulum_min_time_coarse.cfg")
@@ -192,6 +198,20 @@ def test_rollout_zero_horizon(solved_dir, tmp_path):
     rows = _lines(workdir / "trajectory.csv")
     assert len(rows) == 2
     assert rows[1].startswith("0,0.5,0.5,")
+
+
+def test_rollout_truncated_trajectory(solved_dir, tmp_path, capsys):
+    workdir = tmp_path / "o"
+    shutil.copytree(solved_dir, workdir)
+    argv = ["rollout", "--config", COARSE, "--out", str(workdir), "--quiet"]
+    rc = main(argv + ["--x0=-1.5,1.2", "--horizon", "300"])
+    assert rc == 3
+    assert "rollout truncated at step 12 (policy_undefined)" in capsys.readouterr().err
+    rows = _lines(workdir / "trajectory.csv")
+    assert len(rows) == 14  # header + 12 steps + terminal row
+    assert [r.split(",")[0] for r in rows[1:]] == [str(k) for k in range(13)]
+    assert all(c for r in rows[1:-1] for c in r.split(","))
+    assert rows[-1].split(",")[3:] == ["", "", "", ""]
 
 
 def test_rollout_negative_horizon(solved_dir, capsys):
@@ -385,6 +405,17 @@ def test_compare_writes_csv(tmp_path, capsys):
         assert dev <= 0.15
 
 
+def test_compare_csv_zero_reference(tmp_path):
+    path = tmp_path / "compare.csv"
+    write_compare_csv(str(path), [("a", 0.0, 0.0), ("b", 0.5, 0.0), ("c", 1.0, 4.0)])
+    assert _lines(path) == [
+        "metric,solver,reference,relative_deviation",
+        "a,0.0,0.0,0.0",
+        "b,0.5,0.0,inf",
+        "c,1.0,4.0,0.75",
+    ]
+
+
 def test_compare_and_sweep_thread_count_identity(tmp_path):
     sweep = ["--horizons", "5,40", "--trajectory-horizon", "30"]
     for threads in ("1", "2"):
@@ -429,6 +460,13 @@ def test_sweep_writes_csv(tmp_path, capsys):
         cells = row.split(",")
         assert int(cells[4]) > 0
         assert float(cells[1]) <= float(cells[3]) <= float(cells[2])
+
+
+def test_sweep_csv_all_nan_horizon(tmp_path):
+    path = tmp_path / "sweep.csv"
+    nan, inf = float("nan"), float("inf")
+    write_sweep_csv(str(path), {7: np.full(3, nan), 2: np.array([1.0, inf, 3.0])})
+    assert _lines(path)[1:] == ["2,1.0,3.0,2.0,2", "7,nan,nan,nan,0"]
 
 
 def test_sweep_requires_horizons(tmp_path, capsys):

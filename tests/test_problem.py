@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,6 +156,53 @@ def test_lambda_stationarity():
     c = lambda t: math.sin(t) ** 2 + lam * t
     assert c(theta_ref) < c(theta_ref - 0.05)
     assert c(theta_ref) < c(theta_ref + 0.05)
+
+
+_BUILTIN_ARGS = [
+    (
+        builtin_min_time_pendulum,
+        dict(
+            target_halfwidth=(0.1, 0.1),
+            params=PendulumParams(damping=0.0),
+            theta_bounds=(-2.0, 3.5),
+            omega_bounds=(-1.5, 2.0),
+            torque_limit=1.0,
+        ),
+    ),
+    (
+        builtin_avg_angle_pendulum,
+        dict(
+            theta_ref=0.5,
+            params=PendulumParams(damping=1.0),
+            theta_bounds=(-1.0, 1.0),
+            omega_bounds=(-1.0, 1.0),
+            torque_limit=1.0,
+        ),
+    ),
+]
+
+
+def _one_change(value):
+    """Every value that differs from ``value`` in exactly one component."""
+    if isinstance(value, PendulumParams):
+        return [
+            dataclasses.replace(value, **{f.name: getattr(value, f.name) + 1})
+            for f in dataclasses.fields(value)
+        ]
+    if isinstance(value, tuple):
+        return [value[:i] + (v + 0.25,) + value[i + 1 :] for i, v in enumerate(value)]
+    return [value + 0.25]
+
+
+@pytest.mark.parametrize("build, kwargs", _BUILTIN_ARGS)
+def test_builtin_problems_compare_by_value(build, kwargs):
+    problem = build(**kwargs)
+    again = build(**kwargs)
+    assert again is not problem
+    assert again == problem and hash(again) == hash(problem)
+    for key, value in kwargs.items():
+        for changed in _one_change(value):
+            assert build(**{**kwargs, key: changed}) != problem, (key, changed)
 
 
 def test_relaxed_cost_linearity(rng):

@@ -389,6 +389,18 @@ def test_engine_built_for_other_arguments_is_rejected(coarse, user, other):
         _ENGINE_USERS[user](cfg, *args.values(), engine)
 
 
+def test_engine_built_for_an_equal_problem_is_accepted(coarse):
+    cfg = coarse[0]
+    assert cfg.build_problem() == cfg.build_problem()
+    assert hash(cfg.build_problem()) == hash(cfg.build_problem())
+    xg, ug = cfg.state_grid(), cfg.control_grid()
+    engine = DpEngine(cfg.build_problem(), xg, ug)
+    report = solve(
+        cfg.build_problem(), xg, ug, cfg.solver, engine=engine, progress=None
+    )
+    assert (report.status, report.terminal_horizon) == ("converged", 135)
+
+
 @pytest.mark.parametrize("user", sorted(_ENGINE_USERS))
 def test_engine_built_for_the_arguments_is_accepted(coarse, user):
     cfg, problem, xg, ug, engine = coarse
