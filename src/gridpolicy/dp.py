@@ -36,6 +36,10 @@ order with the stage cost last, and the argmin is taken per state row, so
 results are bit-identical for every block size.  Work is split over
 contiguous state-row chunks; each chunk writes a disjoint output slice, so
 results are bit-identical for every thread count.
+
+The forward step advances an ensemble of closed-loop states and parks each
+entry at an exact closed-loop fixpoint, after which it is no longer stepped
+(see :meth:`DpEngine.forward`).
 """
 
 from __future__ import annotations
@@ -104,17 +108,27 @@ class ForwardEnsemble:
 
     Entries that fail a feasibility check keep their last feasible state and
     are excluded from all later statistics.
+
+    An entry whose step under ``parked_under`` returned its own state bit
+    for bit is *parked* (see :meth:`DpEngine.forward`): ``parked`` marks it
+    and ``held`` keeps the control of that step, NaN elsewhere.  A parked
+    entry's state must not be changed from outside.
     """
 
     states: np.ndarray
     feasible: np.ndarray
     step: int = 0
+    parked: np.ndarray | None = None
+    held: np.ndarray | None = None
+    parked_under: StageTable | None = None
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
         self.feasible = np.asarray(self.feasible, dtype=bool)
         if self.states.ndim != 2 or self.feasible.shape != (self.states.shape[0],):
             raise ValueError("states must be (k, n) with a (k,) feasibility mask")
+        if self.parked is None:
+            self.parked = np.zeros(self.feasible.shape, dtype=bool)
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
@@ -128,6 +142,13 @@ def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     block_pairs = min(max(1, BLOCK_PAIRS // nu), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
     return pairs * (12 * 2**ndim + 8) + temps
+
+
+def _row_blocks(r0: int, r1: int, nu: int) -> list[tuple[int, int]]:
+    """State rows ``[r0, r1)`` of ``nu`` pairs each, cut into blocks of about
+    :data:`BLOCK_PAIRS` pairs (at least one row)."""
+    rows = max(1, BLOCK_PAIRS // nu)
+    return [(b0, min(b0 + rows, r1)) for b0 in range(r0, r1, rows)]
 
 
 def _available_bytes(proc: str = "/proc", cgroup: str = "/sys/fs/cgroup") -> int | None:
@@ -211,11 +232,6 @@ class DpEngine:
         bounds = np.linspace(0, self.nx, self.threads + 1).astype(int)
         return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
-    def _row_blocks(self, r0: int, r1: int) -> list[tuple[int, int]]:
-        """Rows ``[r0, r1)`` cut into blocks of about :data:`BLOCK_PAIRS` pairs."""
-        rows = max(1, BLOCK_PAIRS // self.nu)
-        return [(b0, min(b0 + rows, r1)) for b0 in range(r0, r1, rows)]
-
     def _run_chunks(self, fn) -> None:
         chunks = self._row_chunks()
         if len(chunks) == 1:
@@ -242,7 +258,7 @@ class DpEngine:
 
         # Pair p = ix * nu + iu, row-major over (state node, control node).
         def build_rows(r0: int, r1: int) -> None:
-            for b0, b1 in self._row_blocks(r0, r1):
+            for b0, b1 in _row_blocks(r0, r1, nu):
                 x = np.repeat(self._xcoords[b0:b1], nu, axis=0)
                 u = np.tile(self._ucoords, (b1 - b0, 1))
                 s = slice(b0 * nu, b1 * nu)
@@ -289,7 +305,7 @@ class DpEngine:
         idx, w, sc = self._idx, self._w, self._sc
 
         def step_rows(r0: int, r1: int) -> None:
-            blocks = self._row_blocks(r0, r1)
+            blocks = _row_blocks(r0, r1, nu)
             size = (blocks[0][1] - blocks[0][0]) * nu  # the first is the largest
             val_buf = np.empty(size, dtype=float)
             tmp_buf = np.empty(size, dtype=float)
@@ -354,20 +370,38 @@ class DpEngine:
         An entry that fails a check of :func:`apply_policy` becomes
         infeasible and keeps its last state.
 
+        An entry whose successor equals its state bit for bit (``uint64``
+        views: ``-0.0`` is not ``0.0``) is parked at that closed-loop
+        fixpoint.  While ``table`` stays the same object, a parked entry is
+        not stepped again: it keeps its state bytes and gets its held
+        control, which is exactly what stepping it would give, because the
+        problem's callables are pure and time-invariant (see
+        :class:`~gridpolicy.problem.ProblemDef`).  A call with any other
+        table object first clears every park.
+
         Returns:
             Applied controls, shape ``(k, control_dim)``; NaN rows for entries
             that were already infeasible or failed during this step.
         """
-        u_out = np.full((ensemble.states.shape[0], self.ugrid.ndim), np.nan)
-        active = np.flatnonzero(ensemble.feasible)
-        reason, u, xn = apply_policy(
-            self.problem, self.xgrid, self.ugrid, table, ensemble.states[active]
-        )
-        ok = reason == 0
-        moved = active[ok]
-        ensemble.states[moved] = xn[ok]
-        u_out[moved] = u[ok]
-        ensemble.feasible[active[~ok]] = False
+        if ensemble.parked_under is not table:
+            ensemble.parked[:] = False
+            ensemble.held = np.full((ensemble.states.shape[0], self.ugrid.ndim), np.nan)
+            ensemble.parked_under = table
+        parked = ensemble.parked & ensemble.feasible
+        u_out = np.full_like(ensemble.held, np.nan)
+        u_out[parked] = ensemble.held[parked]
+        active = np.flatnonzero(ensemble.feasible & ~parked)
+        if active.size:
+            x = ensemble.states[active]
+            reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table, x)
+            ok = reason == 0
+            moved = active[ok]
+            still = _same_rows(xn[ok], x[ok])
+            ensemble.states[moved] = xn[ok]
+            u_out[moved] = u[ok]
+            ensemble.parked[moved[still]] = True
+            ensemble.held[moved[still]] = u[ok][still]
+            ensemble.feasible[active[~ok]] = False
         ensemble.step += 1
         return u_out
 
@@ -397,6 +431,11 @@ def _engine_for(
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality of two float64 fields (``-0.0`` differs from ``0.0``)."""
     return a is b or np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two ``(k, n)`` float64 arrays: are all its bits equal?"""
+    return (a.view(np.uint64) == b.view(np.uint64)).all(axis=1)
 
 
 def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dp import _row_blocks
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
@@ -51,6 +52,10 @@ def equilibrium_search(
 ) -> EquilibriumPoint:
     """Search every state/control node pair for the best near-equilibrium.
 
+    The pairs are evaluated in the engine build's blocks of about
+    ``dp.BLOCK_PAIRS`` pairs, so only one block's temporaries and the
+    candidates' keys are held at a time.
+
     Args:
         problem: the control problem.
         xgrid: state grid.
@@ -70,27 +75,34 @@ def equilibrium_search(
     if eq_tol <= 0.0:
         raise ValueError("eq_tol must be positive")
 
+    averaged = problem.lam is None and problem.nominal_average is not None
+    if averaged and avg_tol is None:
+        avg_tol = 0.5 * float(xgrid.spacings.min())
+
     xc = xgrid.node_coords()
     uc = ugrid.node_coords()
     nu = ugrid.size
-    x = np.repeat(xc, nu, axis=0)
-    u = np.tile(uc, (xgrid.size, 1))
+    # Pair p = ix * nu + iu; a block keeps only its candidates' sort keys.
+    found = []
+    for b0, b1 in _row_blocks(0, xgrid.size, nu):
+        x = np.repeat(xc[b0:b1], nu, axis=0)
+        u = np.tile(uc, (b1 - b0, 1))
+        xn = np.asarray(problem.dynamics(x, u), dtype=float)
+        residual = np.abs(x - xn).max(axis=-1)
+        g = np.asarray(problem.inequality(x, u), dtype=float)
+        ok = (residual <= eq_tol) & ~(g > 0.0).any(axis=-1)
+        if averaged:
+            fa = np.asarray(problem.average_fn(x, u), dtype=float)
+            ok &= np.abs(fa - problem.nominal_average) <= avg_tol
+            cost = np.asarray(problem.stage_cost(x, u), dtype=float)
+        else:
+            cost = np.asarray(relaxed_cost(problem, x, u), dtype=float)
+        keep = np.flatnonzero(ok)
+        found.append(
+            (b0 * nu + keep, cost[keep], np.abs(u[keep]).max(axis=-1), residual[keep])
+        )
+    cand, cost, effort, residual = (np.concatenate(k) for k in zip(*found))
 
-    xn = np.asarray(problem.dynamics(x, u), dtype=float)
-    residual = np.abs(x - xn).max(axis=-1)
-    g = np.asarray(problem.inequality(x, u), dtype=float)
-    ok = (residual <= eq_tol) & ~(g > 0.0).any(axis=-1)
-
-    if problem.lam is None and problem.nominal_average is not None:
-        if avg_tol is None:
-            avg_tol = 0.5 * float(xgrid.spacings.min())
-        fa = np.asarray(problem.average_fn(x, u), dtype=float)
-        ok &= np.abs(fa - problem.nominal_average) <= avg_tol
-        cost = np.asarray(problem.stage_cost(x, u), dtype=float)
-    else:
-        cost = np.asarray(relaxed_cost(problem, x, u), dtype=float)
-
-    cand = np.flatnonzero(ok)
     if cand.size == 0:
         raise NoEquilibriumError(
             f"no node pair is stationary within eq_tol={eq_tol!r}; "
@@ -98,9 +110,8 @@ def equilibrium_search(
         )
     # Stable sort: equal keys keep ascending pair order, so the final
     # tie-break is the flat pair index.
-    order = np.lexsort((residual[cand], np.abs(u[cand]).max(axis=-1), cost[cand]))
-    best = int(cand[order[0]])
-    ix, iu = divmod(best, nu)
+    best = int(np.lexsort((residual, effort, cost))[0])
+    ix, iu = divmod(int(cand[best]), nu)
     return EquilibriumPoint(
         state=xc[ix].copy(),
         control=uc[iu].copy(),

@@ -44,6 +44,11 @@ class ProblemDef:
         nominal_average: target long-run average of ``average_fn``, when the
             problem prescribes one.
 
+    The callables must be pure and time-invariant, and act row by row: a
+    row's result depends only on that row's bits.  The engine evaluates them
+    once per state/control node pair, and the forward pass stops stepping
+    entries at exact closed-loop fixpoints, on that promise.
+
     Problems compare field by field: the built-in problems' callables
     compare by their parameters, any other callable by identity.
     """

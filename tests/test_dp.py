@@ -683,6 +683,133 @@ def test_forward_equals_single_state_steps(seed):
             assert ens.states[i].tobytes() == starts[i].tobytes()
 
 
+def _parking_toy(rng, parks):
+    """A random lattice toy whose node 0 parks under its table, or where
+    no entry can ever park.
+
+    Without ``parks`` no pair steps to its own node, and every successor is
+    a node, so no state maps onto itself.  With ``parks`` about a third of
+    the pairs stay put, node 0's policy among them.
+
+    Returns:
+        ``(toy, table)``: the toy and a random policy table over it.
+    """
+    toy = random_lattice_toy(rng)
+    nx, nu = toy.next_index.shape
+    rows = np.broadcast_to(np.arange(nx)[:, None], (nx, nu))
+    nxt = toy.next_index.copy()
+    nxt[nxt == rows] = (rows[nxt == rows] + 1) % nx
+    admissible = toy.admissible.copy()
+    policy = _random_policy(rng, nx, nu)
+    if parks:
+        stay = rng.random((nx, nu)) < 0.3
+        nxt[stay] = rows[stay]
+        policy[0] = rng.integers(0, nu)
+        nxt[0, policy[0]], admissible[0, policy[0]] = 0, True
+    toy = lattice_problem(toy.xgrid.shape, toy.ugrid.shape, nxt, toy.relaxed, admissible)
+    return toy, _policy_table(policy)
+
+
+def _random_policy(rng, nx, nu):
+    policy = rng.integers(0, nu, size=nx)
+    policy[rng.random(nx) < 0.2] = -1
+    return policy
+
+
+def _policy_table(policy):
+    return StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, parks=st.booleans(), switch=st.booleans())
+def test_parked_forward_equals_unparked_chain(seed, parks, switch):
+    # a forward chain that parks entries gives bitwise the states, controls
+    # and feasibility of a chain of per-entry apply_policy calls; a table
+    # switch mid-run clears every park
+    rng = np.random.default_rng(seed)
+    toy, t1 = _parking_toy(rng, parks)
+    xg, ug = toy.xgrid, toy.ugrid
+    t2 = _policy_table(_random_policy(rng, xg.size, ug.size)) if switch else t1
+    steps = 25
+    change = int(rng.integers(2, steps)) if switch else steps
+    k = int(rng.integers(1, 30))
+    starts = rng.uniform(xg.lows - 0.5, xg.uppers + 0.5, size=(k, xg.ndim))
+    on_node = rng.random(k) < 0.6
+    starts[on_node] = xg.node_coords()[rng.integers(0, xg.size, on_node.sum())]
+    alive = rng.random(k) >= 0.2
+    starts[0], alive[0] = xg.node_coord(0), True  # parks at step 1 if ``parks``
+
+    engine = DpEngine(toy.problem, xg, ug)
+    ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())
+    x, ok = starts.copy(), alive.copy()
+    still = np.zeros(k, dtype=bool)  # stepped onto its own bits since the switch
+    ever_parked = False
+    for step in range(steps):
+        table = t1 if step < change else t2
+        if step == change:
+            still[:] = False
+        controls = engine.forward(ens, table)
+        for i in np.flatnonzero(ok):
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
+            if reason != 0:
+                ok[i] = False
+                assert np.isnan(controls[i]).all()
+                continue
+            assert controls[i].tobytes() == u.tobytes(), (step, i)
+            still[i] |= xn.tobytes() == x[i].tobytes()
+            x[i] = xn
+        assert np.isnan(controls[~ok]).all()
+        assert ens.states.tobytes() == x.tobytes(), step
+        np.testing.assert_array_equal(ens.feasible, ok)
+        np.testing.assert_array_equal(ens.parked, still)
+        assert ens.parked_under is table
+        ever_parked |= bool(ens.parked.any())
+    assert ever_parked == parks
+
+
+def test_forward_parks_on_bits_not_values(monkeypatch):
+    # x -> -x: the entry at 0.0 steps to -0.0 and back, equal by value but
+    # never by bits, so it never parks and alternates as an unparked chain
+    # does; a park test by value freezes it at -0.0
+    problem = gp.ProblemDef(
+        state_dim=1,
+        control_dim=1,
+        dynamics=lambda x, u: -x,
+        stage_cost=lambda x, u: np.zeros(x.shape[:-1]),
+        inequality=lambda x, u: np.full(x.shape[:-1] + (1,), -1.0),
+        average_fn=lambda x, u: np.zeros(x.shape[:-1]),
+    )
+    xg = CartesianGrid([AxisSpec(-1.0, 1.0, 1.0)])
+    ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
+    engine = DpEngine(problem, xg, ug)
+    table = StageTable(cost=np.zeros(3), policy=np.zeros(3, dtype=int))
+
+    def chain():
+        ens = ForwardEnsemble(states=np.array([[0.0], [1.0]]), feasible=np.ones(2, bool))
+        states = []
+        for _ in range(6):
+            engine.forward(ens, table)
+            states.append(ens.states.copy())
+        return ens, np.array(states)
+
+    x, unparked = np.array([[0.0], [1.0]]), []
+    for _ in range(6):
+        x = np.array([apply_policy(problem, xg, ug, table, xi)[2] for xi in x])
+        unparked.append(x)
+    unparked = np.array(unparked)
+    assert np.signbit(unparked[:, 0, 0]).tolist() == [True, False] * 3
+
+    ens, states = chain()
+    assert states.tobytes() == unparked.tobytes()
+    assert not ens.parked.any() and ens.feasible.all()
+
+    monkeypatch.setattr(dp, "_same_rows", lambda a, b: (a == b).all(axis=1))
+    ens, states = chain()
+    assert ens.parked.tolist() == [True, False]
+    assert np.signbit(states[:, 0, 0]).all()
+    assert states.tobytes() != unparked.tobytes()
+
+
 def test_apply_policy_statuses():
     toy = _absorbing_toy()
     table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)

@@ -1,9 +1,18 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridpolicy import NoEquilibriumError, equilibrium_search
+from gridpolicy import (
+    AxisSpec,
+    CartesianGrid,
+    NoEquilibriumError,
+    builtin_avg_angle_pendulum,
+    builtin_min_time_pendulum,
+    equilibrium_search,
+)
+from gridpolicy import dp
 
 from _toys import lattice_problem
 
@@ -153,3 +162,56 @@ def test_default_tolerance_scales_with_grid():
     assert eq.residual == pytest.approx(0.05)
     with pytest.raises(NoEquilibriumError):
         equilibrium_search(problem, toy.xgrid, toy.ugrid, eq_tol=0.01)
+
+
+def _point_bytes(eq):
+    return (
+        eq.state.tobytes(),
+        eq.control.tobytes(),
+        eq.state_index,
+        eq.control_index,
+        repr(eq.cost),
+        repr(eq.residual),
+    )
+
+
+def test_block_seams_are_immaterial(monkeypatch):
+    # blocks of one, two and seven rows (a ragged last one) find the point
+    # a single block finds, on both rankings; the all-tied toy is
+    # decided by the flat pair index alone, across block seams
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.25), AxisSpec(-1.5, 2.0, 0.25)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
+    avg = builtin_avg_angle_pendulum(0.3, theta_bounds=(-2.0, 3.5), omega_bounds=(-1.5, 2.0))
+    tied = _self_loop_toy(np.ones((5, 3)))
+    cases = [
+        (builtin_min_time_pendulum(), xg, ug, {}),
+        (avg, xg, ug, {}),
+        (dataclasses.replace(avg, lam=None, nominal_average=0.3), xg, ug, {"avg_tol": 0.2}),
+        (tied.problem, tied.xgrid, tied.ugrid, {}),
+    ]
+    for problem, xgrid, ugrid, kwargs in cases:
+        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+        want = _point_bytes(equilibrium_search(problem, xgrid, ugrid, **kwargs))
+        nu = ugrid.size
+        for block in (1, 2 * nu, 7 * nu + 5):
+            monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+            got = _point_bytes(equilibrium_search(problem, xgrid, ugrid, **kwargs))
+            assert got == want, block
+    assert want[2:4] == (0, 0)
+
+
+def test_search_temporaries_stay_within_one_block(monkeypatch):
+    # as for the engine build, at most 512 B per pair of one block are live
+    monkeypatch.setattr(dp, "BLOCK_PAIRS", 4096)
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
+    problem = builtin_min_time_pendulum()
+    tracemalloc.start()
+    try:
+        eq = equilibrium_search(problem, xg, ug)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_pairs = (4096 // ug.size) * ug.size
+    assert peak <= 512 * block_pairs, peak / block_pairs
+    assert eq.residual <= 0.01 and eq.cost == 0.0

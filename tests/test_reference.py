@@ -294,3 +294,59 @@ def test_horizon_sweep_validation():
         horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [0, 3], 5)
     with pytest.raises(ValueError):
         horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3], 0)
+
+
+def _unparked_sweep(engine, horizons, steps):
+    """The horizon sweep as a plain loop of batched ``apply_policy`` steps."""
+    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
+    stages, out = [], {}
+    for n in range(1, max(horizons) + 1):
+        table = engine.extend(stages)
+        if n not in horizons:
+            continue
+        x, alive = xg.node_coords().copy(), table.feasible_mask.copy()
+        acc = np.zeros(xg.size)
+        for _ in range(steps):
+            live = np.flatnonzero(alive)
+            reason, u, xn = apply_policy(problem, xg, ug, table, x[live])
+            ok = reason == 0
+            alive[live[~ok]] = False
+            if not alive.any():
+                break
+            moved = live[ok]
+            acc[moved] += relaxed_cost(problem, x[moved], u[ok])
+            x[moved] = xn[ok]
+        out[n] = np.where(alive, acc / float(steps), np.nan)
+    return out
+
+
+def test_horizon_sweep_parks_and_equals_unparked_loop(monkeypatch):
+    # on the damped pendulum every live N = 40 entry reaches an exact
+    # closed-loop fixpoint within 600 steps and is parked there; at N = 5
+    # the states decay towards the origin without repeating their bits, and
+    # only the entry that starts there parks
+    xg = CartesianGrid([AxisSpec(-1.0, 1.0, 0.2), AxisSpec(-1.0, 1.0, 0.2)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
+    problem = builtin_avg_angle_pendulum(0.2)
+    engine = DpEngine(problem, xg, ug)
+    ensembles = []
+    forward = DpEngine.forward
+
+    def recording(self, ensemble, table):
+        ensembles.append(ensemble)
+        return forward(self, ensemble, table)
+
+    monkeypatch.setattr(DpEngine, "forward", recording)
+    sweep = horizon_sweep(problem, xg, ug, [5, 40], 600, engine=engine)
+    monkeypatch.undo()
+    want = _unparked_sweep(engine, (5, 40), 600)
+
+    assert sorted(sweep) == [5, 40]
+    for n in (5, 40):
+        assert sweep[n].tobytes() == want[n].tobytes(), n
+        assert np.isfinite(sweep[n]).sum() > 80
+    short, long = ensembles[0], ensembles[-1]
+    assert short is not long and short.step == long.step == 600
+    assert np.flatnonzero(short.parked).tolist() == [xg.size // 2]
+    assert not short.states[xg.size // 2].any()
+    assert long.parked[long.feasible].all()
