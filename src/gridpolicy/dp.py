@@ -39,14 +39,14 @@ results are bit-identical for every thread count.
 
 The forward step advances an ensemble of closed-loop states and parks each
 entry at an exact closed-loop fixpoint, after which it is no longer stepped
-(see :meth:`DpEngine.forward`).
+while the table stays the same read-only one (see :meth:`DpEngine.forward`).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,26 +109,32 @@ class ForwardEnsemble:
     Entries that fail a feasibility check keep their last feasible state and
     are excluded from all later statistics.
 
-    An entry whose step under ``parked_under`` returned its own state bit
-    for bit is *parked* (see :meth:`DpEngine.forward`): ``parked`` marks it
-    and ``held`` keeps the control of that step, NaN elsewhere.  A parked
-    entry's state must not be changed from outside.
+    The other fields are kept by :meth:`DpEngine.forward` and are not
+    constructor arguments.  An entry whose step under ``parked_under``
+    returned its own state bit for bit is *parked*: ``parked`` marks it and
+    ``held`` keeps the control of that step, NaN elsewhere.  A parked
+    entry's state must not be changed from outside.  ``stepped`` lists the
+    entries the last call stepped that stayed feasible, and ``stepped_from``
+    their states before that step.
     """
 
     states: np.ndarray
     feasible: np.ndarray
     step: int = 0
-    parked: np.ndarray | None = None
-    held: np.ndarray | None = None
-    parked_under: StageTable | None = None
+    parked: np.ndarray = field(init=False, repr=False)
+    held: np.ndarray | None = field(default=None, init=False, repr=False)
+    parked_under: StageTable | None = field(default=None, init=False, repr=False)
+    stepped: np.ndarray = field(init=False, repr=False)
+    stepped_from: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
         self.feasible = np.asarray(self.feasible, dtype=bool)
         if self.states.ndim != 2 or self.feasible.shape != (self.states.shape[0],):
             raise ValueError("states must be (k, n) with a (k,) feasibility mask")
-        if self.parked is None:
-            self.parked = np.zeros(self.feasible.shape, dtype=bool)
+        self.parked = np.zeros(self.feasible.shape, dtype=bool)
+        self.stepped = np.empty(0, dtype=np.int64)
+        self.stepped_from = self.states[:0].copy()
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
@@ -372,39 +378,47 @@ class DpEngine:
 
         An entry whose successor equals its state bit for bit (``uint64``
         views: ``-0.0`` is not ``0.0``) is parked at that closed-loop
-        fixpoint.  While ``table`` stays the same object, a parked entry is
-        not stepped again: it keeps its state bytes and gets its held
-        control, which is exactly what stepping it would give, because the
-        problem's callables are pure and time-invariant (see
+        fixpoint.  While ``table`` stays the same object and its ``policy``
+        array stays read-only (as in every table :meth:`extend` appends), a
+        parked entry is not stepped again: it keeps its state bytes and gets
+        its held control, which is exactly what stepping it would give,
+        because the problem's callables are pure and time-invariant (see
         :class:`~gridpolicy.problem.ProblemDef`).  A call with any other
-        table object first clears every park.
+        table object, or with a writeable policy, first clears every park;
+        under a writeable policy no entry parks, as the policy may change
+        in place between calls.
 
         Returns:
             Applied controls, shape ``(k, control_dim)``; NaN rows for entries
-            that were already infeasible or failed during this step.
+            that were already infeasible or failed during this step.  The
+            entries stepped are recorded on the ensemble (``stepped``,
+            ``stepped_from``).
         """
-        if ensemble.parked_under is not table:
+        fixed = not table.policy.flags.writeable
+        if ensemble.parked_under is not table or not fixed:
             ensemble.parked[:] = False
             ensemble.held = np.full((ensemble.states.shape[0], self.ugrid.ndim), np.nan)
-            ensemble.parked_under = table
+            ensemble.parked_under = table if fixed else None
         parked = ensemble.parked & ensemble.feasible
         u_out = np.full_like(ensemble.held, np.nan)
         u_out[parked] = ensemble.held[parked]
         active = np.flatnonzero(ensemble.feasible & ~parked)
+        moved, x_ok = active[:0], ensemble.states[:0]
         if active.size:
             x = ensemble.states[active]
             reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table, x)
             ok = reason == 0
-            moved = active[ok]
-            still = _same_rows(xn[ok], x[ok])
-            ensemble.states[moved] = xn[ok]
-            u_out[moved] = u[ok]
-            ensemble.parked[moved[still]] = True
-            ensemble.held[moved[still]] = u[ok][still]
+            moved, x_ok, xn, u = active[ok], x[ok], xn[ok], u[ok]
+            ensemble.states[moved] = xn
+            u_out[moved] = u
+            if fixed:
+                still = _same_rows(xn, x_ok)
+                ensemble.parked[moved[still]] = True
+                ensemble.held[moved[still]] = u[still]
             ensemble.feasible[active[~ok]] = False
+        ensemble.stepped, ensemble.stepped_from = moved, x_ok
         ensemble.step += 1
         return u_out
-
 
 def _engine_for(
     problem: ProblemDef,

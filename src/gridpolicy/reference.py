@@ -199,21 +199,19 @@ def horizon_sweep(
         table = first_stage[n]
         ens = engine.seed_ensemble(table)
         acc = np.zeros(engine.nx, dtype=float)
-        # An entry parked by ``forward`` repeats its last step, so it keeps
-        # the stage cost of that step; the cost is still added once per step,
-        # as ``acc + n * c`` is not ``c`` added ``n`` times.
+        # ``forward`` steps only the entries it has not parked; a parked
+        # entry repeats the step it parked on, so it keeps that step's stage
+        # cost.  The cost is still added once per step, as ``acc + n * c``
+        # is not ``c`` added ``n`` times.
         cost = np.zeros(engine.nx, dtype=float)
         for _ in range(trajectory_horizon):
-            stepping = np.flatnonzero(ens.feasible & ~ens.parked)
-            before = ens.states[stepping]
             u = engine.forward(ens, table)
             alive = ens.feasible
             if not alive.any():
                 break
-            ok = alive[stepping]
-            if ok.any():
-                moved = stepping[ok]
-                cost[moved] = relaxed_cost(problem, before[ok], u[moved])
+            moved = ens.stepped
+            if moved.size:
+                cost[moved] = relaxed_cost(problem, ens.stepped_from, u[moved])
             acc[alive] += cost[alive]
         costs = np.full(engine.nx, np.nan)
         costs[ens.feasible] = acc[ens.feasible] / float(trajectory_horizon)

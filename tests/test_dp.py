@@ -716,8 +716,12 @@ def _random_policy(rng, nx, nu):
     return policy
 
 
-def _policy_table(policy):
-    return StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy)
+def _policy_table(policy, writeable=False):
+    """A table over ``policy``, read-only as :meth:`DpEngine.extend` makes it
+    unless ``writeable``."""
+    table = StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy.copy())
+    table.policy.flags.writeable = writeable
+    return table
 
 
 @settings(max_examples=60, deadline=None)
@@ -748,6 +752,7 @@ def test_parked_forward_equals_unparked_chain(seed, parks, switch):
         table = t1 if step < change else t2
         if step == change:
             still[:] = False
+        stepping, before = ok & ~still, x.copy()
         controls = engine.forward(ens, table)
         for i in np.flatnonzero(ok):
             reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
@@ -762,9 +767,57 @@ def test_parked_forward_equals_unparked_chain(seed, parks, switch):
         assert ens.states.tobytes() == x.tobytes(), step
         np.testing.assert_array_equal(ens.feasible, ok)
         np.testing.assert_array_equal(ens.parked, still)
+        np.testing.assert_array_equal(ens.stepped, np.flatnonzero(stepping & ok))
+        assert ens.stepped_from.tobytes() == before[stepping & ok].tobytes()
         assert ens.parked_under is table
         ever_parked |= bool(ens.parked.any())
     assert ever_parked == parks
+
+
+def test_forward_never_parks_under_a_writeable_policy(seed=7):
+    # a writeable table may change in place between calls: forward parks no
+    # entry under it and follows each in-place change as an unparked chain
+    # does; the same policy made read-only parks node 0
+    rng = np.random.default_rng(seed)
+    while True:
+        toy, fixed = _parking_toy(rng, parks=True)
+        if (fixed.policy > 0).any():  # the change below is a change
+            break
+    xg, ug = toy.xgrid, toy.ugrid
+    table = _policy_table(fixed.policy, writeable=True)
+    engine = DpEngine(toy.problem, xg, ug)
+    starts = xg.node_coords().copy()
+    ens = ForwardEnsemble(states=starts.copy(), feasible=fixed.feasible_mask.copy())
+    x, ok = starts.copy(), fixed.feasible_mask.copy()
+    for step in range(12):
+        if step == 3:
+            table.policy[:] = np.where(table.policy < 0, -1, 0)  # in place
+        controls = engine.forward(ens, table)
+        for i in np.flatnonzero(ok):
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
+            ok[i] = reason == 0
+            if ok[i]:
+                assert controls[i].tobytes() == u.tobytes(), (step, i)
+                x[i] = xn
+        assert ens.states.tobytes() == x.tobytes(), step
+        np.testing.assert_array_equal(ens.feasible, ok)
+        assert not ens.parked.any() and ens.parked_under is None
+
+    ens = ForwardEnsemble(states=starts[:1].copy(), feasible=np.ones(1, bool))
+    engine.forward(ens, fixed)
+    assert ens.parked.tolist() == [True] and ens.parked_under is fixed
+
+
+def test_forward_state_is_not_a_constructor_argument():
+    ens = ForwardEnsemble(np.zeros((2, 1)), np.ones(2, bool), 0)
+    assert [f.name for f in dataclasses.fields(ens) if f.init] == [
+        "states",
+        "feasible",
+        "step",
+    ]
+    assert not ens.parked.any() and ens.held is None and ens.parked_under is None
+    with pytest.raises(TypeError):
+        ForwardEnsemble(np.zeros((2, 1)), np.ones(2, bool), parked=np.ones(2, bool))
 
 
 def test_forward_parks_on_bits_not_values(monkeypatch):
@@ -782,7 +835,7 @@ def test_forward_parks_on_bits_not_values(monkeypatch):
     xg = CartesianGrid([AxisSpec(-1.0, 1.0, 1.0)])
     ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
     engine = DpEngine(problem, xg, ug)
-    table = StageTable(cost=np.zeros(3), policy=np.zeros(3, dtype=int))
+    table = _policy_table(np.zeros(3, dtype=np.int64))
 
     def chain():
         ens = ForwardEnsemble(states=np.array([[0.0], [1.0]]), feasible=np.ones(2, bool))
