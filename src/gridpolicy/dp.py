@@ -37,6 +37,15 @@ results are bit-identical for every block size.  Work is split over
 contiguous state-row chunks; each chunk writes a disjoint output slice, so
 results are bit-identical for every thread count.
 
+The build also records each state row's stencil nodes: the sorted distinct
+nodes its pairs read with positive weight, plus the sentinel.  A row's
+values read nothing but the engine's fixed weights and stage costs and the
+cost bits at those nodes, so when none of them changed between the last two
+cost fields of a backward chain, the row's new cost and argmin (tie-break
+included) are bitwise those of the previous stage.  :meth:`DpEngine.extend`
+uses this to run the kernel only over the runs of rows with a changed
+input and to copy the others (prioritized sweeping, made exact).
+
 The forward step advances an ensemble of closed-loop states and parks each
 entry at an exact closed-loop fixpoint, after which it is no longer stepped
 while the table stays the same read-only one (see :meth:`DpEngine.forward`).
@@ -141,13 +150,16 @@ def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     """Bytes a :class:`DpEngine` build needs: its arrays plus live temporaries.
 
     Each of the ``nx * nu`` pairs stores ``2**ndim`` int32 corner indices and
-    float64 weights and one float64 stage cost; each of ``threads`` row
-    chunks holds the temporaries of one block of :data:`BLOCK_PAIRS`.
+    float64 weights and one float64 stage cost; the row map stores at most
+    ``2**ndim * nu + 1`` int32 nodes per state row and one offset per row;
+    each of ``threads`` row chunks holds the temporaries of one block of
+    :data:`BLOCK_PAIRS`.
     """
     pairs = nx * nu
+    row_map = nx * (2**ndim * nu + 1) * 4 + (nx + 1) * 8
     block_pairs = min(max(1, BLOCK_PAIRS // nu), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
-    return pairs * (12 * 2**ndim + 8) + temps
+    return pairs * (12 * 2**ndim + 8) + row_map + temps
 
 
 def _row_blocks(r0: int, r1: int, nu: int) -> list[tuple[int, int]]:
@@ -221,6 +233,10 @@ class DpEngine:
         self._xcoords = xgrid.node_coords()
         self._ucoords = ugrid.node_coords()
         self._ncorners = 1 << xgrid.ndim
+        # Set by extend: the cost array of the table it appended last, and
+        # private copies of that table's cost and policy and of the cost
+        # field it was computed from.
+        self._appended: tuple[np.ndarray, ...] | None = None
         self._build()
 
     @staticmethod
@@ -287,13 +303,58 @@ class DpEngine:
                 del x, u, bad, xn, idx, w, inside
 
         self._run_chunks(build_rows)
+        self._build_row_map()
+
+    def _build_row_map(self) -> None:
+        """Each state row's stencil nodes, as CSR.
+
+        Row ``r`` reads ``_row_nodes[_row_starts[r]:_row_starts[r + 1]]``
+        (the last row up to the end): the sorted distinct nodes that its
+        pairs read with positive weight, plus the sentinel ``nx``, so no row
+        is empty.  Two passes over the row blocks of ``_idx`` (counts, then
+        nodes) keep the peak at the map plus one block's sort per thread.
+        """
+        nx, nu, nc = self.nx, self.nu, self._ncorners
+
+        def distinct(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+            rows, s = b1 - b0, slice(b0 * nu, b1 * nu)
+            nodes = np.empty((rows, nc * nu + 1), dtype=np.int32)
+            for c in range(nc):
+                nodes[:, c * nu : (c + 1) * nu] = self._idx[c, s].reshape(rows, nu)
+            nodes[:, -1] = nx
+            nodes.sort(axis=1)
+            first = np.empty(nodes.shape, dtype=bool)
+            first[:, 0] = True
+            np.not_equal(nodes[:, 1:], nodes[:, :-1], out=first[:, 1:])
+            return nodes, first
+
+        starts = np.zeros(nx + 1, dtype=np.intp)
+
+        def count_rows(r0: int, r1: int) -> None:
+            for b0, b1 in _row_blocks(r0, r1, nu):
+                starts[b0 + 1 : b1 + 1] = np.count_nonzero(distinct(b0, b1)[1], axis=1)
+
+        def fill_rows(r0: int, r1: int) -> None:
+            for b0, b1 in _row_blocks(r0, r1, nu):
+                nodes, first = distinct(b0, b1)
+                self._row_nodes[starts[b0] : starts[b1]] = nodes[first]
+
+        self._run_chunks(count_rows)
+        np.cumsum(starts, out=starts)
+        self._row_nodes = np.empty(starts[-1], dtype=np.int32)
+        self._run_chunks(fill_rows)
+        self._row_starts = starts[:-1]
 
     # -- backward value step ---------------------------------------------------
 
     def backward(self, prev_cost: np.ndarray | None) -> StageTable:
         """One backward recursion step on top of cost-to-go ``prev_cost``.
 
-        ``None`` stands for the all-zero terminal field.
+        ``None`` stands for the all-zero terminal field.  When ``prev_cost``
+        is the cost array of the table :meth:`extend` appended last, only
+        the rows whose stencil reads a node that changed since the field
+        that table was computed from are evaluated; every other row is
+        copied from that table (see :meth:`extend`).
         """
         nx, nu = self.nx, self.nu
         caug = np.empty(nx + 1, dtype=float)
@@ -306,33 +367,44 @@ class DpEngine:
             caug[:nx] = prev_cost
         caug[nx] = 0.0
 
-        cost = np.empty(nx, dtype=float)
-        policy = np.empty(nx, dtype=np.int64)
+        if self._appended is not None and prev_cost is self._appended[0]:
+            _, last_cost, last_policy, source = self._appended
+            changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
+            np.not_equal(prev_cost.view(np.uint64), source.view(np.uint64), out=changed[:nx])
+            read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
+            dirty = np.logical_or.reduceat(read, self._row_starts)
+            edges = np.flatnonzero(np.diff(dirty, prepend=False, append=False))
+            runs = list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+            cost, policy = last_cost.copy(), last_policy.copy()
+        else:
+            runs = [(0, nx)]
+            cost = np.empty(nx, dtype=float)
+            policy = np.empty(nx, dtype=np.int64)
         idx, w, sc = self._idx, self._w, self._sc
 
         def step_rows(r0: int, r1: int) -> None:
-            blocks = _row_blocks(r0, r1, nu)
-            size = (blocks[0][1] - blocks[0][0]) * nu  # the first is the largest
+            size = min(max(1, BLOCK_PAIRS // nu), r1 - r0) * nu  # the largest block
             val_buf = np.empty(size, dtype=float)
             tmp_buf = np.empty(size, dtype=float)
-            for b0, b1 in blocks:
-                s = slice(b0 * nu, b1 * nu)
-                val = val_buf[: (b1 - b0) * nu]
-                tmp = tmp_buf[: val.size]
-                # Every index lies in [0, nx] by construction; mode="clip"
-                # only spares np.take a buffered copy of ``out``.
-                np.take(caug, idx[0, s], out=val, mode="clip")
-                np.multiply(w[0, s], val, out=val)
-                for c in range(1, self._ncorners):
-                    np.take(caug, idx[c, s], out=tmp, mode="clip")
-                    np.multiply(w[c, s], tmp, out=tmp)
-                    np.add(val, tmp, out=val)
-                np.add(val, sc[s], out=val)
-                arg = val.reshape(b1 - b0, nu).argmin(axis=1)
-                best = val[np.arange(0, val.size, nu) + arg]
-                arg[~np.isfinite(best)] = INFEASIBLE
-                cost[b0:b1] = best
-                policy[b0:b1] = arg
+            for a, b in runs:
+                for b0, b1 in _row_blocks(max(a, r0), min(b, r1), nu):
+                    s = slice(b0 * nu, b1 * nu)
+                    val = val_buf[: (b1 - b0) * nu]
+                    tmp = tmp_buf[: val.size]
+                    # Every index lies in [0, nx] by construction; mode="clip"
+                    # only spares np.take a buffered copy of ``out``.
+                    np.take(caug, idx[0, s], out=val, mode="clip")
+                    np.multiply(w[0, s], val, out=val)
+                    for c in range(1, self._ncorners):
+                        np.take(caug, idx[c, s], out=tmp, mode="clip")
+                        np.multiply(w[c, s], tmp, out=tmp)
+                        np.add(val, tmp, out=val)
+                    np.add(val, sc[s], out=val)
+                    arg = val.reshape(b1 - b0, nu).argmin(axis=1)
+                    best = val[np.arange(0, val.size, nu) + arg]
+                    arg[~np.isfinite(best)] = INFEASIBLE
+                    cost[b0:b1] = best
+                    policy[b0:b1] = arg
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
@@ -342,19 +414,37 @@ class DpEngine:
 
         ``stages`` is a backward stack in recursion order (``stages[j-1]``
         holds the ``j``-step table), empty at first and grown only by this
-        method; a caller may drop all but its last two entries.  Once a
-        stage's cost is bitwise equal to the one before it (the zero
-        terminal field before stage 1), the cost field has reached its
-        fixpoint: every later stage is that same table object, and the
-        backward kernel is not run again.  The cost and policy arrays of
-        every appended table are read-only.
+        method; a caller may drop all but its last two entries.  The cost
+        and policy arrays of every appended table are read-only.
+
+        Two exact skips keep the kernel off work whose result is known:
+
+        * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
+          weights and stage costs and the cost bits at the row's stencil
+          nodes (the sorted distinct nodes its pairs read with positive
+          weight).  The engine keeps private copies of the table it
+          appended last and of the cost field that table was computed from.
+          When :meth:`backward` is next handed that table's cost array, a
+          row none of whose stencil nodes changed bit for bit between the
+          field handed in and that source field gets the kept table's cost
+          and argmin (tie-break included); the kernel runs only over the
+          runs of the other rows.  Being copies, the kept arrays cannot be
+          changed from outside, so the rule is exact whatever the caller
+          does with its tables.  Any other input (a table of another stage
+          list on the same engine, say) gets the full step.
+        * Stages.  Once a stage's cost is bitwise equal to the one before it
+          (the zero terminal field before stage 1), the cost field has
+          reached its fixpoint: every later stage is that same table object,
+          and the backward kernel is not run again.
         """
         if stages:
             before = stages[-2].cost if len(stages) > 1 else np.zeros(self.nx)
             if _same_bits(stages[-1].cost, before):
                 stages.append(stages[-1])
                 return stages[-1]
+        source = stages[-1].cost.copy() if stages else np.zeros(self.nx)
         table = self.backward(stages[-1].cost if stages else None)
+        self._appended = (table.cost, table.cost.copy(), table.policy.copy(), source)
         table.cost.flags.writeable = False
         table.policy.flags.writeable = False
         stages.append(table)

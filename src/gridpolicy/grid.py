@@ -124,16 +124,6 @@ class CartesianGrid:
         """Per-axis node spacing, shape ``(ndim,)``."""
         return self._spacing.copy()
 
-    @property
-    def lows(self) -> np.ndarray:
-        """Per-axis first-node coordinate, shape ``(ndim,)``."""
-        return self._lo.copy()
-
-    @property
-    def uppers(self) -> np.ndarray:
-        """Per-axis last-node coordinate, shape ``(ndim,)``."""
-        return self._upper.copy()
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CartesianGrid) and self.axes == other.axes
 
@@ -148,13 +138,6 @@ class CartesianGrid:
 
     # -- node indexing -------------------------------------------------------
 
-    def node_coord(self, flat: int) -> np.ndarray:
-        """Coordinates of the node with flat row-major index ``flat``."""
-        if not 0 <= flat < self.size:
-            raise IndexError(f"node index {flat} out of range [0, {self.size})")
-        multi = np.unravel_index(flat, self.shape)
-        return self._lo + self._spacing * np.asarray(multi, dtype=float)
-
     def node_coords(self) -> np.ndarray:
         """Coordinates of every node, shape ``(size, ndim)``, row-major order.
 
@@ -167,16 +150,6 @@ class CartesianGrid:
                 [m.reshape(-1) for m in mesh], axis=-1
             )
         return self._coords_cache
-
-    def flat_index(self, multi: Iterable[int]) -> int:
-        """Flat row-major index of a per-axis index tuple."""
-        multi = tuple(multi)
-        if len(multi) != self.ndim:
-            raise ValueError(f"expected {self.ndim} indices, got {len(multi)}")
-        for a, (j, n) in enumerate(zip(multi, self.shape)):
-            if not 0 <= j < n:
-                raise IndexError(f"axis {a} index {j} out of range [0, {n})")
-        return int(np.dot(np.asarray(multi, dtype=np.int64), self._strides))
 
     # -- membership and cells ------------------------------------------------
 

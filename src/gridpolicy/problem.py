@@ -128,18 +128,20 @@ def pendulum_step(params: PendulumParams, x: Array, u: Array) -> Array:
     grav = params.gravity / params.length
     h = params.sample_time / params.substeps
 
+    drive = tq * inv_ml2  # the torque term is constant over the sample
+
     def acc(theta: Array, omega: Array) -> Array:
-        return tq * inv_ml2 - damp * omega - grav * np.sin(theta)
+        return drive - damp * omega - grav * np.sin(theta)
 
     for _ in range(params.substeps):
         k1t = om
         k1o = acc(th, om)
         k2t = om + 0.5 * h * k1o
-        k2o = acc(th + 0.5 * h * k1t, om + 0.5 * h * k1o)
+        k2o = acc(th + 0.5 * h * k1t, k2t)
         k3t = om + 0.5 * h * k2o
-        k3o = acc(th + 0.5 * h * k2t, om + 0.5 * h * k2o)
+        k3o = acc(th + 0.5 * h * k2t, k3t)
         k4t = om + h * k3o
-        k4o = acc(th + h * k3t, om + h * k3o)
+        k4o = acc(th + h * k3t, k4t)
         th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
         om = om + (h / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
     return np.stack([th, om], axis=-1)

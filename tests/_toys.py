@@ -29,12 +29,19 @@ class LatticeToy:
     admissible: np.ndarray  # (nx, nu) bool
 
 
+def grid_bounds(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis first and last node coordinates, each of shape ``(ndim,)``."""
+    lows = np.array([ax.lo for ax in grid.axes])
+    uppers = np.array([ax.upper for ax in grid.axes])
+    return lows, uppers
+
+
 def _flat_index(grid: CartesianGrid, coords: np.ndarray) -> np.ndarray:
     """Flat node index of exact lattice coordinates, batched."""
     coords = np.asarray(coords, dtype=float)
     idx = np.zeros(coords.shape[:-1], dtype=np.int64)
-    for a in range(grid.ndim):
-        ia = np.rint((coords[..., a] - grid.lows[a]) / grid.spacings[a])
+    for a, ax in enumerate(grid.axes):
+        ia = np.rint((coords[..., a] - ax.lo) / ax.spacing)
         idx = idx * grid.shape[a] + ia.astype(np.int64)
     return idx
 
@@ -66,7 +73,7 @@ def lattice_problem(
     )
 
     xcoords = xgrid.node_coords()
-    out_coords = xgrid.uppers + 1.0  # strictly outside on every axis
+    out_coords = grid_bounds(xgrid)[1] + 1.0  # strictly outside on every axis
 
     def _pair(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _flat_index(xgrid, x) * nu + _flat_index(ugrid, u)
@@ -138,6 +145,40 @@ def random_lattice_toy(rng: np.random.Generator) -> LatticeToy:
         avg=avg,
         lam=None if lam is None else float(lam),
     )
+
+
+def fixpoint_lattice_toy(
+    rng: np.random.Generator, xshape: tuple[int, ...], nu: int, settles: bool
+) -> LatticeToy:
+    """A lattice toy whose cost field reaches a bitwise fixpoint, or never.
+
+    A settling toy only steps to a node of lower flat index or stays put at
+    zero cost, so from stage ``nx`` on a stage's cheapest paths are the last
+    stage's with one more zero-cost stay.  The other kind pays at least 0.5
+    per step and can always stay at node 0, so node 0's cost grows without
+    end.
+    """
+    nx = int(np.prod(xshape))
+    rows = np.arange(nx)[:, None]
+    if settles:
+        nxt = (rng.random((nx, nu)) * (rows + 1)).astype(np.int64)
+        cost = np.where(nxt == rows, 0.0, rng.uniform(-1.0, 2.0, (nx, nu)))
+    else:
+        nxt = rng.integers(0, nx, (nx, nu))
+        cost = rng.uniform(0.5, 2.0, (nx, nu))
+    nxt[rng.random((nx, nu)) < 0.15] = -1
+    admissible = rng.random((nx, nu)) >= 0.12
+    if not settles:
+        nxt[0, 0], admissible[0, 0] = 0, True
+    return lattice_problem(xshape, (nu,), nxt, cost, admissible)
+
+
+def lattice_toy_3d(rng: np.random.Generator, settles: bool) -> LatticeToy:
+    """A :func:`fixpoint_lattice_toy` on a 3-D state grid of 8 to 27 nodes
+    with 2 or 3 controls, small enough for :func:`enumerate_optimal` to
+    reach horizon 6."""
+    xshape = tuple(int(n) for n in rng.integers(2, 4, size=3))
+    return fixpoint_lattice_toy(rng, xshape, int(rng.integers(2, 4)), settles)
 
 
 def enumerate_optimal(

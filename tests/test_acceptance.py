@@ -31,7 +31,7 @@ from gridpolicy import (
 )
 from gridpolicy.cli import main as cli_main
 
-from _toys import enumerate_optimal, random_lattice_toy
+from _toys import enumerate_optimal, grid_bounds, random_lattice_toy
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -74,7 +74,8 @@ def test_criterion_1_convergence_and_budget(min_time_run, tmp_path):
     checks["delta_mu_quantized"] = all(
         _quantized(m.delta_mu, 0.01) for m in report.metrics
     )
-    widths = min_time_run.xgrid.uppers - min_time_run.xgrid.lows
+    lows, uppers = grid_bounds(min_time_run.xgrid)
+    widths = uppers - lows
     checks["delta_x_in_box"] = all(
         (m.delta_x <= widths).all() for m in report.metrics
     )
@@ -275,7 +276,7 @@ def _stationarity_gaps(run):
     ix, iu = _cost_minimal_equilibria(run)
     nodes = run.xgrid.node_coords()[ix]
     nearest = ix[np.abs(nodes - x_tail).max(axis=1).argmin()]
-    x_ref = run.xgrid.node_coord(int(nearest))
+    x_ref = run.xgrid.node_coords()[int(nearest)]
     u_refs = run.ugrid.node_coords()[iu[ix == nearest]]
     gaps = np.abs(u_tail.mean(axis=0) - u_refs)
     best = gaps.max(axis=1).argmin()
@@ -366,7 +367,7 @@ def test_criterion_8_property_bundle(min_time_run, avg_angle_run, rng):
     xg = gp.CartesianGrid([gp.AxisSpec(-1.0, 2.0, 0.3), gp.AxisSpec(0.0, 1.0, 0.25)])
     field = rng.normal(size=xg.size)
     node_err = max(
-        abs(xg.interpolate(field, xg.node_coord(int(i))) - field[int(i)])
+        abs(xg.interpolate(field, xg.node_coords()[int(i)]) - field[int(i)])
         for i in rng.choice(xg.size, size=40, replace=False)
     )
     checks["node_exactness"] = node_err <= 1e-12

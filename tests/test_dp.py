@@ -21,7 +21,14 @@ from gridpolicy import (
     apply_policy,
 )
 
-from _toys import enumerate_optimal, lattice_problem, random_lattice_toy
+from _toys import (
+    enumerate_optimal,
+    fixpoint_lattice_toy,
+    grid_bounds,
+    lattice_problem,
+    lattice_toy_3d,
+    random_lattice_toy,
+)
 
 
 # -- stage tables ------------------------------------------------------------
@@ -39,9 +46,10 @@ def test_stage_table_invariant():
 
 
 def _chain(engine, steps):
+    """A hand ``backward`` chain fed copies of the costs: every step is full."""
     tables, prev = [], None
     for _ in range(steps):
-        prev = engine.backward(None if prev is None else prev.cost)
+        prev = engine.backward(None if prev is None else prev.cost.copy())
         tables.append(prev)
     return tables
 
@@ -181,7 +189,7 @@ def test_backward_interpolation_cross_check(rng):
 
     ucoords = ug.node_coords()
     for flat in rng.choice(xg.size, size=12, replace=False):
-        x = xg.node_coord(int(flat))
+        x = xg.node_coords()[int(flat)]
         best = math.inf
         arg = -1
         for iu in range(ug.size):
@@ -312,6 +320,30 @@ def test_build_temporaries_stay_within_one_block(monkeypatch):
     assert peak - arrays <= 512 * block_pairs, (peak - arrays) / block_pairs
 
 
+def test_engine_bytes_bounds_a_three_dimensional_build(monkeypatch):
+    # eight corners per pair: the estimate still bounds the build's traced
+    # peak, and beyond the engine's arrays and row map the build holds at
+    # most BUILD_BYTES_PER_BLOCK_PAIR per pair of one block
+    monkeypatch.setattr(dp, "BLOCK_PAIRS", 1024)
+    problem, xg, ug = _three_axis_problem(u_spacing=0.25)
+    assert (xg.size, ug.size) == (729, 9)
+    tracemalloc.start()
+    try:
+        engine = DpEngine(problem, xg, ug, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dp.engine_bytes(xg.size, ug.size, 3, threads=1)
+    arrays = sum(
+        a.nbytes
+        for a in (engine._idx, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
+    )
+    block_pairs = (1024 // ug.size) * ug.size
+    assert peak - arrays <= dp.BUILD_BYTES_PER_BLOCK_PAIR * block_pairs, (
+        (peak - arrays) / block_pairs
+    )
+
+
 def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
     toy = random_lattice_toy(rng)
     calls = []
@@ -339,7 +371,8 @@ def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
     monkeypatch.setattr(dp, "_available_bytes", lambda: 100 * need)
     engine = DpEngine(problem, toy.xgrid, toy.ugrid, threads=1)
     assert calls
-    assert need >= engine._idx.nbytes + engine._w.nbytes + engine._sc.nbytes
+    arrays = (engine._idx, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
+    assert need >= sum(a.nbytes for a in arrays)
     assert dp.engine_bytes(nx, nu, toy.xgrid.ndim, threads=2) > need
 
 
@@ -430,26 +463,9 @@ def test_row_chunks_never_exceed_the_cap(rng):
 
 
 def _fixpoint_toy(rng, settles):
-    """A lattice toy whose cost field reaches a bitwise fixpoint, or never.
-
-    A settling toy only steps to a lower node or stays put at zero cost, so
-    from stage ``nx`` on a stage's cheapest paths are the last stage's with
-    one more zero-cost stay.  The other kind pays at least 0.5 per step and
-    can always stay at node 0, so node 0's cost grows without end.
-    """
+    """A 1-D :func:`fixpoint_lattice_toy` of 2 to 12 nodes and 2 to 4 controls."""
     nx, nu = int(rng.integers(2, 13)), int(rng.integers(2, 5))
-    rows = np.arange(nx)[:, None]
-    if settles:
-        nxt = (rng.random((nx, nu)) * (rows + 1)).astype(np.int64)
-        cost = np.where(nxt == rows, 0.0, rng.uniform(-1.0, 2.0, (nx, nu)))
-    else:
-        nxt = rng.integers(0, nx, (nx, nu))
-        cost = rng.uniform(0.5, 2.0, (nx, nu))
-    nxt[rng.random((nx, nu)) < 0.15] = -1
-    admissible = rng.random((nx, nu)) >= 0.12
-    if not settles:
-        nxt[0, 0], admissible[0, 0] = 0, True
-    return lattice_problem((nx,), (nu,), nxt, cost, admissible)
+    return fixpoint_lattice_toy(rng, (nx,), nu, settles)
 
 
 def _same_tables(a, b):
@@ -459,20 +475,33 @@ def _same_tables(a, b):
     )
 
 
-def _extend_counting(engine, steps):
-    """``steps`` calls of ``engine.extend`` and the kernel calls they made."""
-    calls = []
-    backward = DpEngine.backward
+def _extend_rows(engine, steps):
+    """``steps`` calls of ``engine.extend`` and, per call, the sorted state
+    rows its backward kernel evaluated (None when the kernel did not run)."""
+    rows, blocks = [], dp._row_blocks
 
-    def counting(self, prev_cost):
-        calls.append(prev_cost)
-        return backward(self, prev_cost)
+    def counting(r0, r1, nu):
+        if rows[-1] is not None:
+            rows[-1].extend(range(r0, r1))
+        return blocks(r0, r1, nu)
+
+    def backward(self, prev_cost):
+        rows[-1] = []
+        return DpEngine.backward(self, prev_cost)
 
     stages = []
-    with mock.patch.object(DpEngine, "backward", counting):
-        for _ in range(steps):
-            engine.extend(stages)
-    return stages, len(calls)
+    with mock.patch.object(dp, "_row_blocks", counting):
+        with mock.patch.object(engine, "backward", backward.__get__(engine)):
+            for _ in range(steps):
+                rows.append(None)
+                engine.extend(stages)
+    return stages, [None if r is None else sorted(r) for r in rows]
+
+
+def _extend_counting(engine, steps):
+    """``steps`` calls of ``engine.extend`` and the kernel calls they made."""
+    stages, rows = _extend_rows(engine, steps)
+    return stages, sum(r is not None for r in rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -551,6 +580,211 @@ def test_extended_tables_are_read_only():
             table.cost[0] = 1.0
         with pytest.raises(ValueError):
             table.policy[0] = 1
+
+
+# -- row skips: only rows whose stencil inputs changed are recomputed --------
+
+
+def _brute_stencils(engine):
+    """Per state row, the sorted nodes its admissible pairs read with positive
+    weight, plus the sentinel ``nx``, from the problem's own callables."""
+    problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
+    x = np.repeat(xg.node_coords(), ug.size, axis=0)
+    u = np.tile(ug.node_coords(), (xg.size, 1))
+    ok = (np.asarray(problem.inequality(x, u)) <= 0.0).all(axis=-1)
+    idx, w, inside = xg.locate_cells(np.asarray(problem.dynamics(x, u), dtype=float))
+    read = (ok & inside)[:, None] & (w > 0.0)
+    nu = ug.size
+    return [
+        sorted(set(idx[r * nu : (r + 1) * nu][read[r * nu : (r + 1) * nu]].tolist()) | {xg.size})
+        for r in range(xg.size)
+    ]
+
+
+def _row_map(engine):
+    ends = np.append(engine._row_starts[1:], engine._row_nodes.size)
+    return [engine._row_nodes[a:b].tolist() for a, b in zip(engine._row_starts, ends)]
+
+
+def _assert_extend_equals_full_chain(engine, steps):
+    """The ``extend`` chain equals the full-step chain bitwise at every stage,
+    and each kernel call evaluates exactly the rows whose stencil holds a
+    node whose cost bits changed between the two stages before (every row
+    at stage 1), each once.
+
+    Returns:
+        The number of row evaluations the chain skipped.
+    """
+    full = _chain(engine, steps)
+    stencils = _brute_stencils(engine)
+    assert _row_map(engine) == stencils
+    stages, rows = _extend_rows(engine, steps)
+    assert _same_tables(stages, full)
+    costs = [np.zeros(engine.nx)] + [t.cost for t in full]
+    skipped = 0
+    for k, got in enumerate(rows, start=1):
+        if got is None:  # past the fixpoint
+            assert costs[k - 1].tobytes() == costs[k - 2].tobytes()
+            continue
+        want = list(range(engine.nx))
+        if k > 1:
+            changed = costs[k - 1].view(np.uint64) != costs[k - 2].view(np.uint64)
+            changed = np.append(changed, False)  # the sentinel
+            want = [r for r in want if changed[stencils[r]].any()]
+        assert got == want, k
+        skipped += engine.nx - len(got)
+    return skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    settles=st.booleans(),
+    threads=st.sampled_from([1, 2]),
+    seam=st.integers(0, 5),
+)
+def test_extend_skips_exactly_the_rows_whose_stencil_is_unchanged(
+    seed, settles, threads, seam
+):
+    # lattice toys that settle and toys that never do, at one and two
+    # threads and at every block seam of _seam_blocks
+    toy = _fixpoint_toy(np.random.default_rng(seed), settles)
+    nx, nu = toy.xgrid.size, toy.ugrid.size
+    with mock.patch.object(dp, "BLOCK_PAIRS", _seam_blocks(nx, nu)[seam]):
+        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads)
+        _assert_extend_equals_full_chain(engine, 3 * (nx + 1))
+
+
+def _small_pendulum():
+    """Minimum-time swing-up on 11 x 11 states around the target, 21
+    controls: fractional weights on four corners, and a cost field that
+    settles region by region (its fixpoint comes at stage 293)."""
+    xg = CartesianGrid(
+        [AxisSpec(math.pi - 1.2, math.pi + 1.2, 0.24), AxisSpec(-1.0, 1.0, 0.2)]
+    )
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
+    problem = gp.builtin_min_time_pendulum(
+        target_halfwidth=(0.3, 0.3),
+        params=gp.PendulumParams(sample_time=0.3),
+        theta_bounds=(math.pi - 1.21, math.pi + 1.21),
+        omega_bounds=(-1.01, 1.01),
+    )
+    return problem, xg, ug
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extend_skips_rows_on_an_interpolating_pendulum(threads):
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug, threads=threads)
+    assert xg.shape == (11, 11) and (engine._w[1:] > 0.0).any()  # off-node successors
+    skipped = _assert_extend_equals_full_chain(engine, 300)
+    assert skipped > 0.5 * 300 * xg.size, skipped
+
+
+def test_alternating_stage_lists_on_one_engine(rng):
+    # two stage lists extended in a random interleaving on one engine, with
+    # direct backward calls on the last appended table in between, follow
+    # the full-step chain bit for bit
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug)
+    full = _chain(engine, 61)
+    lists = ([], [])
+    for pick in rng.integers(0, 2, size=100):
+        stages = lists[pick]
+        if len(stages) < 60:
+            engine.extend(stages)
+        if rng.random() < 0.2:
+            table = engine.backward(stages[-1].cost)
+            assert _same_tables([table], [full[len(stages)]])
+    for stages in lists:
+        assert len(stages) > 20
+        assert _same_tables(stages, full[: len(stages)])
+
+
+def test_tables_changed_in_place_do_not_leak_into_later_stages():
+    # a caller who turns appended tables writeable again and changes them
+    # gets the full step on the field it hands in, never a row copied from
+    # a changed table or skipped against a changed source field
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug)
+    stages = []
+    for _ in range(200):  # most rows are clean by now, but not all
+        engine.extend(stages)
+    last, source = stages[-1], stages[-2]
+    assert last.cost.tobytes() != source.cost.tobytes()
+    for array in (last.cost, last.policy, source.cost):
+        array.flags.writeable = True
+    feasible = last.feasible_mask
+    last.policy[feasible] = (last.policy[feasible] + 1) % ug.size
+    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
+    source.cost[:] = last.cost  # as if nothing had changed
+    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
+    last.cost[feasible] -= 0.5
+    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
+
+
+def _three_axis_problem(u_spacing=0.5):
+    """A 3-D minimum-time problem with off-node successors (eight corners),
+    an omega-like bound tighter than the grid, and a zero-cost target box,
+    so the cost field settles region by region."""
+    xg = CartesianGrid([AxisSpec(-1.0, 1.0, 0.25)] * 3)
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, u_spacing)])
+
+    def dynamics(x, u):
+        a = 0.9 * x[..., 0] + 0.3 * x[..., 1]
+        b = 0.8 * x[..., 1] + 0.3 * u[..., 0] - 0.1 * np.sin(x[..., 2])
+        c = 0.7 * x[..., 2] + 0.2 * x[..., 0]
+        return np.stack([a, b, c], axis=-1)
+
+    problem = gp.ProblemDef(
+        state_dim=3,
+        control_dim=1,
+        dynamics=dynamics,
+        stage_cost=lambda x, u: (np.abs(x).max(axis=-1) > 0.3).astype(float),
+        inequality=lambda x, u: np.abs(x[..., 1:2]) - 0.9,
+        average_fn=lambda x, u: np.zeros(x.shape[:-1]),
+    )
+    return problem, xg, ug
+
+
+def test_row_map_is_every_positive_weight_node(rng):
+    # the CSR row map holds exactly the nodes each row reads with positive
+    # weight (and the sentinel), on lattice, 2-D and 3-D interpolating grids
+    toy = random_lattice_toy(rng)
+    cases = [
+        (toy.problem, toy.xgrid, toy.ugrid),
+        _interpolating_pendulum(),
+        _small_pendulum(),
+        _three_axis_problem(),
+    ]
+    for problem, xg, ug in cases:
+        engine = DpEngine(problem, xg, ug)
+        assert engine._row_nodes.dtype == np.int32
+        assert _row_map(engine) == _brute_stencils(engine)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEEDS, settles=st.booleans())
+def test_three_dimensional_extend_equals_enumeration(seed, settles):
+    # 3-D lattice toys: the extend chain, skips included, equals brute-force
+    # enumeration up to horizon 6 and the full-step chain past its fixpoint
+    toy = lattice_toy_3d(np.random.default_rng(seed), settles)
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages = []
+    for h in range(1, 7):
+        engine.extend(stages)
+        want_cost, want_first = enumerate_optimal(toy, h)
+        np.testing.assert_array_equal(stages[-1].cost, want_cost)
+        np.testing.assert_array_equal(stages[-1].policy, want_first)
+    _assert_extend_equals_full_chain(engine, 3 * (engine.nx + 1))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_three_dimensional_extend_skips_rows(threads):
+    problem, xg, ug = _three_axis_problem()
+    engine = DpEngine(problem, xg, ug, threads=threads)
+    assert (engine._w[1:] > 0.0).any() and (engine._sc == np.inf).any()
+    assert _assert_extend_equals_full_chain(engine, 60) > 0
 
 
 # -- forward propagation -----------------------------------------------------
@@ -661,7 +895,8 @@ def test_forward_equals_single_state_steps(seed):
     policy[rng.random(xg.size) < 0.2] = -1
     table = StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy)
     k = int(rng.integers(1, 40))
-    starts = rng.uniform(xg.lows - 0.5, xg.uppers + 0.5, size=(k, xg.ndim))
+    lows, uppers = grid_bounds(xg)
+    starts = rng.uniform(lows - 0.5, uppers + 0.5, size=(k, xg.ndim))
     on_node = rng.random(k) < 0.5
     starts[on_node] = xg.node_coords()[rng.integers(0, xg.size, on_node.sum())]
     alive = rng.random(k) >= 0.25
@@ -737,11 +972,12 @@ def test_parked_forward_equals_unparked_chain(seed, parks, switch):
     steps = 25
     change = int(rng.integers(2, steps)) if switch else steps
     k = int(rng.integers(1, 30))
-    starts = rng.uniform(xg.lows - 0.5, xg.uppers + 0.5, size=(k, xg.ndim))
+    lows, uppers = grid_bounds(xg)
+    starts = rng.uniform(lows - 0.5, uppers + 0.5, size=(k, xg.ndim))
     on_node = rng.random(k) < 0.6
     starts[on_node] = xg.node_coords()[rng.integers(0, xg.size, on_node.sum())]
     alive = rng.random(k) >= 0.2
-    starts[0], alive[0] = xg.node_coord(0), True  # parks at step 1 if ``parks``
+    starts[0], alive[0] = xg.node_coords()[0], True  # parks at step 1 if ``parks``
 
     engine = DpEngine(toy.problem, xg, ug)
     ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())

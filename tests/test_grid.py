@@ -6,6 +6,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from gridpolicy import AxisSpec, CartesianGrid
 
+from _toys import _flat_index, grid_bounds
+
 
 # -- axis construction -------------------------------------------------------
 
@@ -45,10 +47,11 @@ def test_axis_validation():
 def test_flat_index_row_major():
     g = CartesianGrid([AxisSpec(0.0, 2.0, 1.0), AxisSpec(0.0, 3.0, 1.0)])
     assert g.shape == (3, 4)
-    assert g.flat_index((1, 1)) == 5
-    np.testing.assert_array_equal(g.node_coord(5), [1.0, 1.0])
+    coords = g.node_coords()
+    assert _flat_index(g, np.array([1.0, 1.0])) == 5
+    np.testing.assert_array_equal(coords[5], [1.0, 1.0])
     # last axis varies fastest
-    np.testing.assert_array_equal(g.node_coord(1), [0.0, 1.0])
+    np.testing.assert_array_equal(coords[1], [0.0, 1.0])
 
 
 def test_node_coords_matches_node_coord():
@@ -56,9 +59,11 @@ def test_node_coords_matches_node_coord():
     coords = g.node_coords()
     assert coords.shape == (g.size, 2)
     for flat in range(g.size):
-        np.testing.assert_array_equal(coords[flat], g.node_coord(flat))
+        multi = np.unravel_index(flat, g.shape)
+        want = [ax.lo + ax.spacing * j for ax, j in zip(g.axes, multi)]
+        np.testing.assert_array_equal(coords[flat], want)
     with pytest.raises(IndexError):
-        g.node_coord(g.size)
+        coords[g.size]
 
 
 # -- interpolation -----------------------------------------------------------
@@ -69,7 +74,7 @@ def test_interpolation_node_exactness(rng):
     field = rng.normal(size=g.size)
     for _ in range(200):
         flat = int(rng.integers(0, g.size))
-        x = g.node_coord(flat)
+        x = g.node_coords()[flat]
         assert g.interpolate(field, x) == field[flat]
 
 
@@ -157,7 +162,7 @@ def _locate_cells_corner_loop(g, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
     inside = g.in_domain(pts)
-    t = (pts - g.lows) / g.spacings
+    t = (pts - grid_bounds(g)[0]) / g.spacings
     snapped = np.rint(t)
     t = np.where(np.abs(t - snapped) <= 1e-9, snapped, t)
     nmax = np.asarray(g.shape, dtype=np.int64) - 2
@@ -187,7 +192,7 @@ def test_locate_cells_matches_corner_loop(rng, ndim):
     g = CartesianGrid(
         [AxisSpec(-1.0 + 0.3 * a, 1.0 + 0.7 * a, 0.1 + 0.15 * a) for a in range(ndim)]
     )
-    lo, hi, h = g.lows, g.uppers, g.spacings
+    (lo, hi), h = grid_bounds(g), g.spacings
     nodes = g.node_coords()[rng.integers(0, g.size, 300)]
     jitter = rng.choice([0.0, 1e-12, -1e-12, 1e-7, -1e-7], size=nodes.shape)
     faces = rng.uniform(lo, hi, size=(200, ndim))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from gridpolicy import (
@@ -95,6 +97,61 @@ def test_pendulum_step_batched_shapes(rng):
         for j in range(3):
             single = pendulum_step(params, xs[i, j], us[i, j])
             np.testing.assert_array_equal(batch[i, j], single)
+
+
+def _pendulum_step_unhoisted(params: PendulumParams, x, u):
+    """``pendulum_step`` as it was before the torque term and the ``omega``
+    stage values were hoisted out of the RK4 substeps, kept as an oracle."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    th = x[..., 0]
+    om = x[..., 1]
+    tq = u[..., 0]
+
+    inv_ml2 = 1.0 / (params.mass * params.length**2)
+    damp = params.damping / params.mass
+    grav = params.gravity / params.length
+    h = params.sample_time / params.substeps
+
+    def acc(theta, omega):
+        return tq * inv_ml2 - damp * omega - grav * np.sin(theta)
+
+    for _ in range(params.substeps):
+        k1t = om
+        k1o = acc(th, om)
+        k2t = om + 0.5 * h * k1o
+        k2o = acc(th + 0.5 * h * k1t, om + 0.5 * h * k1o)
+        k3t = om + 0.5 * h * k2o
+        k3o = acc(th + 0.5 * h * k2t, om + 0.5 * h * k2o)
+        k4t = om + h * k3o
+        k4o = acc(th + h * k3t, om + h * k3o)
+        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        om = om + (h / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
+    return np.stack([th, om], axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mass=st.floats(0.2, 3.0),
+    length=st.floats(0.2, 3.0),
+    damping=st.sampled_from([0.0, 0.3, 1.7]),
+    substeps=st.integers(1, 12),
+)
+def test_pendulum_step_bitwise_equals_unhoisted_rk4(seed, mass, length, damping, substeps):
+    # batched states and a single (2,) state give the old formula's bits
+    params = PendulumParams(
+        mass=mass, length=length, damping=damping, sample_time=0.2, substeps=substeps
+    )
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 50)), 2))
+    us = rng.uniform(-2.0, 2.0, size=(xs.shape[0], 1))
+    assert pendulum_step(params, xs, us).tobytes() == (
+        _pendulum_step_unhoisted(params, xs, us).tobytes()
+    )
+    assert pendulum_step(params, xs[0], us[0]).tobytes() == (
+        _pendulum_step_unhoisted(params, xs[0], us[0]).tobytes()
+    )
 
 
 def test_params_validation():

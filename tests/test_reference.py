@@ -75,7 +75,7 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
             continue
         node = int(feas[rng.integers(feas.size)])
         trace = rollout_time_varying(
-            toy.problem, toy.xgrid, toy.ugrid, policies, toy.xgrid.node_coord(node)
+            toy.problem, toy.xgrid, toy.ugrid, policies, toy.xgrid.node_coords()[node]
         )
         assert trace.reason is None and trace.length == horizon
         total = 0.0
@@ -83,7 +83,7 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
             total = float(c) + total
         assert total == top.cost[node]
         np.testing.assert_array_equal(
-            trace.controls[0], toy.ugrid.node_coord(int(top.policy[node]))
+            trace.controls[0], toy.ugrid.node_coords()[int(top.policy[node])]
         )
 
 
@@ -136,7 +136,7 @@ def test_rollout_matches_apply_policy_chain():
             table = engine.backward(None if table is None else table.cost)
         feasible = np.flatnonzero(table.feasible_mask)
         for node in (feasible[0], feasible[feasible.size // 2]):
-            start = xg.node_coord(int(node))
+            start = xg.node_coords()[int(node)]
             for horizon in (0, 6, 40):
                 trace = _assert_rollout_matches_apply_policy_chain(
                     problem, xg, ug, table, start, horizon
@@ -241,7 +241,7 @@ def test_horizon_sweep_matches_scalar_rollouts():
             assert np.isnan(costs[node])
             continue
         trace = rollout_stationary(
-            toy.problem, toy.xgrid, toy.ugrid, table, toy.xgrid.node_coord(node), traj
+            toy.problem, toy.xgrid, toy.ugrid, table, toy.xgrid.node_coords()[node], traj
         )
         if trace.length < traj:
             assert np.isnan(costs[node])
@@ -274,7 +274,7 @@ def test_horizon_sweep_multiple_horizons():
                 toy.xgrid,
                 toy.ugrid,
                 table,
-                toy.xgrid.node_coord(node),
+                toy.xgrid.node_coords()[node],
                 traj,
             )
             assert trace.length == traj
