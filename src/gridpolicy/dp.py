@@ -25,7 +25,7 @@ gives ``+inf``.
 
 The build and the backward step walk the same blocks of whole state rows of
 about :data:`BLOCK_PAIRS` pairs.  The build evaluates constraints, dynamics,
-``locate_cells`` and stage costs one block at a time and writes straight
+the cell search and stage costs one block at a time and writes straight
 into the engine arrays, so its peak memory is the engine plus one block's
 temporaries per thread (:func:`engine_bytes` estimates it, and the build
 raises :class:`MemoryError` up front when that exceeds what the process can
@@ -53,6 +53,7 @@ while the table stays the same read-only one (see :meth:`DpEngine.forward`).
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,8 +71,8 @@ INFEASIBLE = -1  # policy marker for nodes with no admissible control
 BLOCK_PAIRS = 65536
 
 # Bound on the build's temporaries per pair of one block (inputs, successors,
-# the integrator's and locate_cells' arrays); tracemalloc measures 180-205 B
-# on the 2-D pendulums.
+# the integrator's and the cell search's arrays); tracemalloc measures
+# 104-127 B on the 2-D pendulums.
 BUILD_BYTES_PER_BLOCK_PAIR = 512
 
 # Closed-loop step outcomes, also used as rollout truncation reasons.
@@ -285,22 +286,23 @@ class DpEngine:
                 u = np.tile(self._ucoords, (b1 - b0, 1))
                 s = slice(b0 * nu, b1 * nu)
                 g = np.asarray(self.problem.inequality(x, u), dtype=float)
-                bad = (g > 0.0).any(axis=-1)
+                bad = _any_rows(g > 0.0)
                 del g  # off the integrator's peak
                 xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
-                idx, w, inside = self.xgrid.locate_cells(xn)
-                bad |= ~inside
-                w[bad] = 0.0
+                # The cell search writes corner-major rows, the stencil's
+                # own layout, straight into the engine arrays.
+                idx, w = self._idx[:, s], self._w[:, s]
+                bad |= ~self.xgrid._corner_cells(xn, idx, w)
+                del xn
+                np.copyto(w, 0.0, where=bad)
                 # Sentinel row nx holds cost 0; redirect every zero-weight
                 # corner there so that inf-valued corners never meet a zero
                 # weight.
-                idx[w == 0.0] = nx
-                self._idx[:, s] = idx.T
-                self._w[:, s] = w.T
+                np.copyto(idx, nx, where=w == 0.0)
                 self._sc[s] = relaxed_cost(self.problem, x, u)
                 self._sc[s][bad] = np.inf
                 # Free this block's temporaries before the next one allocates.
-                del x, u, bad, xn, idx, w, inside
+                del x, u, bad
 
         self._run_chunks(build_rows)
         self._build_row_map()
@@ -490,25 +492,27 @@ class DpEngine:
             ensemble.held = np.full((ensemble.states.shape[0], self.ugrid.ndim), np.nan)
             ensemble.parked_under = table if fixed else None
         parked = ensemble.parked & ensemble.feasible
-        u_out = np.full_like(ensemble.held, np.nan)
-        u_out[parked] = ensemble.held[parked]
+        u_out = np.where(parked[:, None], ensemble.held, np.nan)
         active = np.flatnonzero(ensemble.feasible & ~parked)
-        moved, x_ok = active[:0], ensemble.states[:0]
+        x = _take_rows(ensemble.states, active)
         if active.size:
-            x = ensemble.states[active]
             reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table, x)
             ok = reason == 0
-            moved, x_ok, xn, u = active[ok], x[ok], xn[ok], u[ok]
-            ensemble.states[moved] = xn
-            u_out[moved] = u
+            if not ok.all():
+                ensemble.feasible[active[~ok]] = False
+                active = active[ok]
+                x, u, xn = (np.compress(ok, a, axis=0) for a in (x, u, xn))
+            _put_rows(ensemble.states, active, xn)
+            _put_rows(u_out, active, u)
             if fixed:
-                still = _same_rows(xn, x_ok)
-                ensemble.parked[moved[still]] = True
-                ensemble.held[moved[still]] = u[still]
-            ensemble.feasible[active[~ok]] = False
-        ensemble.stepped, ensemble.stepped_from = moved, x_ok
+                still = _same_rows(xn, x)
+                if still.any():
+                    ensemble.parked[active[still]] = True
+                    ensemble.held[active[still]] = u[still]
+        ensemble.stepped, ensemble.stepped_from = active, x
         ensemble.step += 1
         return u_out
+
 
 def _engine_for(
     problem: ProblemDef,
@@ -537,9 +541,45 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _any_rows(b: np.ndarray) -> np.ndarray:
+    """``b.any(axis=-1)`` for a boolean ``(..., m)`` array.
+
+    As a boolean matrix product with a ones vector: a NumPy reduction over a
+    short last axis pays a per-row cost that ``matmul`` does not, on one row
+    as on many.
+    """
+    return b @ _ones(b.shape[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(m: int) -> np.ndarray:
+    """A read-only boolean ones vector of length ``m``, made once: ``np.ones``
+    costs as much as the product it feeds on a single state."""
+    ones = np.ones(m, dtype=bool)
+    ones.flags.writeable = False
+    return ones
+
+
 def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of two ``(k, n)`` float64 arrays: are all its bits equal?"""
-    return (a.view(np.uint64) == b.view(np.uint64)).all(axis=1)
+    return ~_any_rows(a.view(np.uint64) != b.view(np.uint64))
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a[rows]`` for sorted distinct ``rows`` of a ``(k, n)`` array, as a new
+    array.  ``np.take`` moves whole rows; fancy indexing loops per row over
+    the short last axis."""
+    return a.copy() if rows.size == a.shape[0] else np.take(a, rows, axis=0)
+
+
+def _put_rows(a: np.ndarray, rows: np.ndarray, v: np.ndarray) -> None:
+    """``a[rows] = v`` for sorted distinct ``rows`` of a ``(k, n)`` array,
+    one column at a time for the reason given at :func:`_take_rows`."""
+    if rows.size == a.shape[0]:
+        a[...] = v
+        return
+    for j in range(a.shape[1]):
+        a[rows, j] = v[:, j]
 
 
 def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -551,7 +591,8 @@ def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if rows.size == u.shape[0]:
         out = fn(x, u.reshape(x.shape[:-1] + u.shape[-1:]))
     else:
-        out = fn(x.reshape(u.shape[0], -1)[rows], u[rows])
+        x = np.take(x.reshape(u.shape[0], -1), rows, axis=0)
+        out = fn(x, np.take(u, rows, axis=0))
     return np.asarray(out, dtype=float).reshape(rows.size, -1)
 
 
@@ -581,23 +622,33 @@ def apply_policy(
     batch = x.shape[:-1]
     idx, w, inside = xgrid.locate_cells(x.reshape(-1, xgrid.ndim))
     pol = table.policy[idx]
-    undefined = ~inside | ((pol == INFEASIBLE) & (w > 0.0)).any(axis=1)
+    undefined = ~inside | _any_rows((pol == INFEASIBLE) & (w > 0.0))
     reason = undefined.astype(np.int8)  # codes index STEP_REASONS
     # Zero-weight corners may carry the -1 marker; their contribution is
-    # exactly 0 * coordinate.
+    # exactly 0 * coordinate.  einsum's order of summing the corners follows
+    # the operands' layout: locate_cells' C-contiguous rows keep it the same
+    # for a batch as for one state, bit for bit.
     u = np.einsum("kc,kcm->km", w, ugrid.node_coords()[pol])
-    u[undefined] = np.nan
-    xn = np.full((reason.size, xgrid.ndim), np.nan)
-
-    live = np.flatnonzero(~undefined)
+    live = (~undefined).nonzero()[0]
+    if live.size < reason.size:
+        u[undefined] = np.nan
     if live.size:
         g = _on_rows(problem.inequality, x, u, live)
-        violated = (g > 0.0).any(axis=-1)
-        reason[live[violated]] = 2
-        live = live[~violated]
+        violated = _any_rows(g > 0.0)
+        if violated.any():
+            reason[live[violated]] = 2
+            live = live[~violated]
+    xn = None
     if live.size:
         step = _on_rows(problem.dynamics, x, u, live)
         kept = xgrid.in_domain(step)
-        reason[live[~kept]] = 3
-        xn[live[kept]] = step[kept]
+        if not kept.all():
+            reason[live[~kept]] = 3
+            live, step = live[kept], np.compress(kept, step, axis=0)
+        if live.size == reason.size and not np.may_share_memory(step, x):
+            xn = step  # every state stepped and stayed in the box
+    if xn is None:
+        xn = np.full((reason.size, xgrid.ndim), np.nan)
+        if live.size:
+            _put_rows(xn, live, step)
     return reason.reshape(batch), u.reshape(batch + u.shape[-1:]), xn.reshape(x.shape)

@@ -105,11 +105,15 @@ class CartesianGrid:
         self._upper = np.asarray([ax.upper for ax in self.axes], dtype=float)
         self._spacing = np.asarray([ax.spacing for ax in self.axes], dtype=float)
         self._ncorners = 1 << self.ndim
-        # Domain bounds with the face slack of :meth:`in_domain`.
+        # Domain bounds with the face slack of :meth:`in_domain`.  The
+        # ``(ndim, 1)`` columns broadcast along axis-major ``(ndim, k)`` points.
         atol = self._spacing * _REL_TOL
-        self._lo_slack = self._lo - atol
-        self._upper_slack = self._upper + atol
-        self._max_cell = np.maximum(np.asarray(self.shape, dtype=np.int64) - 2, 0)
+        self._lo_slack = (self._lo - atol)[:, None]
+        self._upper_slack = (self._upper + atol)[:, None]
+        self._lo_col = self._lo[:, None]
+        self._spacing_col = self._spacing[:, None]
+        self._strides_col = self._strides[:, None]
+        self._max_cell = np.maximum(np.asarray(self.shape, dtype=np.int64)[:, None] - 2, 0)
         # Corner c sets axis a's bit (c >> (ndim - 1 - a)) & 1; its flat
         # offset from the cell's base node is bits @ strides.
         shifts = np.arange(self.ndim - 1, -1, -1)
@@ -160,13 +164,28 @@ class CartesianGrid:
             points: array of shape ``(..., ndim)``.
 
         Returns:
-            Boolean array of shape ``(...,)``.  The box faces get a small
-            spacing-relative slack so that states produced by integrating
-            exactly onto the boundary are not spuriously rejected.
+            Boolean array of shape ``(...,)``, a NumPy bool for one
+            ``(ndim,)`` point.  The box faces get a small spacing-relative
+            slack so that states produced by integrating exactly onto the
+            boundary are not spuriously rejected; NaN is outside.
+
+        The test runs on an axis-major ``(ndim, k)`` copy of the points.
+        NumPy pays a fixed cost per inner loop, and on ``(k, ndim)`` points
+        every comparison and the reduction over the last axis loop over
+        ``ndim`` elements ``k`` times; axis-major, each operation is
+        ``ndim`` loops of ``k`` elements.
         """
         pts = np.asarray(points, dtype=float)
-        ok = (pts >= self._lo_slack) & (pts <= self._upper_slack)
-        return ok.all(axis=-1)
+        if pts.ndim == 0 or pts.shape[-1] != self.ndim:
+            raise ValueError(f"expected (..., {self.ndim}) points, got {pts.shape}")
+        cols = pts.reshape(-1, self.ndim).T.copy()
+        return self._inside(cols).reshape(pts.shape[:-1])[()]
+
+    def _inside(self, cols: np.ndarray) -> np.ndarray:
+        """:meth:`in_domain` of axis-major ``(ndim, k)`` points, shape ``(k,)``."""
+        ok = cols >= self._lo_slack
+        ok &= cols <= self._upper_slack
+        return np.logical_and.reduce(ok, axis=0)
 
     def locate_cells(
         self, points: np.ndarray
@@ -177,46 +196,80 @@ class CartesianGrid:
             points: array of shape ``(k, ndim)``.
 
         Returns:
-            ``(idx, w, inside)`` where ``idx`` is ``(k, 2**ndim)`` int64 flat
-            corner indices, ``w`` the matching weights (rows sum to 1 for
-            inside points), and ``inside`` the boolean domain mask.  Rows of
-            outside points have all-zero weights and corner index 0; callers
-            must consult ``inside`` before trusting them.
+            ``(idx, w, inside)`` where ``idx`` is a C-contiguous
+            ``(k, 2**ndim)`` int64 array of flat corner indices, ``w`` the
+            matching C-contiguous float64 weights (rows sum to 1 for inside
+            points), and ``inside`` the boolean domain mask.  Rows of outside
+            points have all-zero weights and corner index 0; callers must
+            consult ``inside`` before trusting them.
+
+        The search (:meth:`_corner_cells`) works axis-major, for the reason
+        given at :meth:`in_domain`: on an ``(ndim, k)`` copy of the points,
+        filling the results through their transposed, corner-major views.
+        Every element gets the float operations of a row-by-row search in
+        the same order, so the results are bitwise those of one.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != self.ndim:
-            raise ValueError(f"expected (k, {self.ndim}) points, got {pts.shape}")
-        inside = self.in_domain(pts)
-
-        t = (pts - self._lo) / self._spacing
-        snapped = np.rint(t)
-        t = np.where(np.abs(t - snapped) <= _SNAP_TOL, snapped, t)
-        # np.minimum/np.maximum: np.clip costs twice as much on one point
-        cell = np.minimum(np.maximum(np.floor(t).astype(np.int64), 0), self._max_cell)
-        frac = t - cell
-
-        idx = (cell @ self._strides)[:, None] + self._corner_offsets
-        # Corner weights as an outer product over axes, filled in place axis
-        # by axis so that each weight is ((f_0 * f_1) * f_2)..., where f_a is
-        # frac (bit set) or 1 - frac (bit clear); C order puts axis 0 in the
-        # top bit of the corner index.
         k = pts.shape[0]
-        w = np.empty((k,) + (2,) * self.ndim)
-        for a in range(self.ndim):
-            f = frac[:, a].reshape((k,) + (1,) * (self.ndim - 1))
-            head = (slice(None),) * (a + 1)
-            off, on = w[head + (0,)], w[head + (1,)]  # views: bit a clear / set
-            if a == 0:
-                off[...] = 1.0 - f
-                on[...] = f
-            else:
-                off *= 1.0 - f
-                on *= f
-        w = w.reshape(k, self._ncorners)
-        if not inside.all():
-            w[~inside] = 0.0
-            idx[~inside] = 0
+        idx = np.empty((k, self._ncorners), dtype=np.int64)
+        w = np.empty((k, self._ncorners))
+        inside = self._corner_cells(pts, idx.T, w.T)
         return idx, w, inside
+
+    def _corner_cells(
+        self, points: np.ndarray, idx: np.ndarray, w: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`locate_cells` into corner-major ``(2**ndim, k)`` arrays.
+
+        Row ``c`` of ``idx`` and ``w`` receives corner ``c`` of every point,
+        whatever their strides: :meth:`locate_cells` passes transposed views
+        of its C-contiguous results, the engine build its own stencil rows.
+
+        Returns:
+            The boolean domain mask, shape ``(k,)``.
+        """
+        if points.ndim != 2 or points.shape[1] != self.ndim:
+            raise ValueError(f"expected (k, {self.ndim}) points, got {points.shape}")
+        t = points.T.copy()  # axis-major, and ours to overwrite
+        inside = self._inside(t)
+        t -= self._lo_col
+        t /= self._spacing_col
+        snapped = np.rint(t)
+        near = t - snapped
+        np.abs(near, out=near)
+        np.copyto(t, snapped, where=near <= _SNAP_TOL)
+        del near
+        cell = np.floor(t, out=snapped).astype(np.int64)
+        del snapped
+        # np.minimum/np.maximum: np.clip costs twice as much on one point
+        np.maximum(cell, 0, out=cell)
+        np.minimum(cell, self._max_cell, out=cell)
+        t -= cell  # the fraction of the cell on each axis
+        cell *= self._strides_col
+        base = cell.sum(axis=0)
+        del cell
+        np.copyto(idx, base + self._corner_offsets[:, None])
+
+        # Corner weights as an outer product over axes, each weight
+        # ((g_0 * g_1) * g_2)... with g_a = frac (bit a set) or 1 - frac
+        # (clear); C order puts axis 0 in the top bit of the corner index.
+        # The product starts from an exact 1.0, and the last axis writes it
+        # into ``w`` with the contiguous operand first, so that NumPy loops
+        # along ``k`` whatever the layout of ``w``.
+        k = t.shape[1]
+        head = 1.0
+        for a, f in enumerate(t):
+            shape = (2,) * (a + 1) + (k,)
+            # reshape only splits the corner axis of w, so it is a view
+            part = w.reshape(shape) if a == self.ndim - 1 else np.empty(shape)
+            for bit, g in enumerate((1.0 - f, f)):
+                np.multiply(head, g, out=part[..., bit, :])
+            head = part
+        if not inside.all():
+            outside = ~inside
+            np.copyto(w, 0.0, where=outside)
+            np.copyto(idx, 0, where=outside)
+        return inside
 
     def interpolate(self, field: np.ndarray, point: np.ndarray) -> float:
         """Multilinear interpolation of a flat scalar field at one point.

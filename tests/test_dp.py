@@ -918,6 +918,61 @@ def test_forward_equals_single_state_steps(seed):
             assert ens.states[i].tobytes() == starts[i].tobytes()
 
 
+@pytest.fixture(scope="module")
+def coarse_min_time():
+    """The coarse min-time pendulum and its 30-stage table.
+
+    Off-node states weight up to four corners, so unlike on the lattice
+    toys the order in which a step sums the corners shows in the last bit.
+    """
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
+    problem = gp.builtin_min_time_pendulum()
+    engine = DpEngine(problem, xg, ug)
+    stages = []
+    for _ in range(30):
+        engine.extend(stages)
+    return problem, xg, ug, stages[-1]
+
+
+@pytest.mark.parametrize("k", [1, 7, 96])
+def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
+    # k off-node states that all step: one apply_policy call on the batch,
+    # and forward chains of it, equal per-state calls bit for bit
+    problem, xg, ug, table = coarse_min_time
+    rng = np.random.default_rng(k)
+    feasible = np.flatnonzero(table.feasible_mask)
+    starts = []
+    while len(starts) < k:
+        x = xg.node_coords()[rng.choice(feasible)] + rng.uniform(0.05, 0.95, 2) * xg.spacings
+        if apply_policy(problem, xg, ug, table, x)[0] == 0:
+            starts.append(x)
+    starts = np.array(starts)
+
+    reason, u, xn = apply_policy(problem, xg, ug, table, starts)
+    assert not reason.any()
+    for i in range(k):
+        _, ui, xi = apply_policy(problem, xg, ug, table, starts[i])
+        assert ui.tobytes() == u[i].tobytes(), i
+        assert xi.tobytes() == xn[i].tobytes(), i
+
+    engine = DpEngine(problem, xg, ug)
+    ens = ForwardEnsemble(states=starts.copy(), feasible=np.ones(k, bool))
+    x, ok = starts.copy(), np.ones(k, bool)
+    for step in range(4):
+        controls = engine.forward(ens, table)
+        if step == 0:
+            assert ens.stepped.size == k  # every entry stepped
+        for i in np.flatnonzero(ok):
+            r, ui, xi = apply_policy(problem, xg, ug, table, x[i])
+            ok[i] = r == 0
+            if ok[i]:
+                assert controls[i].tobytes() == ui.tobytes(), (step, i)
+                x[i] = xi
+        assert ens.states.tobytes() == x.tobytes(), step
+        np.testing.assert_array_equal(ens.feasible, ok)
+
+
 def _parking_toy(rng, parks):
     """A random lattice toy whose node 0 parks under its table, or where
     no entry can ever park.
@@ -959,6 +1014,53 @@ def _policy_table(policy, writeable=False):
     return table
 
 
+def _forward_chain(toy, tables, starts, alive):
+    """Run ``forward`` under ``tables[j]`` at step ``j`` and check every step
+    against a chain of per-entry ``apply_policy`` calls, bit for bit: states,
+    controls, feasibility, parks and the entries stepped.
+
+    Returns:
+        ``(kinds, ever_parked)``: per call, how many entries were dead,
+        parked, failing and stepping; whether any entry was parked after a
+        call.
+    """
+    xg, ug = toy.xgrid, toy.ugrid
+    engine = DpEngine(toy.problem, xg, ug)
+    ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())
+    x, ok = starts.copy(), alive.copy()
+    still = np.zeros(len(ok), dtype=bool)  # stepped onto its own bits since a switch
+    kinds, ever_parked = [], False
+    for step, table in enumerate(tables):
+        if step and table is not tables[step - 1]:
+            still[:] = False
+        stepping, before, was_ok = ok & ~still, x.copy(), ok.copy()
+        controls = engine.forward(ens, table)
+        for i in np.flatnonzero(ok):
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
+            if reason != 0:
+                ok[i] = False
+                assert np.isnan(controls[i]).all()
+                continue
+            assert controls[i].tobytes() == u.tobytes(), (step, i)
+            still[i] |= xn.tobytes() == x[i].tobytes()
+            x[i] = xn
+        assert np.isnan(controls[~ok]).all()
+        assert ens.states.tobytes() == x.tobytes(), step
+        np.testing.assert_array_equal(ens.feasible, ok)
+        np.testing.assert_array_equal(ens.parked, still)
+        np.testing.assert_array_equal(ens.stepped, np.flatnonzero(stepping & ok))
+        assert ens.stepped_from.tobytes() == before[stepping & ok].tobytes()
+        assert ens.parked_under is table
+        kinds.append(
+            tuple(
+                int(n.sum())
+                for n in (~was_ok, was_ok & ~stepping, stepping & ~ok, stepping & ok)
+            )
+        )
+        ever_parked |= bool(ens.parked.any())
+    return kinds, ever_parked
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEEDS, parks=st.booleans(), switch=st.booleans())
 def test_parked_forward_equals_unparked_chain(seed, parks, switch):
@@ -979,35 +1081,39 @@ def test_parked_forward_equals_unparked_chain(seed, parks, switch):
     alive = rng.random(k) >= 0.2
     starts[0], alive[0] = xg.node_coords()[0], True  # parks at step 1 if ``parks``
 
-    engine = DpEngine(toy.problem, xg, ug)
-    ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())
-    x, ok = starts.copy(), alive.copy()
-    still = np.zeros(k, dtype=bool)  # stepped onto its own bits since the switch
-    ever_parked = False
-    for step in range(steps):
-        table = t1 if step < change else t2
-        if step == change:
-            still[:] = False
-        stepping, before = ok & ~still, x.copy()
-        controls = engine.forward(ens, table)
-        for i in np.flatnonzero(ok):
-            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
-            if reason != 0:
-                ok[i] = False
-                assert np.isnan(controls[i]).all()
-                continue
-            assert controls[i].tobytes() == u.tobytes(), (step, i)
-            still[i] |= xn.tobytes() == x[i].tobytes()
-            x[i] = xn
-        assert np.isnan(controls[~ok]).all()
-        assert ens.states.tobytes() == x.tobytes(), step
-        np.testing.assert_array_equal(ens.feasible, ok)
-        np.testing.assert_array_equal(ens.parked, still)
-        np.testing.assert_array_equal(ens.stepped, np.flatnonzero(stepping & ok))
-        assert ens.stepped_from.tobytes() == before[stepping & ok].tobytes()
-        assert ens.parked_under is table
-        ever_parked |= bool(ens.parked.any())
-    assert ever_parked == parks
+    tables = [t1] * change + [t2] * (steps - change)
+    assert _forward_chain(toy, tables, starts, alive)[1] == parks
+
+
+def test_forward_calls_with_every_kind_of_entry_equal_the_chain():
+    # one forward call holds dead, parked, failing and stepping entries at
+    # once; another steps every entry, the whole-array path; both end as
+    # the per-entry apply_policy chain does
+    mixed = whole = False
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        toy, table = _parking_toy(rng, parks=True)
+        xg, ug = toy.xgrid, toy.ugrid
+        nodes = xg.node_coords()
+        starts = nodes[rng.integers(0, xg.size, 16)]
+        starts[0] = nodes[0]  # parks at step 1
+        alive = rng.random(16) >= 0.2
+        alive[0] = True
+        kinds, _ = _forward_chain(toy, [table] * 6, starts, alive)
+        mixed |= any(min(kind) > 0 for kind in kinds)
+
+        steps_ok = [
+            i
+            for i in range(xg.size)
+            if apply_policy(toy.problem, xg, ug, table, nodes[i])[0] == 0
+        ]
+        if len(steps_ok) > 1:
+            starts = nodes[steps_ok]
+            kinds, _ = _forward_chain(toy, [table] * 3, starts, np.ones(len(starts), bool))
+            whole |= kinds[0] == (0, 0, 0, len(starts))
+        if mixed and whole:
+            break
+    assert mixed and whole
 
 
 def test_forward_never_parks_under_a_writeable_policy(seed=7):
@@ -1140,10 +1246,34 @@ def test_apply_policy_statuses():
     assert st == "left_domain" and not np.isnan(u).any() and np.isnan(xn).all()
 
 
-def test_apply_policy_batch_equals_single_states(rng):
-    # a (k, n) batch gives bitwise the same reasons, controls and successors
-    # as k separate (n,) calls; the torque and angle bounds are tighter than
-    # the grids and the policy is random, so every failure kind occurs
+def test_apply_policy_successors_never_alias_the_states():
+    # dynamics that hand back their input: when every state steps, the
+    # successors must still be a new array, not a view of the caller's x
+    problem = gp.ProblemDef(
+        state_dim=1,
+        control_dim=1,
+        dynamics=lambda x, u: x,
+        stage_cost=lambda x, u: np.zeros(np.shape(x)[:-1]),
+        inequality=lambda x, u: np.full(np.shape(x)[:-1] + (1,), -1.0),
+        average_fn=lambda x, u: np.zeros(np.shape(x)[:-1]),
+    )
+    xg = CartesianGrid([AxisSpec(0.0, 2.0, 1.0)])
+    ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
+    table = _policy_table(np.zeros(3, dtype=np.int64))
+    for x in (np.array([[0.5], [2.0]]), np.array([1.0])):
+        reason, _, xn = apply_policy(problem, xg, ug, table, x)
+        assert not reason.any() and xn.tobytes() == x.tobytes()
+        assert not np.shares_memory(xn, x)
+
+
+def _tight_bounds_case(rng):
+    """The min-time pendulum with torque and angle bounds tighter than the
+    grids, and a random policy with some -1 nodes: every failure kind of
+    :func:`apply_policy` occurs.
+
+    Returns:
+        ``(problem, xgrid, ugrid, table)``.
+    """
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.25), AxisSpec(-1.5, 2.0, 0.25)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
     prob = gp.builtin_min_time_pendulum(
@@ -1152,6 +1282,36 @@ def test_apply_policy_batch_equals_single_states(rng):
     policy = rng.integers(0, ug.size, size=xg.size)
     policy[rng.random(xg.size) < 0.1] = -1
     table = StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy)
+    return prob, xg, ug, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEEDS)
+def test_apply_policy_reasons_match_the_reduction_formulas(seed):
+    # reason codes 1, 2 and 3 as the .any(axis=-1) / .all(axis=-1)
+    # reductions over corners, constraint components and state axes give
+    # them
+    rng = np.random.default_rng(seed)
+    prob, xg, ug, table = _tight_bounds_case(rng)
+    x = rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(int(rng.integers(1, 200)), 2))
+
+    reason, u, _ = apply_policy(prob, xg, ug, table, x)
+    idx, w, inside = xg.locate_cells(x)
+    undefined = ~inside | ((table.policy[idx] == -1) & (w > 0.0)).any(axis=-1)
+    u_ok = np.where(undefined[:, None], 0.0, u)
+    violated = (prob.inequality(x, u_ok) > 0.0).any(axis=-1)
+    lows, uppers = grid_bounds(xg)
+    slack = xg.spacings * 1e-9
+    xn = prob.dynamics(x, u_ok)
+    left = ~((xn >= lows - slack) & (xn <= uppers + slack)).all(axis=-1)
+    want = np.select([undefined, violated, left], [1, 2, 3], 0)
+    np.testing.assert_array_equal(reason, want)
+
+
+def test_apply_policy_batch_equals_single_states(rng):
+    # a (k, n) batch gives bitwise the same reasons, controls and successors
+    # as k separate (n,) calls, with every failure kind
+    prob, xg, ug, table = _tight_bounds_case(rng)
     x = rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(400, 2))
 
     reason, u, xn = apply_policy(prob, xg, ug, table, x)

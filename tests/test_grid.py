@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from gridpolicy import AxisSpec, CartesianGrid
@@ -142,6 +144,49 @@ def test_in_domain_face_slack():
     np.testing.assert_array_equal(flags, [True, False])
 
 
+def _in_domain_broadcast(g, points):
+    """The broadcast formula ``in_domain`` used to evaluate, kept as an oracle."""
+    lows, uppers = grid_bounds(g)
+    slack = g.spacings * 1e-9
+    pts = np.asarray(points, dtype=float)
+    return ((pts >= lows - slack) & (pts <= uppers + slack)).all(axis=-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 3),
+    batch=st.sampled_from([(), (1,), (9,), (3, 4)]),
+)
+def test_in_domain_equals_the_broadcast_formula(seed, ndim, batch):
+    # any batch shape; NaN, infinities, signed zeros, faces and points just
+    # inside or outside the face slack
+    rng = np.random.default_rng(seed)
+    g = CartesianGrid(
+        [
+            AxisSpec(lo, lo + (n - 1) * h, h)
+            for lo, h, n in zip(
+                rng.choice([0.0, -1.0, 0.3], ndim),
+                rng.choice([0.1, 0.25, 1.0], ndim),
+                rng.integers(2, 6, ndim),
+            )
+        ]
+    )
+    (lows, uppers), h = grid_bounds(g), g.spacings
+    shape = batch + (ndim,)
+    face = np.where(rng.random(shape) < 0.5, lows, uppers)
+    slack = rng.choice([0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9], shape) * h
+    special = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], shape)
+    pts = np.select(
+        [rng.random(shape) < p for p in (0.4, 0.7)],
+        [rng.uniform(lows - 2 * h, uppers + 2 * h, shape), face + slack],
+        special,
+    )
+    got, want = g.in_domain(pts), _in_domain_broadcast(g, pts)
+    assert type(got) is type(want) and np.shape(got) == batch
+    np.testing.assert_array_equal(got, want)
+
+
 def test_locate_cells_weights(rng):
     g = CartesianGrid([AxisSpec(0.0, 2.0, 0.5), AxisSpec(-1.0, 1.0, 0.25)])
     pts = np.column_stack(
@@ -211,6 +256,7 @@ def test_locate_cells_matches_corner_loop(rng, ndim):
     got = g.locate_cells(pts)
     want = _locate_cells_corner_loop(g, pts)
     assert not got[2].all() and got[2].any()
+    assert got[0].flags.c_contiguous and got[1].flags.c_contiguous  # tobytes hides it
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
