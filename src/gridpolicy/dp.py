@@ -494,7 +494,7 @@ class DpEngine:
         parked = ensemble.parked & ensemble.feasible
         u_out = np.where(parked[:, None], ensemble.held, np.nan)
         active = np.flatnonzero(ensemble.feasible & ~parked)
-        x = _take_rows(ensemble.states, active)
+        x = np.take(ensemble.states, active, axis=0)
         if active.size:
             reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table, x)
             ok = reason == 0
@@ -565,19 +565,10 @@ def _same_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ~_any_rows(a.view(np.uint64) != b.view(np.uint64))
 
 
-def _take_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``a[rows]`` for sorted distinct ``rows`` of a ``(k, n)`` array, as a new
-    array.  ``np.take`` moves whole rows; fancy indexing loops per row over
-    the short last axis."""
-    return a.copy() if rows.size == a.shape[0] else np.take(a, rows, axis=0)
-
-
 def _put_rows(a: np.ndarray, rows: np.ndarray, v: np.ndarray) -> None:
     """``a[rows] = v`` for sorted distinct ``rows`` of a ``(k, n)`` array,
-    one column at a time for the reason given at :func:`_take_rows`."""
-    if rows.size == a.shape[0]:
-        a[...] = v
-        return
+    one column at a time: fancy indexing loops per row over the short last
+    axis (which is also why rows are gathered with ``np.take``)."""
     for j in range(a.shape[1]):
         a[rows, j] = v[:, j]
 
@@ -616,7 +607,9 @@ def apply_policy(
         shape indexing :data:`STEP_REASONS` (0 is ``STEP_OK``, else the
         failed check).  ``u`` has shape ``(..., control_dim)``, NaN where the
         policy is undefined; ``x_next`` has the shape of ``x``, NaN wherever
-        the step failed.
+        the step failed.  When every state stepped and stayed in the box,
+        ``x_next`` may be the very array ``problem.dynamics`` returned,
+        unless that array shares memory with ``x`` or ``u``.
     """
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
@@ -645,7 +638,8 @@ def apply_policy(
         if not kept.all():
             reason[live[~kept]] = 3
             live, step = live[kept], np.compress(kept, step, axis=0)
-        if live.size == reason.size and not np.may_share_memory(step, x):
+        shared = np.may_share_memory(step, x) or np.may_share_memory(step, u)
+        if live.size == reason.size and not shared:
             xn = step  # every state stepped and stayed in the box
     if xn is None:
         xn = np.full((reason.size, xgrid.ndim), np.nan)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import STEP_REASONS, DpEngine, StageTable, _engine_for, _take_rows, apply_policy
+from .dp import STEP_REASONS, DpEngine, StageTable, _engine_for, apply_policy
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
@@ -211,7 +211,7 @@ def horizon_sweep(
                 break
             moved = ens.stepped
             if moved.size:
-                cost[moved] = relaxed_cost(problem, ens.stepped_from, _take_rows(u, moved))
+                cost[moved] = relaxed_cost(problem, ens.stepped_from, np.take(u, moved, axis=0))
             np.add(acc, cost, out=acc, where=alive)
         costs = np.full(engine.nx, np.nan)
         costs[ens.feasible] = acc[ens.feasible] / float(trajectory_horizon)

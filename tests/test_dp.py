@@ -1246,13 +1246,15 @@ def test_apply_policy_statuses():
     assert st == "left_domain" and not np.isnan(u).any() and np.isnan(xn).all()
 
 
-def test_apply_policy_successors_never_alias_the_states():
-    # dynamics that hand back their input: when every state steps, the
+@pytest.mark.parametrize("hand_back", ["x", "u"])
+def test_apply_policy_successors_never_alias_the_states(hand_back):
+    # dynamics that hand back an input: when every state steps, the
     # successors must still be a new array, not a view of the caller's x
+    # or of the returned controls
     problem = gp.ProblemDef(
         state_dim=1,
         control_dim=1,
-        dynamics=lambda x, u: x,
+        dynamics=(lambda x, u: x) if hand_back == "x" else (lambda x, u: u),
         stage_cost=lambda x, u: np.zeros(np.shape(x)[:-1]),
         inequality=lambda x, u: np.full(np.shape(x)[:-1] + (1,), -1.0),
         average_fn=lambda x, u: np.zeros(np.shape(x)[:-1]),
@@ -1261,9 +1263,10 @@ def test_apply_policy_successors_never_alias_the_states():
     ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
     table = _policy_table(np.zeros(3, dtype=np.int64))
     for x in (np.array([[0.5], [2.0]]), np.array([1.0])):
-        reason, _, xn = apply_policy(problem, xg, ug, table, x)
-        assert not reason.any() and xn.tobytes() == x.tobytes()
-        assert not np.shares_memory(xn, x)
+        reason, u, xn = apply_policy(problem, xg, ug, table, x)
+        want = x if hand_back == "x" else u
+        assert not reason.any() and xn.tobytes() == want.tobytes()
+        assert not np.shares_memory(xn, x) and not np.shares_memory(xn, u)
 
 
 def _tight_bounds_case(rng):
