@@ -14,14 +14,25 @@ infeasible at some horizon it stays infeasible at every longer horizon.
 
 :class:`DpEngine` precomputes the expensive geometry once per
 (problem, state grid, control grid): successor states, stage costs and the
-interpolation stencil of every state/control pair.  The stencil is stored
-corner-major, one contiguous row of ``nx * nu`` indices and weights per
-corner, so each corner of a backward step is one sequential pass.
-Stencil corners with zero weight (and every corner of an inadmissible
-pair) are redirected to a sentinel row whose cost is 0, so the weighted sum
-never multiplies 0 by inf.  Inadmissible pairs carry ``+inf`` in the stage
-cost itself: their corners sum to exactly 0, and adding the stage cost last
-gives ``+inf``.
+interpolation stencil of every state/control pair.  The stencil stores one
+int32 base index per pair, the flat index of the node at the low corner of
+its successor's cell, and its weights corner-major, one contiguous row of
+``nx * nu`` weights per corner.  Corner ``c`` of a pair is node ``base +
+off_c`` (``off_c`` the corner's fixed flat offset), so each corner of a
+backward step is one sequential gather from the cost vector shifted by
+``off_c``.  That vector is padded with zeros past the last node: the
+sentinel ``nx`` and the ``max off_c`` entries after it.  An inadmissible
+pair has all weights 0 and its base at the sentinel, so its corners read the
+pad; it carries ``+inf`` in the stage cost itself, and its corners sum to
+exactly 0 before the stage cost is added last.
+
+An admissible pair whose successor lies on a cell face has a zero-weight
+corner, and that corner's node may hold ``+inf`` (``0 * inf`` is NaN) or a
+negative cost (``0 * negative`` is ``-0.0``).  Such pairs, one per shipped
+config and nearly every pair of a lattice problem, are listed in a side
+list, and the backward step forms their values again before the argmin
+with the same operations in the same order, each zero-weight corner
+reading the sentinel (cost 0) and so adding an exact ``0 * 0``.
 
 The build and the backward step walk the same blocks of whole state rows of
 about :data:`BLOCK_PAIRS` pairs.  The build evaluates constraints, dynamics,
@@ -38,11 +49,12 @@ contiguous state-row chunks; each chunk writes a disjoint output slice, so
 results are bit-identical for every thread count.
 
 The build also records each state row's stencil nodes: the sorted distinct
-nodes its pairs read with positive weight, plus the sentinel.  A row's
-values read nothing but the engine's fixed weights and stage costs and the
-cost bits at those nodes, so when none of them changed between the last two
-cost fields of a backward chain, the row's new cost and argmin (tie-break
-included) are bitwise those of the previous stage.  :meth:`DpEngine.extend`
+nodes its pairs read with positive weight (``base + off_c`` where
+``w_c > 0``), plus the sentinel.  A row's values read nothing but the
+engine's fixed weights and stage costs and the cost bits at those nodes, so
+when none of them changed between the last two cost fields of a backward
+chain, the row's new cost and argmin (tie-break included) are bitwise those
+of the previous stage.  :meth:`DpEngine.extend`
 uses this to run the kernel only over the runs of rows with a changed
 input and to copy the others (prioritized sweeping, made exact).
 
@@ -150,17 +162,18 @@ class ForwardEnsemble:
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     """Bytes a :class:`DpEngine` build needs: its arrays plus live temporaries.
 
-    Each of the ``nx * nu`` pairs stores ``2**ndim`` int32 corner indices and
-    float64 weights and one float64 stage cost; the row map stores at most
-    ``2**ndim * nu + 1`` int32 nodes per state row and one offset per row;
-    each of ``threads`` row chunks holds the temporaries of one block of
-    :data:`BLOCK_PAIRS`.
+    Each of the ``nx * nu`` pairs stores one int32 base index, ``2**ndim``
+    float64 weights and one float64 stage cost, and at worst one int64
+    entry of the side list; the row map stores at most ``2**ndim * nu + 1``
+    int32 nodes per state row, and the row map and the side list one offset
+    per row each; each of ``threads`` row chunks holds the temporaries of one
+    block of :data:`BLOCK_PAIRS`.
     """
     pairs = nx * nu
-    row_map = nx * (2**ndim * nu + 1) * 4 + (nx + 1) * 8
+    row_maps = nx * (2**ndim * nu + 1) * 4 + 2 * (nx + 1) * 8
     block_pairs = min(max(1, BLOCK_PAIRS // nu), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
-    return pairs * (12 * 2**ndim + 8) + row_map + temps
+    return pairs * (8 * 2**ndim + 20) + row_maps + temps
 
 
 def _row_blocks(r0: int, r1: int, nu: int) -> list[tuple[int, int]]:
@@ -276,7 +289,7 @@ class DpEngine:
             )
         p = nx * nu
         self._sc = np.empty(p, dtype=float)
-        self._idx = np.empty((nc, p), dtype=np.int32)
+        self._base = np.empty(p, dtype=np.int32)
         self._w = np.empty((nc, p), dtype=float)
 
         # Pair p = ix * nu + iu, row-major over (state node, control node).
@@ -289,63 +302,83 @@ class DpEngine:
                 bad = _any_rows(g > 0.0)
                 del g  # off the integrator's peak
                 xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
-                # The cell search writes corner-major rows, the stencil's
-                # own layout, straight into the engine arrays.
-                idx, w = self._idx[:, s], self._w[:, s]
-                bad |= ~self.xgrid._corner_cells(xn, idx, w)
+                # The cell search writes corner-major weight rows, the
+                # stencil's own layout, straight into the engine array.
+                w = self._w[:, s]
+                base, inside = self.xgrid._corner_cells(xn, w)
+                bad |= ~inside
                 del xn
                 np.copyto(w, 0.0, where=bad)
-                # Sentinel row nx holds cost 0; redirect every zero-weight
-                # corner there so that inf-valued corners never meet a zero
-                # weight.
-                np.copyto(idx, nx, where=w == 0.0)
+                # An inadmissible pair reads the zero pad from the sentinel on.
+                np.copyto(base, nx, where=bad)
+                self._base[s] = base
+                del base
                 self._sc[s] = relaxed_cost(self.problem, x, u)
                 self._sc[s][bad] = np.inf
                 # Free this block's temporaries before the next one allocates.
                 del x, u, bad
 
         self._run_chunks(build_rows)
-        self._build_row_map()
+        self._build_row_index()
 
-    def _build_row_map(self) -> None:
-        """Each state row's stencil nodes, as CSR.
+    def _build_row_index(self) -> None:
+        """Each state row's stencil nodes and side pairs, as CSR.
 
         Row ``r`` reads ``_row_nodes[_row_starts[r]:_row_starts[r + 1]]``
         (the last row up to the end): the sorted distinct nodes that its
         pairs read with positive weight, plus the sentinel ``nx``, so no row
-        is empty.  Two passes over the row blocks of ``_idx`` (counts, then
-        nodes) keep the peak at the map plus one block's sort per thread.
+        is empty.  ``_side[_side_starts[r]:_side_starts[r + 1]]`` holds the
+        ascending flat positions of the row's admissible pairs that have a
+        zero-weight corner (see :meth:`backward`).  Two passes over the row
+        blocks (counts, then entries) keep the peak at the map and the list
+        plus one block's sort per thread.
         """
         nx, nu, nc = self.nx, self.nu, self._ncorners
+        offsets = self.xgrid._corner_offsets.tolist()
 
-        def distinct(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
+        def scan(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rows, s = b1 - b0, slice(b0 * nu, b1 * nu)
+            base = self._base[s]
+            zero = self._w[:, s] == 0.0
             nodes = np.empty((rows, nc * nu + 1), dtype=np.int32)
-            for c in range(nc):
-                nodes[:, c * nu : (c + 1) * nu] = self._idx[c, s].reshape(rows, nu)
+            for c, off in enumerate(offsets):
+                corner = nodes[:, c * nu : (c + 1) * nu]
+                np.add(base.reshape(rows, nu), off, out=corner)
+                np.copyto(corner, nx, where=zero[c].reshape(rows, nu))
             nodes[:, -1] = nx
             nodes.sort(axis=1)
             first = np.empty(nodes.shape, dtype=bool)
             first[:, 0] = True
             np.not_equal(nodes[:, 1:], nodes[:, :-1], out=first[:, 1:])
-            return nodes, first
+            side = np.logical_or.reduce(zero, axis=0)
+            side &= base != nx  # inadmissible pairs read the pad, not a node
+            return nodes, first, side.reshape(rows, nu)
 
         starts = np.zeros(nx + 1, dtype=np.intp)
+        side_starts = np.zeros(nx + 1, dtype=np.intp)
 
         def count_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu):
-                starts[b0 + 1 : b1 + 1] = np.count_nonzero(distinct(b0, b1)[1], axis=1)
+                _, first, side = scan(b0, b1)
+                starts[b0 + 1 : b1 + 1] = np.count_nonzero(first, axis=1)
+                side_starts[b0 + 1 : b1 + 1] = np.count_nonzero(side, axis=1)
 
         def fill_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu):
-                nodes, first = distinct(b0, b1)
+                nodes, first, side = scan(b0, b1)
                 self._row_nodes[starts[b0] : starts[b1]] = nodes[first]
+                self._side[side_starts[b0] : side_starts[b1]] = (
+                    np.flatnonzero(side) + b0 * nu
+                )
 
         self._run_chunks(count_rows)
         np.cumsum(starts, out=starts)
+        np.cumsum(side_starts, out=side_starts)
         self._row_nodes = np.empty(starts[-1], dtype=np.int32)
+        self._side = np.empty(side_starts[-1], dtype=np.intp)
         self._run_chunks(fill_rows)
         self._row_starts = starts[:-1]
+        self._side_starts = side_starts
 
     # -- backward value step ---------------------------------------------------
 
@@ -359,15 +392,14 @@ class DpEngine:
         copied from that table (see :meth:`extend`).
         """
         nx, nu = self.nx, self.nu
-        caug = np.empty(nx + 1, dtype=float)
-        if prev_cost is None:
-            caug[:nx] = 0.0
-        else:
+        offsets = self.xgrid._corner_offsets
+        # The sentinel nx and the pad up to the largest corner offset hold 0.
+        caug = np.zeros(nx + 1 + int(offsets[-1]))
+        if prev_cost is not None:
             prev_cost = np.asarray(prev_cost, dtype=float)
             if prev_cost.shape != (nx,):
                 raise ValueError(f"prev_cost must have shape ({nx},)")
             caug[:nx] = prev_cost
-        caug[nx] = 0.0
 
         if self._appended is not None and prev_cost is self._appended[0]:
             _, last_cost, last_policy, source = self._appended
@@ -382,7 +414,20 @@ class DpEngine:
             runs = [(0, nx)]
             cost = np.empty(nx, dtype=float)
             policy = np.empty(nx, dtype=np.int64)
-        idx, w, sc = self._idx, self._w, self._sc
+        base, w, sc = self._base, self._w, self._sc
+        side, side_starts = self._side, self._side_starts
+        corners = [caug[off:] for off in offsets.tolist()]  # corner c at base
+
+        def weigh(val: np.ndarray, tmp: np.ndarray, s: slice) -> None:
+            # Every index stays inside its view by construction; mode="clip"
+            # only spares np.take a buffered copy of ``out``.
+            np.take(corners[0], base[s], out=val, mode="clip")
+            np.multiply(w[0, s], val, out=val)
+            for c in range(1, self._ncorners):
+                np.take(corners[c], base[s], out=tmp, mode="clip")
+                np.multiply(w[c, s], tmp, out=tmp)
+                np.add(val, tmp, out=val)
+            np.add(val, sc[s], out=val)
 
         def step_rows(r0: int, r1: int) -> None:
             size = min(max(1, BLOCK_PAIRS // nu), r1 - r0) * nu  # the largest block
@@ -393,15 +438,16 @@ class DpEngine:
                     s = slice(b0 * nu, b1 * nu)
                     val = val_buf[: (b1 - b0) * nu]
                     tmp = tmp_buf[: val.size]
-                    # Every index lies in [0, nx] by construction; mode="clip"
-                    # only spares np.take a buffered copy of ``out``.
-                    np.take(caug, idx[0, s], out=val, mode="clip")
-                    np.multiply(w[0, s], val, out=val)
-                    for c in range(1, self._ncorners):
-                        np.take(caug, idx[c, s], out=tmp, mode="clip")
-                        np.multiply(w[c, s], tmp, out=tmp)
-                        np.add(val, tmp, out=val)
-                    np.add(val, sc[s], out=val)
+                    i, j = side_starts[b0], side_starts[b1]
+                    if i == j:
+                        weigh(val, tmp, s)
+                    else:
+                        # A side pair's zero-weight corner may read +inf
+                        # here; its value is formed again below.
+                        with np.errstate(invalid="ignore"):
+                            weigh(val, tmp, s)
+                        pairs = side[i:j]
+                        val[pairs - s.start] = self._side_values(caug, pairs)
                     arg = val.reshape(b1 - b0, nu).argmin(axis=1)
                     best = val[np.arange(0, val.size, nu) + arg]
                     arg[~np.isfinite(best)] = INFEASIBLE
@@ -410,6 +456,19 @@ class DpEngine:
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
+
+    def _side_values(self, caug: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """``T`` of side pairs, formed as :meth:`backward` forms every pair but
+        with each zero-weight corner reading the sentinel: it adds an exact
+        ``0 * 0``, never ``0 * inf`` (NaN) or ``0 * negative`` (``-0.0``)."""
+        w = self._w[:, pairs]
+        nodes = self._base[pairs] + self.xgrid._corner_offsets[:, None]
+        np.copyto(nodes, self.nx, where=w == 0.0)
+        val = w[0] * caug[nodes[0]]
+        for c in range(1, self._ncorners):
+            val += w[c] * caug[nodes[c]]
+        val += self._sc[pairs]
+        return val
 
     def extend(self, stages: list[StageTable]) -> StageTable:
         """Append the next backward stage to ``stages`` and return it.

@@ -205,7 +205,7 @@ class CartesianGrid:
 
         The search (:meth:`_corner_cells`) works axis-major, for the reason
         given at :meth:`in_domain`: on an ``(ndim, k)`` copy of the points,
-        filling the results through their transposed, corner-major views.
+        filling the weights through their transposed, corner-major view.
         Every element gets the float operations of a row-by-row search in
         the same order, so the results are bitwise those of one.
         """
@@ -213,20 +213,27 @@ class CartesianGrid:
         k = pts.shape[0]
         idx = np.empty((k, self._ncorners), dtype=np.int64)
         w = np.empty((k, self._ncorners))
-        inside = self._corner_cells(pts, idx.T, w.T)
+        base, inside = self._corner_cells(pts, w.T)
+        np.copyto(idx.T, base + self._corner_offsets[:, None])
+        if not inside.all():
+            np.copyto(idx.T, 0, where=~inside)
         return idx, w, inside
 
     def _corner_cells(
-        self, points: np.ndarray, idx: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`locate_cells` into corner-major ``(2**ndim, k)`` arrays.
+        self, points: np.ndarray, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The cell search of :meth:`locate_cells`, weights corner-major.
 
-        Row ``c`` of ``idx`` and ``w`` receives corner ``c`` of every point,
-        whatever their strides: :meth:`locate_cells` passes transposed views
-        of its C-contiguous results, the engine build its own stencil rows.
+        Row ``c`` of the ``(2**ndim, k)`` array ``w`` receives corner ``c``'s
+        weight of every point, whatever its strides: :meth:`locate_cells`
+        passes the transposed view of its C-contiguous result, the engine
+        build its own stencil rows.  Corner ``c`` of a point is node
+        ``base + _corner_offsets[c]``.
 
         Returns:
-            The boolean domain mask, shape ``(k,)``.
+            ``(base, inside)``: the int64 flat index of each point's cell
+            base node (a valid node, but meaningless outside), and the
+            boolean domain mask, shape ``(k,)``.
         """
         if points.ndim != 2 or points.shape[1] != self.ndim:
             raise ValueError(f"expected (k, {self.ndim}) points, got {points.shape}")
@@ -248,7 +255,6 @@ class CartesianGrid:
         cell *= self._strides_col
         base = cell.sum(axis=0)
         del cell
-        np.copyto(idx, base + self._corner_offsets[:, None])
 
         # Corner weights as an outer product over axes, each weight
         # ((g_0 * g_1) * g_2)... with g_a = frac (bit a set) or 1 - frac
@@ -266,10 +272,8 @@ class CartesianGrid:
                 np.multiply(head, g, out=part[..., bit, :])
             head = part
         if not inside.all():
-            outside = ~inside
-            np.copyto(w, 0.0, where=outside)
-            np.copyto(idx, 0, where=outside)
-        return inside
+            np.copyto(w, 0.0, where=~inside)
+        return base, inside
 
     def interpolate(self, field: np.ndarray, point: np.ndarray) -> float:
         """Multilinear interpolation of a flat scalar field at one point.

@@ -115,6 +115,43 @@ def _resolve_eps(
     return arr
 
 
+class _PolicyWindow:
+    """Per node and control component, the range of the control coordinate
+    over the stage policies added so far, and whether any of them was -1.
+
+    ``max |c_j - c_N|`` over the window equals ``max(hi - c_N, c_N - lo)``
+    bit for bit, because a rounded difference ``fl(a - b)`` is monotone in
+    ``a`` and in ``b``; so :meth:`deviation` needs no stage but the
+    candidate's.
+    """
+
+    def __init__(self, ugrid: CartesianGrid):
+        self._coords = ugrid.node_coords()
+        self._lo = self._hi = self._undefined = None
+
+    def add(self, policy: np.ndarray) -> None:
+        c = self._coords[policy]  # -1 reads the last node; flagged below
+        if self._lo is None:
+            self._lo, self._hi, self._undefined = c, c.copy(), policy < 0
+        else:
+            np.minimum(self._lo, c, out=self._lo)
+            np.maximum(self._hi, c, out=self._hi)
+            self._undefined |= policy < 0
+
+    def deviation(self, candidate: np.ndarray, survivors: np.ndarray) -> np.ndarray:
+        """Per-component max deviation of the window from the candidate
+        policy (which must be in the window) over ``survivors``."""
+        survivors = np.asarray(survivors, dtype=np.int64)
+        if survivors.size == 0:
+            raise InfeasibleProblemError("no feasible nodes survive the forward pass")
+        if self._undefined[survivors].any():
+            # Monotone infeasibility makes this unreachable for true survivors.
+            raise SolverError("forward survivor lacks a control in a compared stage")
+        c = self._coords[candidate[survivors]]
+        dev = np.maximum(self._hi[survivors] - c, c - self._lo[survivors])
+        return dev.max(axis=0)
+
+
 def delta_mu(
     stages: list[StageTable],
     survivors: np.ndarray,
@@ -134,17 +171,10 @@ def delta_mu(
     n = len(stages)
     if n == 0:
         raise ValueError("empty stage stack")
-    survivors = np.asarray(survivors, dtype=np.int64)
-    if survivors.size == 0:
-        raise InfeasibleProblemError("no feasible nodes survive the forward pass")
-    j0 = (n + 1) // 2  # ceil(n / 2)
-    pol = np.stack([stages[j - 1].policy[survivors] for j in range(j0, n + 1)])
-    if (pol < 0).any():
-        # Monotone infeasibility makes this unreachable for true survivors.
-        raise SolverError("forward survivor lacks a control in a compared stage")
-    coords = ugrid.node_coords()[pol]  # (stages, survivors, m)
-    dev = np.abs(coords - coords[-1][None])
-    return dev.max(axis=(0, 1))
+    window = _PolicyWindow(ugrid)
+    for j in range((n + 1) // 2, n + 1):  # from ceil(n / 2)
+        window.add(stages[j - 1].policy)
+    return window.deviation(stages[-1].policy, survivors)
 
 
 def delta_x(ensemble: ForwardEnsemble) -> np.ndarray:
@@ -211,7 +241,10 @@ def solve(
 
     The backward stack grows through :meth:`DpEngine.extend`: its tables,
     the returned ``first_stage_policy`` among them, are read-only, and the
-    stages past the cost fixpoint are one shared table.
+    stages past the cost fixpoint are one shared table.  Only the last two
+    tables are kept: while the stages ``ceil(N/2)..N`` of a tested horizon
+    ``N`` are produced, each node's range of control coordinates is kept
+    instead, which gives :func:`delta_mu` bit for bit.
 
     Args:
         problem: the control problem.
@@ -238,16 +271,24 @@ def solve(
     engine = _engine_for(problem, xgrid, ugrid, engine)
 
     t0 = time.perf_counter()
-    stages: list[StageTable] = []
+    stages: list[StageTable] = []  # the last two; extend reads no more
+    n = 0  # stages produced
     metrics: list[ConvergenceMetrics] = []
     target = cfg.n_init
     status = None
     ensemble = None
 
     while True:
-        while len(stages) < target:
-            engine.extend(stages)
-        table = stages[-1]
+        window = _PolicyWindow(ugrid)
+        j0 = (target + 1) // 2  # ceil(target / 2), never below n as growth >= 2
+        if n == j0:  # growth 2: the window opens at the previous candidate
+            window.add(stages[-1].policy)
+        while n < target:
+            table = engine.extend(stages)
+            del stages[:-2]
+            n += 1
+            if n >= j0:
+                window.add(table.policy)
 
         ensemble = engine.seed_ensemble(table)
         if not ensemble.feasible.any():
@@ -256,7 +297,7 @@ def solve(
             engine.forward(ensemble, table)
         survivors = np.flatnonzero(ensemble.feasible)
 
-        dmu = delta_mu(stages, survivors, ugrid)
+        dmu = window.deviation(table.policy, survivors)
         dx = delta_x(ensemble)
         metrics.append(
             ConvergenceMetrics(
@@ -291,7 +332,7 @@ def solve(
             problem,
             xgrid,
             ugrid,
-            stages[-1],
+            table,
             mean_state,
             horizon=10 * target,
             tail=max(1, math.ceil(target / 4)),
@@ -303,7 +344,7 @@ def solve(
     return SolveReport(
         status=status,
         terminal_horizon=target,
-        first_stage_policy=stages[-1],
+        first_stage_policy=table,
         metrics=metrics,
         final_ensemble=ensemble,
         achieved_average=avg,

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -278,7 +280,8 @@ def test_backward_block_seams_are_immaterial(rng, monkeypatch):
 
 
 def _engine_arrays(engine):
-    return engine._idx.tobytes(), engine._w.tobytes(), engine._sc.tobytes()
+    arrays = (engine._base, engine._w, engine._sc, engine._side, engine._side_starts)
+    return tuple(a.tobytes() for a in arrays)
 
 
 def test_build_block_seams_are_immaterial(rng, monkeypatch):
@@ -315,7 +318,7 @@ def test_build_temporaries_stay_within_one_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = engine._idx.nbytes + engine._w.nbytes + engine._sc.nbytes
+    arrays = engine._base.nbytes + engine._w.nbytes + engine._sc.nbytes
     block_pairs = (4096 // ug.size) * ug.size
     assert peak - arrays <= 512 * block_pairs, (peak - arrays) / block_pairs
 
@@ -336,12 +339,35 @@ def test_engine_bytes_bounds_a_three_dimensional_build(monkeypatch):
     assert peak <= dp.engine_bytes(xg.size, ug.size, 3, threads=1)
     arrays = sum(
         a.nbytes
-        for a in (engine._idx, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
+        for a in (engine._base, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
     )
     block_pairs = (1024 // ug.size) * ug.size
     assert peak - arrays <= dp.BUILD_BYTES_PER_BLOCK_PAIR * block_pairs, (
         (peak - arrays) / block_pairs
     )
+
+
+def test_engine_bytes_bounds_a_build_of_side_pairs_only(rng, monkeypatch):
+    # lattice successors give every admissible pair a zero-weight corner:
+    # the estimate still bounds the traced peak with the side list at its
+    # largest
+    monkeypatch.setattr(dp, "BLOCK_PAIRS", 1024)
+    nx, nu = 900, 8
+    toy = lattice_problem(
+        (30, 30),
+        (nu,),
+        rng.integers(0, nx, (nx, nu)),
+        rng.uniform(0.0, 1.0, (nx, nu)),
+        np.ones((nx, nu), dtype=bool),
+    )
+    tracemalloc.start()
+    try:
+        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine._side.size == nx * nu
+    assert peak <= dp.engine_bytes(nx, nu, 2, threads=1)
 
 
 def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
@@ -371,7 +397,15 @@ def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
     monkeypatch.setattr(dp, "_available_bytes", lambda: 100 * need)
     engine = DpEngine(problem, toy.xgrid, toy.ugrid, threads=1)
     assert calls
-    arrays = (engine._idx, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
+    arrays = (
+        engine._base,
+        engine._w,
+        engine._sc,
+        engine._row_nodes,
+        engine._row_starts,
+        engine._side,
+        engine._side_starts,
+    )
     assert need >= sum(a.nbytes for a in arrays)
     assert dp.engine_bytes(nx, nu, toy.xgrid.ndim, threads=2) > need
 
@@ -787,6 +821,141 @@ def test_three_dimensional_extend_skips_rows(threads):
     assert _assert_extend_equals_full_chain(engine, 60) > 0
 
 
+def test_three_dimensional_block_seams_and_threads(rng, monkeypatch):
+    # 3-D builds and backward chains in one-row blocks, blocks around the
+    # row length, a ragged prime and threads 1 and 2 give the bytes of a
+    # single block; on the lattice toy every admissible pair is a side pair
+    toy = lattice_toy_3d(rng, settles=False)
+    cases = [(toy.problem, toy.xgrid, toy.ugrid), _three_axis_problem()]
+    for problem, xg, ug in cases:
+        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+        single = DpEngine(problem, xg, ug, threads=1)
+        want, want_chain = _engine_arrays(single), _chain(single, 6)
+        admissible = np.count_nonzero(single._base != single.nx)
+        if problem is toy.problem:
+            assert single._side.size == admissible > 0
+        else:
+            assert 0 < single._side.size < admissible
+        for threads in (1, 2):
+            for block in _seam_blocks(xg.size, ug.size):
+                monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+                engine = DpEngine(problem, xg, ug, threads=threads)
+                assert _engine_arrays(engine) == want, (threads, block)
+                for a, b in zip(_chain(engine, 6), want_chain):
+                    assert a.cost.tobytes() == b.cost.tobytes(), (threads, block)
+                    assert a.policy.tobytes() == b.policy.tobytes(), (threads, block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEEDS, parks=st.booleans())
+def test_three_dimensional_parked_forward_equals_unparked_chain(seed, parks):
+    # 3-D lattice toys: a parking forward chain gives bitwise the states,
+    # controls and feasibility of per-entry apply_policy calls
+    rng = np.random.default_rng(seed)
+    toy, table = _parking_toy(rng, parks, lambda r: lattice_toy_3d(r, settles=False))
+    xg = toy.xgrid
+    k = int(rng.integers(1, 30))
+    lows, uppers = grid_bounds(xg)
+    starts = rng.uniform(lows - 0.5, uppers + 0.5, size=(k, xg.ndim))
+    on_node = rng.random(k) < 0.6
+    starts[on_node] = xg.node_coords()[rng.integers(0, xg.size, on_node.sum())]
+    alive = rng.random(k) >= 0.2
+    starts[0], alive[0] = xg.node_coords()[0], True  # parks at step 1 if ``parks``
+    assert _forward_chain(toy, [table] * 25, starts, alive)[1] == parks
+
+
+def test_three_dimensional_forward_on_extended_tables_equals_the_chain(rng):
+    # the 3-D interpolating problem under two tables extend appended, from
+    # nodes and off-node starts: the forward chain equals per-entry
+    # apply_policy calls to the end
+    problem, xg, ug = _three_axis_problem()
+    engine = DpEngine(problem, xg, ug)
+    stages = []
+    for _ in range(40):
+        engine.extend(stages)
+    starts = np.concatenate([xg.node_coords()[::5], rng.uniform(-1.0, 1.0, (30, 3))])
+    alive = np.ones(len(starts), dtype=bool)
+    case = SimpleNamespace(problem=problem, xgrid=xg, ugrid=ug)
+    tables = [stages[-2]] * 5 + [stages[-1]] * 15
+    kinds, _ = _forward_chain(case, tables, starts, alive)
+    assert kinds[-1][3] > 0  # entries still stepping at the last call
+
+
+def _snap_problem():
+    """4 x 4 unit states, controls 0..3; state row ``(k, .)`` admits only
+    control ``k``, whose successor lies on grid line 1 or 3 of axis 0 with
+    the neighbouring line 2 at zero weight (a zero-weight corner on every
+    admissible pair)."""
+    xg = CartesianGrid([AxisSpec(0.0, 3.0, 1.0)] * 2)
+    ug = CartesianGrid([AxisSpec(0.0, 3.0, 1.0)])
+    succ = np.array([[1.0, 1.5], [3.0, 0.25], [1.0, 1.0], [0.0, 1.0]])
+    stage = np.array([1.0, 3.0, -0.0, -0.0])
+
+    def control(u):
+        return np.rint(u[..., 0]).astype(np.int64)
+
+    problem = gp.ProblemDef(
+        state_dim=2,
+        control_dim=1,
+        dynamics=lambda x, u: np.broadcast_to(succ[control(u)], x.shape).copy(),
+        stage_cost=lambda x, u: stage[control(u)],
+        inequality=lambda x, u: np.abs(x[..., :1] - u) - 0.5,
+        average_fn=lambda x, u: np.zeros(x.shape[:-1]),
+    )
+    return problem, xg, ug
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_side_pairs_snapped_next_to_infinite_nodes_stay_finite(threads, monkeypatch):
+    # successors exactly on a grid line whose neighbour line is +inf, and
+    # zero-weight corners holding negative costs: each such corner adds an
+    # exact 0 * 0, so no NaN, no inf and no -0.0 reaches a value, and no
+    # warning is raised
+    problem, xg, ug = _snap_problem()
+    prev = np.zeros((4, 4))
+    prev[2] = np.inf
+    prev[1, 1], prev[1, 2], prev[3, 0], prev[3, 1], prev[0, 1] = -0.0, -3.0, 4.0, 8.0, -0.0
+    # rows 0: 1 + (0.5 * -0.0 + 0.5 * -3.0); 1: 3 + (0.75 * 4 + 0.25 * 8);
+    # rows 2 and 3: -0.0 + 0 + 0 + 0, then + (-0.0), is +0.0
+    want = np.repeat([-0.5, 8.0, 0.0, 0.0], 4)
+    for block in _seam_blocks(xg.size, ug.size):
+        monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine = DpEngine(problem, xg, ug, threads=threads)
+            table = engine.backward(prev.reshape(-1))
+        assert engine._side.size == 16
+        assert table.cost.tobytes() == want.tobytes(), (block, table.cost)
+        np.testing.assert_array_equal(table.policy, np.repeat([0, 1, 2, 3], 4))
+
+
+def test_side_list_is_every_admissible_pair_with_a_zero_weight_corner(rng):
+    # from the problem's own callables: the side list holds, in ascending
+    # order, exactly the admissible pairs with a zero-weight corner, and
+    # every corner of a positive weight is base + offset
+    toy = random_lattice_toy(rng)
+    cases = [
+        (toy.problem, toy.xgrid, toy.ugrid),
+        _interpolating_pendulum(),
+        _three_axis_problem(),
+        _snap_problem(),
+    ]
+    for problem, xg, ug in cases:
+        engine = DpEngine(problem, xg, ug)
+        x = np.repeat(xg.node_coords(), ug.size, axis=0)
+        u = np.tile(ug.node_coords(), (xg.size, 1))
+        ok = (np.asarray(problem.inequality(x, u)) <= 0.0).all(axis=-1)
+        idx, w, inside = xg.locate_cells(np.asarray(problem.dynamics(x, u), dtype=float))
+        ok &= inside
+        side = np.flatnonzero(ok & (w == 0.0).any(axis=1))
+        np.testing.assert_array_equal(engine._side, side)
+        np.testing.assert_array_equal(
+            engine._side_starts, np.searchsorted(side, np.arange(xg.size + 1) * ug.size)
+        )
+        np.testing.assert_array_equal(engine._base, np.where(ok, idx[:, 0], xg.size))
+        np.testing.assert_array_equal(engine._w, np.where(ok[:, None], w, 0.0).T)
+
+
 # -- forward propagation -----------------------------------------------------
 
 
@@ -973,9 +1142,9 @@ def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
         np.testing.assert_array_equal(ens.feasible, ok)
 
 
-def _parking_toy(rng, parks):
-    """A random lattice toy whose node 0 parks under its table, or where
-    no entry can ever park.
+def _parking_toy(rng, parks, make=random_lattice_toy):
+    """A random lattice toy (``make(rng)``) whose node 0 parks under its
+    table, or where no entry can ever park.
 
     Without ``parks`` no pair steps to its own node, and every successor is
     a node, so no state maps onto itself.  With ``parks`` about a third of
@@ -984,7 +1153,7 @@ def _parking_toy(rng, parks):
     Returns:
         ``(toy, table)``: the toy and a random policy table over it.
     """
-    toy = random_lattice_toy(rng)
+    toy = make(rng)
     nx, nu = toy.next_index.shape
     rows = np.broadcast_to(np.arange(nx)[:, None], (nx, nu))
     nxt = toy.next_index.copy()

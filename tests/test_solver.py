@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpolicy import (
     AxisSpec,
@@ -24,7 +26,7 @@ from gridpolicy import (
 )
 from gridpolicy.dp import ForwardEnsemble
 
-from _toys import lattice_problem
+from _toys import lattice_problem, random_lattice_toy
 
 COARSE = pathlib.Path(__file__).resolve().parents[1] / "configs" / (
     "pendulum_min_time_coarse.cfg"
@@ -84,6 +86,103 @@ def test_delta_mu_rejects_undefined_survivor():
 def test_delta_mu_empty_survivors():
     with pytest.raises(InfeasibleProblemError):
         delta_mu([_table([0, 1])], survivors=[], ugrid=_ugrid3())
+
+
+def _stacked_delta_mu(stages, survivors, ugrid):
+    """The formula ``delta_mu`` replaced, kept as its oracle: every window
+    policy at the survivors stacked, compared with the candidate's."""
+    survivors = np.asarray(survivors, dtype=np.int64)
+    if survivors.size == 0:
+        raise InfeasibleProblemError("no survivors")
+    n = len(stages)
+    pol = np.stack([stages[j - 1].policy[survivors] for j in range((n + 1) // 2, n + 1)])
+    if (pol < 0).any():
+        raise SolverError("undefined survivor")
+    coords = ugrid.node_coords()[pol]
+    return np.abs(coords - coords[-1][None]).max(axis=(0, 1))
+
+
+_CONTROL_GRIDS = {
+    1: CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)]),
+    2: CartesianGrid([AxisSpec(-0.7, 0.9, 0.3), AxisSpec(0.1, 0.4, 0.05)]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1, 2]),
+    n=st.integers(1, 9),
+    nx=st.integers(1, 12),
+    undefined=st.sampled_from([0.0, 0.02, 0.3]),
+    data=st.data(),
+)
+def test_delta_mu_equals_the_stacked_formula(seed, m, n, nx, undefined, data):
+    # random stage policies on control grids with fractional spacings, an
+    # arbitrary survivor subset (empty included) and -1 markers: the same
+    # bits, or the same exception, as the stacked formula
+    rng = np.random.default_rng(seed)
+    ug = _CONTROL_GRIDS[m]
+    policies = rng.integers(0, ug.size, size=(n, nx))
+    policies[rng.random((n, nx)) < undefined] = -1
+    stages = [_table(p) for p in policies]
+    survivors = data.draw(st.lists(st.integers(0, nx - 1), unique=True))
+    try:
+        want = _stacked_delta_mu(stages, survivors, ug)
+    except (InfeasibleProblemError, SolverError) as exc:
+        with pytest.raises(type(exc)):
+            delta_mu(stages, survivors, ug)
+        return
+    got = delta_mu(stages, survivors, ug)
+    assert got.shape == (m,) and got.tobytes() == want.tobytes()
+
+
+def _check_metrics_against_every_stage(toy, report):
+    """Each tested horizon's delta_mu is the stacked formula over every
+    stage up to it, at the survivors of the same forward test."""
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages = []
+    while len(stages) < report.terminal_horizon:
+        engine.extend(stages)
+    for m in report.metrics:
+        table = stages[m.horizon - 1]
+        ensemble = engine.seed_ensemble(table)
+        for _ in range((m.horizon + 1) // 2):
+            engine.forward(ensemble, table)
+        survivors = np.flatnonzero(ensemble.feasible)
+        assert m.feasible_count == survivors.size
+        want = _stacked_delta_mu(stages[: m.horizon], survivors, toy.ugrid)
+        assert m.delta_mu.tobytes() == want.tobytes(), m.horizon
+        assert delta_mu(stages[: m.horizon], survivors, toy.ugrid).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    growth=st.sampled_from([2, 3]),
+    n_init=st.integers(1, 4),
+)
+def test_solve_metrics_equal_delta_mu_over_every_stage(seed, growth, n_init):
+    # solve keeps two tables and a running range per node; every tested
+    # horizon's delta_mu is still the formula over the whole stack
+    toy = random_lattice_toy(np.random.default_rng(seed))
+    cfg = SolverConfig(eps_mu=1e-9, eps_x=1e-9, n_init=n_init, n_max=40, growth=growth)
+    try:
+        report = solve(toy.problem, toy.xgrid, toy.ugrid, config=cfg, progress=None)
+    except InfeasibleProblemError:
+        return
+    _check_metrics_against_every_stage(toy, report)
+
+
+def test_growth_two_window_opens_at_the_previous_candidate():
+    # horizons 3 and 6: the window of 6 is stages 3..6, and only stage 3
+    # (the candidate of horizon 3) still sends node 0 to control 0
+    toy = _late_switch_toy()
+    cfg = SolverConfig(eps_mu=0.5, eps_x=0.1, n_init=3, n_max=6, growth=2)
+    report = solve(toy.problem, toy.xgrid, toy.ugrid, config=cfg, progress=None)
+    assert [m.horizon for m in report.metrics] == [3, 6]
+    np.testing.assert_array_equal(report.metrics[1].delta_mu, [1.0])
+    _check_metrics_against_every_stage(toy, report)
 
 
 def test_delta_x_spread():
