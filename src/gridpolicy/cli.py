@@ -28,7 +28,7 @@ import zipfile
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _parse_value, load_config
+from .config import ConfigError, RunConfig, _finite, _parse_value, load_config
 from .dp import INFEASIBLE, DpEngine, StageTable
 from .equilibrium import NoEquilibriumError, equilibrium_search
 from .grid import CartesianGrid
@@ -264,9 +264,9 @@ def _parse_x0(args: argparse.Namespace, cfg: RunConfig) -> np.ndarray:
     if args.x0 is None:
         return np.zeros(dim)
     try:
-        vals = np.asarray([float(p) for p in args.x0.split(",")], dtype=float)
+        vals = np.asarray([_finite(p) for p in args.x0.split(",")], dtype=float)
     except ValueError:
-        raise ConfigError(f"--x0 must be comma-separated numbers, got {args.x0!r}")
+        raise ConfigError(f"--x0 must be comma-separated finite numbers, got {args.x0!r}")
     if vals.shape != (dim,):
         raise ConfigError(f"--x0 needs {dim} components, got {vals.size}")
     return vals

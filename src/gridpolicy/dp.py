@@ -54,9 +54,9 @@ nodes its pairs read with positive weight (``base + off_c`` where
 engine's fixed weights and stage costs and the cost bits at those nodes, so
 when none of them changed between the last two cost fields of a backward
 chain, the row's new cost and argmin (tie-break included) are bitwise those
-of the previous stage.  :meth:`DpEngine.extend`
-uses this to run the kernel only over the runs of rows with a changed
-input and to copy the others (prioritized sweeping, made exact).
+of the previous stage.  :meth:`DpEngine.chain` uses this to run the kernel
+only over the runs of rows with a changed input and to copy the others
+(prioritized sweeping, made exact).
 
 The forward step advances an ensemble of closed-loop states and parks each
 entry at an exact closed-loop fixpoint, after which it is no longer stepped
@@ -66,7 +66,9 @@ while the table stays the same read-only one (see :meth:`DpEngine.forward`).
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -247,10 +249,6 @@ class DpEngine:
         self._xcoords = xgrid.node_coords()
         self._ucoords = ugrid.node_coords()
         self._ncorners = 1 << xgrid.ndim
-        # Set by extend: the cost array of the table it appended last, and
-        # private copies of that table's cost and policy and of the cost
-        # field it was computed from.
-        self._appended: tuple[np.ndarray, ...] | None = None
         self._build()
 
     @staticmethod
@@ -382,14 +380,19 @@ class DpEngine:
 
     # -- backward value step ---------------------------------------------------
 
-    def backward(self, prev_cost: np.ndarray | None) -> StageTable:
+    def backward(
+        self,
+        prev_cost: np.ndarray | None,
+        *,
+        since: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> StageTable:
         """One backward recursion step on top of cost-to-go ``prev_cost``.
 
-        ``None`` stands for the all-zero terminal field.  When ``prev_cost``
-        is the cost array of the table :meth:`extend` appended last, only
-        the rows whose stencil reads a node that changed since the field
-        that table was computed from are evaluated; every other row is
-        copied from that table (see :meth:`extend`).
+        ``None`` stands for the all-zero terminal field.  ``since`` is
+        :meth:`chain`'s: ``(source, cost, policy)`` of a step on the field
+        ``source``.  With it, only the rows whose stencil reads a node
+        whose bits differ between ``prev_cost`` and ``source`` are
+        evaluated; every other row gets ``cost`` and ``policy``.
         """
         nx, nu = self.nx, self.nu
         offsets = self.xgrid._corner_offsets
@@ -401,19 +404,19 @@ class DpEngine:
                 raise ValueError(f"prev_cost must have shape ({nx},)")
             caug[:nx] = prev_cost
 
-        if self._appended is not None and prev_cost is self._appended[0]:
-            _, last_cost, last_policy, source = self._appended
+        if since is None:
+            runs = [(0, nx)]
+            cost = np.empty(nx, dtype=float)
+            policy = np.empty(nx, dtype=np.int64)
+        else:
+            source, last_cost, last_policy = since
             changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
-            np.not_equal(prev_cost.view(np.uint64), source.view(np.uint64), out=changed[:nx])
+            np.not_equal(caug[:nx].view(np.uint64), source.view(np.uint64), out=changed[:nx])
             read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
             dirty = np.logical_or.reduceat(read, self._row_starts)
             edges = np.flatnonzero(np.diff(dirty, prepend=False, append=False))
             runs = list(zip(edges[::2].tolist(), edges[1::2].tolist()))
             cost, policy = last_cost.copy(), last_policy.copy()
-        else:
-            runs = [(0, nx)]
-            cost = np.empty(nx, dtype=float)
-            policy = np.empty(nx, dtype=np.int64)
         base, w, sc = self._base, self._w, self._sc
         side, side_starts = self._side, self._side_starts
         corners = [caug[off:] for off in offsets.tolist()]  # corner c at base
@@ -470,46 +473,39 @@ class DpEngine:
         val += self._sc[pairs]
         return val
 
-    def extend(self, stages: list[StageTable]) -> StageTable:
-        """Append the next backward stage to ``stages`` and return it.
-
-        ``stages`` is a backward stack in recursion order (``stages[j-1]``
-        holds the ``j``-step table), empty at first and grown only by this
-        method; a caller may drop all but its last two entries.  The cost
-        and policy arrays of every appended table are read-only.
+    def chain(self) -> Iterator[StageTable]:
+        """The backward stages 1, 2, ... without end, as read-only tables.
 
         Two exact skips keep the kernel off work whose result is known:
 
         * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
           weights and stage costs and the cost bits at the row's stencil
-          nodes (the sorted distinct nodes its pairs read with positive
-          weight).  The engine keeps private copies of the table it
-          appended last and of the cost field that table was computed from.
-          When :meth:`backward` is next handed that table's cost array, a
-          row none of whose stencil nodes changed bit for bit between the
-          field handed in and that source field gets the kept table's cost
-          and argmin (tie-break included); the kernel runs only over the
-          runs of the other rows.  Being copies, the kept arrays cannot be
+          nodes.  The chain keeps private copies of the cost and policy it
+          yielded last and of the cost field they were computed from, and
+          hands them to :meth:`backward`, which copies every row none of
+          whose stencil nodes changed bit for bit between those two fields
+          (cost and argmin, tie-break included) and runs the kernel only
+          over the other rows.  Being copies, the kept arrays cannot be
           changed from outside, so the rule is exact whatever the caller
-          does with its tables.  Any other input (a table of another stage
-          list on the same engine, say) gets the full step.
+          does with the tables; each chain keeps its own.
         * Stages.  Once a stage's cost is bitwise equal to the one before it
           (the zero terminal field before stage 1), the cost field has
           reached its fixpoint: every later stage is that same table object,
           and the backward kernel is not run again.
+
+        A stage is computed only when it is pulled.
         """
-        if stages:
-            before = stages[-2].cost if len(stages) > 1 else np.zeros(self.nx)
-            if _same_bits(stages[-1].cost, before):
-                stages.append(stages[-1])
-                return stages[-1]
-        source = stages[-1].cost.copy() if stages else np.zeros(self.nx)
-        table = self.backward(stages[-1].cost if stages else None)
-        self._appended = (table.cost, table.cost.copy(), table.policy.copy(), source)
-        table.cost.flags.writeable = False
-        table.policy.flags.writeable = False
-        stages.append(table)
-        return table
+        source = np.zeros(self.nx)
+        table = self.backward(None)
+        while True:
+            cost, policy = table.cost.copy(), table.policy.copy()
+            table.cost.flags.writeable = False
+            table.policy.flags.writeable = False
+            yield table
+            if _same_bits(cost, source):
+                yield from itertools.repeat(table)
+            table = self.backward(cost, since=(source, cost, policy))
+            source = cost
 
     # -- forward ensemble step ---------------------------------------------------
 
@@ -530,7 +526,7 @@ class DpEngine:
         An entry whose successor equals its state bit for bit (``uint64``
         views: ``-0.0`` is not ``0.0``) is parked at that closed-loop
         fixpoint.  While ``table`` stays the same object and its ``policy``
-        array stays read-only (as in every table :meth:`extend` appends), a
+        array stays read-only (as in every table :meth:`chain` yields), a
         parked entry is not stepped again: it keeps its state bytes and gets
         its held control, which is exactly what stepping it would give,
         because the problem's callables are pure and time-invariant (see

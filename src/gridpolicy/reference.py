@@ -14,6 +14,7 @@ with the horizon the policy was designed for.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,15 +75,13 @@ def finite_horizon_policies(
     Returns:
         Tables in forward time order: entry ``k`` is the policy to apply at
         step ``k`` (i.e. the table with ``horizon - k`` steps to go).  The
-        stages past the cost fixpoint (see :meth:`DpEngine.extend`) are one
+        stages past the cost fixpoint (see :meth:`DpEngine.chain`) are one
         shared read-only table.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     engine = _engine_for(problem, xgrid, ugrid, engine)
-    stages: list[StageTable] = []
-    while len(stages) < horizon:
-        engine.extend(stages)
+    stages = list(itertools.islice(engine.chain(), horizon))
     stages.reverse()
     return stages
 
@@ -169,9 +168,9 @@ def horizon_sweep(
     For each ``N`` in ``problem_horizons``, the ``N``-step first-stage policy
     is rolled out ``trajectory_horizon`` steps from *every* grid node (one
     vectorized ensemble), and the relaxed stage costs are averaged along each
-    surviving trajectory.  The backward chain holds only its last two
-    tables and the wanted first-stage tables; design horizons past the cost
-    fixpoint (see :meth:`DpEngine.extend`) share one read-only table.
+    surviving trajectory.  Of the backward chain only the wanted
+    first-stage tables are kept; design horizons past the cost fixpoint
+    (see :meth:`DpEngine.chain`) share one read-only table.
     ``engine`` is as in :func:`finite_horizon_policies`.
 
     Returns:
@@ -185,14 +184,9 @@ def horizon_sweep(
         raise ValueError("trajectory_horizon must be at least 1")
     engine = _engine_for(problem, xgrid, ugrid, engine)
 
-    wanted = set(horizons)
-    first_stage: dict[int, StageTable] = {}
-    stages: list[StageTable] = []
-    for n in range(1, horizons[-1] + 1):
-        table = engine.extend(stages)
-        del stages[:-2]  # all that extend reads
-        if n in wanted:
-            first_stage[n] = table
+    # The range comes first: zip stops on it before pulling one more stage.
+    stages = zip(range(1, horizons[-1] + 1), engine.chain())
+    first_stage = {n: table for n, table in stages if n in horizons}
 
     out: dict[int, np.ndarray] = {}
     for n in horizons:

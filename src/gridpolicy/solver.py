@@ -239,10 +239,10 @@ def solve(
 ) -> SolveReport:
     """Solve for a stationary grid policy on a growing horizon.
 
-    The backward stack grows through :meth:`DpEngine.extend`: its tables,
+    The backward stages come from one :meth:`DpEngine.chain`: its tables,
     the returned ``first_stage_policy`` among them, are read-only, and the
-    stages past the cost fixpoint are one shared table.  Only the last two
-    tables are kept: while the stages ``ceil(N/2)..N`` of a tested horizon
+    stages past the cost fixpoint are one shared table.  Only the last
+    table is kept: while the stages ``ceil(N/2)..N`` of a tested horizon
     ``N`` are produced, each node's range of control coordinates is kept
     instead, which gives :func:`delta_mu` bit for bit.
 
@@ -271,7 +271,7 @@ def solve(
     engine = _engine_for(problem, xgrid, ugrid, engine)
 
     t0 = time.perf_counter()
-    stages: list[StageTable] = []  # the last two; extend reads no more
+    chain = engine.chain()
     n = 0  # stages produced
     metrics: list[ConvergenceMetrics] = []
     target = cfg.n_init
@@ -282,10 +282,9 @@ def solve(
         window = _PolicyWindow(ugrid)
         j0 = (target + 1) // 2  # ceil(target / 2), never below n as growth >= 2
         if n == j0:  # growth 2: the window opens at the previous candidate
-            window.add(stages[-1].policy)
+            window.add(table.policy)
         while n < target:
-            table = engine.extend(stages)
-            del stages[:-2]
+            table = next(chain)
             n += 1
             if n >= j0:
                 window.add(table.policy)

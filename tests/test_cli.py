@@ -249,7 +249,7 @@ def test_rollout_infeasible_start(solved_dir, capsys):
 
 
 def test_rollout_x0_validation(solved_dir, capsys):
-    for bad in ("1", "a,b"):
+    for bad in ("1", "a,b", "nan,0", "inf,0"):
         rc = main(
             [
                 "rollout",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import tracemalloc
@@ -48,10 +49,10 @@ def test_stage_table_invariant():
 
 
 def _chain(engine, steps):
-    """A hand ``backward`` chain fed copies of the costs: every step is full."""
+    """A hand chain of ``steps`` full ``backward`` steps."""
     tables, prev = [], None
     for _ in range(steps):
-        prev = engine.backward(None if prev is None else prev.cost.copy())
+        prev = engine.backward(None if prev is None else prev.cost)
         tables.append(prev)
     return tables
 
@@ -509,32 +510,35 @@ def _same_tables(a, b):
     )
 
 
-def _extend_rows(engine, steps):
-    """``steps`` calls of ``engine.extend`` and, per call, the sorted state
-    rows its backward kernel evaluated (None when the kernel did not run)."""
+def _chain_rows(engine, steps, chain=None):
+    """The first ``steps`` stages of ``chain`` (a fresh ``engine.chain()`` by
+    default) and, per stage, the sorted state rows its backward kernel
+    evaluated (None when the kernel did not run)."""
     rows, blocks = [], dp._row_blocks
+    chain = engine.chain() if chain is None else chain
 
     def counting(r0, r1, nu):
         if rows[-1] is not None:
             rows[-1].extend(range(r0, r1))
         return blocks(r0, r1, nu)
 
-    def backward(self, prev_cost):
+    def backward(self, prev_cost, since=None):
         rows[-1] = []
-        return DpEngine.backward(self, prev_cost)
+        return DpEngine.backward(self, prev_cost, since=since)
 
     stages = []
     with mock.patch.object(dp, "_row_blocks", counting):
         with mock.patch.object(engine, "backward", backward.__get__(engine)):
             for _ in range(steps):
                 rows.append(None)
-                engine.extend(stages)
+                stages.append(next(chain))
     return stages, [None if r is None else sorted(r) for r in rows]
 
 
-def _extend_counting(engine, steps):
-    """``steps`` calls of ``engine.extend`` and the kernel calls they made."""
-    stages, rows = _extend_rows(engine, steps)
+def _chain_counting(engine, steps):
+    """The first ``steps`` stages of ``engine.chain()`` and the kernel calls
+    they made."""
+    stages, rows = _chain_rows(engine, steps)
     return stages, sum(r is not None for r in rows)
 
 
@@ -552,7 +556,7 @@ def test_extend_equals_step_chain_and_stops_at_the_fixpoint(seed, settles):
     assert (fixpoint is not None) == settles
     steps = 3 * fixpoint if settles else len(plain)
 
-    stages, calls = _extend_counting(engine, steps)
+    stages, calls = _chain_counting(engine, steps)
     assert _same_tables(stages, plain[:steps])
     assert calls == (fixpoint if settles else steps)
     if settles:
@@ -588,13 +592,13 @@ def test_extend_fixpoint_is_bitwise_not_numeric(monkeypatch):
     assert all(np.array_equal(a.cost, b.cost) for a, b in zip(plain, plain[1:]))
     assert np.signbit(plain[4].cost).sum() == 6 and np.signbit(plain[5].cost).all()
 
-    stages, calls = _extend_counting(engine, 12)
+    stages, calls = _chain_counting(engine, 12)
     assert _same_tables(stages, plain)
     assert calls == 7  # stage 7 repeats stage 6 bit for bit
 
     # a fixpoint test by value takes stage 2 for the fixpoint
     monkeypatch.setattr(dp, "_same_bits", np.array_equal)
-    stages, calls = _extend_counting(engine, 12)
+    stages, calls = _chain_counting(engine, 12)
     assert calls == 2
     assert not _same_tables(stages, plain)
 
@@ -602,9 +606,7 @@ def test_extend_fixpoint_is_bitwise_not_numeric(monkeypatch):
 def test_extended_tables_are_read_only():
     toy = _absorbing_toy()
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-    stages = []
-    for _ in range(4):
-        engine.extend(stages)
+    stages = list(itertools.islice(engine.chain(), 4))
     assert stages[-1] is stages[-2]  # past the fixpoint
     tables = stages + gp.finite_horizon_policies(
         toy.problem, toy.xgrid, toy.ugrid, 3, engine=engine
@@ -640,8 +642,8 @@ def _row_map(engine):
     return [engine._row_nodes[a:b].tolist() for a, b in zip(engine._row_starts, ends)]
 
 
-def _assert_extend_equals_full_chain(engine, steps):
-    """The ``extend`` chain equals the full-step chain bitwise at every stage,
+def _assert_chain_equals_full_chain(engine, steps):
+    """``engine.chain()`` equals the full-step chain bitwise at every stage,
     and each kernel call evaluates exactly the rows whose stencil holds a
     node whose cost bits changed between the two stages before (every row
     at stage 1), each once.
@@ -650,10 +652,17 @@ def _assert_extend_equals_full_chain(engine, steps):
         The number of row evaluations the chain skipped.
     """
     full = _chain(engine, steps)
-    stencils = _brute_stencils(engine)
-    assert _row_map(engine) == stencils
-    stages, rows = _extend_rows(engine, steps)
+    assert _row_map(engine) == _brute_stencils(engine)
+    stages, rows = _chain_rows(engine, steps)
     assert _same_tables(stages, full)
+    return _assert_rows_skipped(engine, full, rows)
+
+
+def _assert_rows_skipped(engine, full, rows):
+    """Each kernel call of a chain, ``rows[k - 1]`` at stage ``k``, evaluated
+    exactly the rows whose stencil holds a node whose cost bits changed
+    between the two stages of ``full`` before it; returns the rows skipped."""
+    stencils = _brute_stencils(engine)
     costs = [np.zeros(engine.nx)] + [t.cost for t in full]
     skipped = 0
     for k, got in enumerate(rows, start=1):
@@ -686,7 +695,7 @@ def test_extend_skips_exactly_the_rows_whose_stencil_is_unchanged(
     nx, nu = toy.xgrid.size, toy.ugrid.size
     with mock.patch.object(dp, "BLOCK_PAIRS", _seam_blocks(nx, nu)[seam]):
         engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads)
-        _assert_extend_equals_full_chain(engine, 3 * (nx + 1))
+        _assert_chain_equals_full_chain(engine, 3 * (nx + 1))
 
 
 def _small_pendulum():
@@ -711,50 +720,55 @@ def test_extend_skips_rows_on_an_interpolating_pendulum(threads):
     problem, xg, ug = _small_pendulum()
     engine = DpEngine(problem, xg, ug, threads=threads)
     assert xg.shape == (11, 11) and (engine._w[1:] > 0.0).any()  # off-node successors
-    skipped = _assert_extend_equals_full_chain(engine, 300)
+    skipped = _assert_chain_equals_full_chain(engine, 300)
     assert skipped > 0.5 * 300 * xg.size, skipped
 
 
 def test_alternating_stage_lists_on_one_engine(rng):
-    # two stage lists extended in a random interleaving on one engine, with
-    # direct backward calls on the last appended table in between, follow
-    # the full-step chain bit for bit
+    # two chains pulled in a random interleaving on one engine, with direct
+    # backward calls on the last yielded table in between, follow the
+    # full-step chain bit for bit, and each skips rows on its own
     problem, xg, ug = _small_pendulum()
     engine = DpEngine(problem, xg, ug)
     full = _chain(engine, 61)
-    lists = ([], [])
+    chains = (engine.chain(), engine.chain())
+    pulled = (([], []), ([], []))
     for pick in rng.integers(0, 2, size=100):
-        stages = lists[pick]
+        stages, rows = pulled[pick]
         if len(stages) < 60:
-            engine.extend(stages)
+            got, kernel = _chain_rows(engine, 1, chains[pick])
+            stages += got
+            rows += kernel
         if rng.random() < 0.2:
             table = engine.backward(stages[-1].cost)
             assert _same_tables([table], [full[len(stages)]])
-    for stages in lists:
+    for stages, rows in pulled:
         assert len(stages) > 20
         assert _same_tables(stages, full[: len(stages)])
+        assert _assert_rows_skipped(engine, full, rows) > 0
 
 
 def test_tables_changed_in_place_do_not_leak_into_later_stages():
-    # a caller who turns appended tables writeable again and changes them
-    # gets the full step on the field it hands in, never a row copied from
-    # a changed table or skipped against a changed source field
+    # a caller who turns yielded tables writeable again and changes them
+    # (policy, cost, and the cost the last one came from) does not change
+    # the chain's later stages: it steps on private copies
     problem, xg, ug = _small_pendulum()
     engine = DpEngine(problem, xg, ug)
-    stages = []
-    for _ in range(200):  # most rows are clean by now, but not all
-        engine.extend(stages)
+    full = _chain(engine, 210)
+    chain = engine.chain()
+    stages = list(itertools.islice(chain, 200))  # most rows are clean, not all
     last, source = stages[-1], stages[-2]
     assert last.cost.tobytes() != source.cost.tobytes()
     for array in (last.cost, last.policy, source.cost):
         array.flags.writeable = True
-    feasible = last.feasible_mask
-    last.policy[feasible] = (last.policy[feasible] + 1) % ug.size
-    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
     source.cost[:] = last.cost  # as if nothing had changed
-    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
-    last.cost[feasible] -= 0.5
-    assert _same_tables([engine.backward(last.cost)], [engine.backward(last.cost.copy())])
+    for k in range(200, 210):
+        feasible = last.feasible_mask
+        last.policy[feasible] = (last.policy[feasible] + 1) % ug.size
+        last.cost[feasible] -= 0.5
+        last = next(chain)
+        assert _same_tables([last], [full[k]]), k
+        last.cost.flags.writeable = last.policy.flags.writeable = True
 
 
 def _three_axis_problem(u_spacing=0.5):
@@ -800,17 +814,15 @@ def test_row_map_is_every_positive_weight_node(rng):
 @settings(max_examples=30, deadline=None)
 @given(seed=_SEEDS, settles=st.booleans())
 def test_three_dimensional_extend_equals_enumeration(seed, settles):
-    # 3-D lattice toys: the extend chain, skips included, equals brute-force
+    # 3-D lattice toys: the chain, skips included, equals brute-force
     # enumeration up to horizon 6 and the full-step chain past its fixpoint
     toy = lattice_toy_3d(np.random.default_rng(seed), settles)
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-    stages = []
-    for h in range(1, 7):
-        engine.extend(stages)
+    for h, table in zip(range(1, 7), engine.chain()):
         want_cost, want_first = enumerate_optimal(toy, h)
-        np.testing.assert_array_equal(stages[-1].cost, want_cost)
-        np.testing.assert_array_equal(stages[-1].policy, want_first)
-    _assert_extend_equals_full_chain(engine, 3 * (engine.nx + 1))
+        np.testing.assert_array_equal(table.cost, want_cost)
+        np.testing.assert_array_equal(table.policy, want_first)
+    _assert_chain_equals_full_chain(engine, 3 * (engine.nx + 1))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -818,7 +830,7 @@ def test_three_dimensional_extend_skips_rows(threads):
     problem, xg, ug = _three_axis_problem()
     engine = DpEngine(problem, xg, ug, threads=threads)
     assert (engine._w[1:] > 0.0).any() and (engine._sc == np.inf).any()
-    assert _assert_extend_equals_full_chain(engine, 60) > 0
+    assert _assert_chain_equals_full_chain(engine, 60) > 0
 
 
 def test_three_dimensional_block_seams_and_threads(rng, monkeypatch):
@@ -865,14 +877,12 @@ def test_three_dimensional_parked_forward_equals_unparked_chain(seed, parks):
 
 
 def test_three_dimensional_forward_on_extended_tables_equals_the_chain(rng):
-    # the 3-D interpolating problem under two tables extend appended, from
+    # the 3-D interpolating problem under two tables the chain yielded, from
     # nodes and off-node starts: the forward chain equals per-entry
     # apply_policy calls to the end
     problem, xg, ug = _three_axis_problem()
     engine = DpEngine(problem, xg, ug)
-    stages = []
-    for _ in range(40):
-        engine.extend(stages)
+    stages = list(itertools.islice(engine.chain(), 40))
     starts = np.concatenate([xg.node_coords()[::5], rng.uniform(-1.0, 1.0, (30, 3))])
     alive = np.ones(len(starts), dtype=bool)
     case = SimpleNamespace(problem=problem, xgrid=xg, ugrid=ug)
@@ -1098,10 +1108,8 @@ def coarse_min_time():
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
     problem = gp.builtin_min_time_pendulum()
     engine = DpEngine(problem, xg, ug)
-    stages = []
-    for _ in range(30):
-        engine.extend(stages)
-    return problem, xg, ug, stages[-1]
+    table = next(itertools.islice(engine.chain(), 29, None))
+    return problem, xg, ug, table
 
 
 @pytest.mark.parametrize("k", [1, 7, 96])
@@ -1176,7 +1184,7 @@ def _random_policy(rng, nx, nu):
 
 
 def _policy_table(policy, writeable=False):
-    """A table over ``policy``, read-only as :meth:`DpEngine.extend` makes it
+    """A table over ``policy``, read-only as :meth:`DpEngine.chain` yields it
     unless ``writeable``."""
     table = StageTable(cost=np.where(policy < 0, np.inf, 0.0), policy=policy.copy())
     table.policy.flags.writeable = writeable

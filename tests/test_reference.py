@@ -18,7 +18,7 @@ from gridpolicy import (
     rollout_time_varying,
 )
 
-from _toys import lattice_problem, random_lattice_toy
+from _toys import fixpoint_lattice_toy, lattice_problem, random_lattice_toy
 
 
 def _trap_chain(avg=None, lam=None):
@@ -296,12 +296,31 @@ def test_horizon_sweep_validation():
         horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3], 0)
 
 
+def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
+    # a toy whose cost never settles runs the kernel at every stage: the
+    # longest horizon, 7, takes 7 steps, and no stage past it is pulled
+    toy = fixpoint_lattice_toy(rng, (6,), 3, settles=False)
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    calls = []
+    backward = DpEngine.backward
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(DpEngine, "backward", counting)
+    horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3, 7], 4, engine=engine)
+    assert len(calls) == 7
+    calls.clear()
+    finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 7, engine=engine)
+    assert len(calls) == 7
+
+
 def _unparked_sweep(engine, horizons, steps):
     """The horizon sweep as a plain loop of batched ``apply_policy`` steps."""
     problem, xg, ug = engine.problem, engine.xgrid, engine.ugrid
-    stages, out = [], {}
-    for n in range(1, max(horizons) + 1):
-        table = engine.extend(stages)
+    out = {}
+    for n, table in zip(range(1, max(horizons) + 1), engine.chain()):
         if n not in horizons:
             continue
         x, alive = xg.node_coords().copy(), table.feasible_mask.copy()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -141,9 +142,7 @@ def _check_metrics_against_every_stage(toy, report):
     """Each tested horizon's delta_mu is the stacked formula over every
     stage up to it, at the survivors of the same forward test."""
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-    stages = []
-    while len(stages) < report.terminal_horizon:
-        engine.extend(stages)
+    stages = list(itertools.islice(engine.chain(), report.terminal_horizon))
     for m in report.metrics:
         table = stages[m.horizon - 1]
         ensemble = engine.seed_ensemble(table)
