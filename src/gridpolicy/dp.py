@@ -58,6 +58,18 @@ of the previous stage.  :meth:`DpEngine.chain` uses this to run the kernel
 only over the runs of rows with a changed input and to copy the others
 (prioritized sweeping, made exact).
 
+A chain also eliminates controls (MacQueen 1967, Hastings 1976): a row
+whose minimum is attained by a single control keeps a *margin*, a proven
+lower bound on how far every other control's value lies above that one.
+Each later stage that changes a node of the row lowers the margin by the
+span of the change over the row's stencil nodes; while it stays above a
+rounding bound, the row is evaluated at that control alone, with the
+kernel's operations in its order, so its cost has the kernel's bits.  The
+row reruns the full kernel once its margin is spent, when a node it reads
+turns finite or infinite, and while its minimum is tied.  The rule, its
+rounding bound and the conditions it assumes are stated at
+:meth:`DpEngine.chain`.
+
 The forward step advances an ensemble of closed-loop states and parks each
 entry at an exact closed-loop fixpoint, after which it is no longer stepped
 while the table stays the same read-only one (see :meth:`DpEngine.forward`).
@@ -65,6 +77,7 @@ while the table stays the same read-only one (see :meth:`DpEngine.forward`).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
@@ -159,6 +172,27 @@ class ForwardEnsemble:
         self.parked = np.zeros(self.feasible.shape, dtype=bool)
         self.stepped = np.empty(0, dtype=np.int64)
         self.stepped_from = self.states[:0].copy()
+
+
+@dataclass(eq=False)
+class _ChainState:
+    """What one :meth:`DpEngine.chain` keeps between stages.
+
+    ``source`` is the cost field the last stage read (None before stage 1);
+    ``cost`` and ``policy`` are private copies of that stage.  ``margin``
+    holds each state row's certificate for its policy control (-inf: none).
+    ``rows``, ``certified`` and ``pairs`` record the last step's work: the
+    rows the row skip did not copy, those of them evaluated at their policy
+    control alone, and the number of pairs whose values it formed.
+    """
+
+    margin: np.ndarray
+    source: np.ndarray | None = None
+    cost: np.ndarray | None = None
+    policy: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    certified: np.ndarray | None = None
+    pairs: int = 0
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
@@ -329,7 +363,9 @@ class DpEngine:
         ascending flat positions of the row's admissible pairs that have a
         zero-weight corner (see :meth:`backward`).  Two passes over the row
         blocks (counts, then entries) keep the peak at the map and the list
-        plus one block's sort per thread.
+        plus one block's sort per thread.  The first pass also bounds how far
+        an admissible pair's weights may sum from 1 (``_weight_error``, the
+        ``eps`` of :meth:`chain`'s rounding bound).
         """
         nx, nu, nc = self.nx, self.nu, self._ncorners
         offsets = self.xgrid._corner_offsets.tolist()
@@ -355,11 +391,18 @@ class DpEngine:
         starts = np.zeros(nx + 1, dtype=np.intp)
         side_starts = np.zeros(nx + 1, dtype=np.intp)
 
+        sum_errors = [0.0]
+
         def count_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu):
                 _, first, side = scan(b0, b1)
                 starts[b0 + 1 : b1 + 1] = np.count_nonzero(first, axis=1)
                 side_starts[b0 + 1 : b1 + 1] = np.count_nonzero(side, axis=1)
+                s = slice(b0 * nu, b1 * nu)
+                total = np.add.reduce(self._w[:, s], axis=0)
+                # |total - 1| is exact: total lies in [1/2, 2] (Sterbenz)
+                error = np.abs(np.subtract(total, 1.0, out=total), out=total)
+                sum_errors.append(float(error.max(where=self._base[s] != nx, initial=0.0)))
 
         def fill_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu):
@@ -376,7 +419,13 @@ class DpEngine:
         self._side = np.empty(side_starts[-1], dtype=np.intp)
         self._run_chunks(fill_rows)
         self._row_starts = starts[:-1]
+        self._row_ends = starts[1:]
         self._side_starts = side_starts
+        # The computed sum of nc weights is within gamma_{nc-1} * W of their
+        # exact sum W, so |W - 1| <= (e + g) / (1 - g) <= 2 * (e + g).
+        g = _gamma(nc - 1)
+        self._weight_error = float(_up(2.0 * _up(max(sum_errors) + g)))
+        self._slack = _rounding_slack(nc, self._weight_error)
 
     # -- backward value step ---------------------------------------------------
 
@@ -384,17 +433,18 @@ class DpEngine:
         self,
         prev_cost: np.ndarray | None,
         *,
-        since: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        since: _ChainState | None = None,
     ) -> StageTable:
         """One backward recursion step on top of cost-to-go ``prev_cost``.
 
         ``None`` stands for the all-zero terminal field.  ``since`` is
-        :meth:`chain`'s: ``(source, cost, policy)`` of a step on the field
-        ``source``.  With it, only the rows whose stencil reads a node
-        whose bits differ between ``prev_cost`` and ``source`` are
-        evaluated; every other row gets ``cost`` and ``policy``.
+        :meth:`chain`'s state, which the step reads and advances: rows whose
+        stencil reads no node whose bits changed since the last stage are
+        copied, and rows whose margin certifies their policy control are
+        evaluated at that control alone.  Without it every pair is
+        evaluated.
         """
-        nx, nu = self.nx, self.nu
+        nx = self.nx
         offsets = self.xgrid._corner_offsets
         # The sentinel nx and the pad up to the largest corner offset hold 0.
         caug = np.zeros(nx + 1 + int(offsets[-1]))
@@ -403,67 +453,91 @@ class DpEngine:
             if prev_cost.shape != (nx,):
                 raise ValueError(f"prev_cost must have shape ({nx},)")
             caug[:nx] = prev_cost
-
-        if since is None:
-            runs = [(0, nx)]
-            cost = np.empty(nx, dtype=float)
-            policy = np.empty(nx, dtype=np.int64)
-        else:
-            source, last_cost, last_policy = since
-            changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
-            np.not_equal(caug[:nx].view(np.uint64), source.view(np.uint64), out=changed[:nx])
-            read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
-            dirty = np.logical_or.reduceat(read, self._row_starts)
-            edges = np.flatnonzero(np.diff(dirty, prepend=False, append=False))
-            runs = list(zip(edges[::2].tolist(), edges[1::2].tolist()))
-            cost, policy = last_cost.copy(), last_policy.copy()
-        base, w, sc = self._base, self._w, self._sc
-        side, side_starts = self._side, self._side_starts
-        corners = [caug[off:] for off in offsets.tolist()]  # corner c at base
-
-        def weigh(val: np.ndarray, tmp: np.ndarray, s: slice) -> None:
-            # Every index stays inside its view by construction; mode="clip"
-            # only spares np.take a buffered copy of ``out``.
-            np.take(corners[0], base[s], out=val, mode="clip")
-            np.multiply(w[0, s], val, out=val)
-            for c in range(1, self._ncorners):
-                np.take(corners[c], base[s], out=tmp, mode="clip")
-                np.multiply(w[c, s], tmp, out=tmp)
-                np.add(val, tmp, out=val)
-            np.add(val, sc[s], out=val)
+        if since is not None:
+            return self._chain_step(caug, since)
+        cost = np.empty(nx, dtype=float)
+        policy = np.empty(nx, dtype=np.int64)
 
         def step_rows(r0: int, r1: int) -> None:
-            size = min(max(1, BLOCK_PAIRS // nu), r1 - r0) * nu  # the largest block
-            val_buf = np.empty(size, dtype=float)
-            tmp_buf = np.empty(size, dtype=float)
-            for a, b in runs:
-                for b0, b1 in _row_blocks(max(a, r0), min(b, r1), nu):
-                    s = slice(b0 * nu, b1 * nu)
-                    val = val_buf[: (b1 - b0) * nu]
-                    tmp = tmp_buf[: val.size]
-                    i, j = side_starts[b0], side_starts[b1]
-                    if i == j:
-                        weigh(val, tmp, s)
-                    else:
-                        # A side pair's zero-weight corner may read +inf
-                        # here; its value is formed again below.
-                        with np.errstate(invalid="ignore"):
-                            weigh(val, tmp, s)
-                        pairs = side[i:j]
-                        val[pairs - s.start] = self._side_values(caug, pairs)
-                    arg = val.reshape(b1 - b0, nu).argmin(axis=1)
-                    best = val[np.arange(0, val.size, nu) + arg]
-                    arg[~np.isfinite(best)] = INFEASIBLE
-                    cost[b0:b1] = best
-                    policy[b0:b1] = arg
+            val, tmp = self._work_buffers(r1 - r0)
+            for b0, b1 in _row_blocks(r0, r1, self.nu):
+                v = self._values(caug, slice(b0, b1), val, tmp)
+                arg = v.argmin(axis=1)
+                best = v[np.arange(b1 - b0), arg]
+                arg[~np.isfinite(best)] = INFEASIBLE
+                cost[b0:b1] = best
+                policy[b0:b1] = arg
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
 
-    def _side_values(self, caug: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """``T`` of side pairs, formed as :meth:`backward` forms every pair but
-        with each zero-weight corner reading the sentinel: it adds an exact
-        ``0 * 0``, never ``0 * inf`` (NaN) or ``0 * negative`` (``-0.0``)."""
+    def _work_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two float buffers for the largest block of ``rows`` state rows."""
+        size = min(max(1, BLOCK_PAIRS // self.nu), rows) * self.nu
+        return np.empty(size, dtype=float), np.empty(size, dtype=float)
+
+    def _values(
+        self,
+        caug: np.ndarray,
+        rows: slice | np.ndarray,
+        val_buf: np.ndarray,
+        tmp_buf: np.ndarray,
+    ) -> np.ndarray:
+        """The values ``T(x, .)`` of state rows ``rows``, shape ``(rows, nu)``.
+
+        ``rows`` is a slice of rows, whose stencil is read as slices, or a
+        sorted array of rows, whose stencil rows are gathered first.  Either
+        way every pair gets the same operations in the same order: corner 0's
+        product, the other corners added in turn, the stage cost last.  The
+        values are formed in ``val_buf``; ``tmp_buf`` is scratch.
+        """
+        nu, nc = self.nu, self._ncorners
+        corners = [caug[off:] for off in self.xgrid._corner_offsets.tolist()]
+        if isinstance(rows, slice):
+            n = rows.stop - rows.start
+            s = slice(rows.start * nu, rows.stop * nu)
+            base = self._base[s]
+            side = self._side[self._side_starts[rows.start] : self._side_starts[rows.stop]]
+            at = side - s.start
+
+            def stencil(a: np.ndarray) -> np.ndarray:
+                return a[s]
+
+        else:
+            n = rows.size
+            base = np.take(self._base.reshape(-1, nu), rows, axis=0).reshape(-1)
+            side = self._side[_ranges(self._side_starts[rows], self._side_starts[rows + 1])]
+            at = np.searchsorted(rows, side // nu) * nu + side % nu
+            gathered = np.empty((n, nu))
+
+            def stencil(a: np.ndarray) -> np.ndarray:
+                np.take(a.reshape(-1, nu), rows, axis=0, out=gathered)
+                return gathered.reshape(-1)
+
+        val, tmp = val_buf[: n * nu], tmp_buf[: n * nu]
+        base = base.astype(np.intp)  # np.take would convert int32 per corner
+        # A side pair's zero-weight corner may read +inf here; its value is
+        # formed again below.
+        with np.errstate(invalid="ignore") if side.size else contextlib.nullcontext():
+            # Every index stays inside its view by construction; mode="clip"
+            # only spares np.take a buffered copy of ``out``.
+            np.take(corners[0], base, out=val, mode="clip")
+            np.multiply(stencil(self._w[0]), val, out=val)
+            for c in range(1, nc):
+                np.take(corners[c], base, out=tmp, mode="clip")
+                np.multiply(stencil(self._w[c]), tmp, out=tmp)
+                np.add(val, tmp, out=val)
+            np.add(val, stencil(self._sc), out=val)
+        if side.size:
+            val[at] = self._pair_values(caug, side)
+        return val.reshape(n, nu)
+
+    def _pair_values(self, caug: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """``T`` of the flat ``pairs``, formed with the operations of
+        :meth:`_values` in its order, but with each zero-weight corner
+        reading the sentinel: it adds an exact ``0 * 0``, never ``0 * inf``
+        (NaN) or ``0 * negative`` (``-0.0``).  That is the value of a side
+        pair, and bitwise the kernel's value of any other pair."""
         w = self._w[:, pairs]
         nodes = self._base[pairs] + self.xgrid._corner_offsets[:, None]
         np.copyto(nodes, self.nx, where=w == 0.0)
@@ -473,39 +547,268 @@ class DpEngine:
         val += self._sc[pairs]
         return val
 
+    def _chain_step(self, caug: np.ndarray, state: _ChainState) -> StageTable:
+        """:meth:`backward` on :meth:`chain`'s state (see there)."""
+        nx, nu = self.nx, self.nu
+        prev = caug[:nx]
+        rows_per_block = max(1, BLOCK_PAIRS // nu)
+        scale = float(np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0))
+        if state.source is None:
+            dirty = np.ones(nx, dtype=bool)
+            certified = np.zeros(nx, dtype=bool)
+            cost = np.empty(nx, dtype=float)
+            policy = np.empty(nx, dtype=np.int64)
+        else:
+            changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
+            np.not_equal(prev.view(np.uint64), state.source.view(np.uint64), out=changed[:nx])
+            read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
+            dirty = np.logical_or.reduceat(read, self._row_starts)
+            certified = self._spend_margins(prev, state, changed, dirty, scale)
+            cost, policy = state.cost.copy(), state.policy.copy()
+        full_rows = np.flatnonzero(dirty & ~certified)
+        certified_rows = np.flatnonzero(certified)
+        edges = np.flatnonzero(np.diff(dirty, prepend=False, append=False))
+        run_starts, run_ends = edges[::2], edges[1::2]
+        pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        alone: list[np.ndarray] = []  # rows evaluated at their policy control
+
+        def step_rows(r0: int, r1: int) -> None:
+            val, tmp = self._work_buffers(r1 - r0)
+            blocks = _row_blocks(r0, r1, nu)
+            full = _within(full_rows, r0, r1)
+            # A block in which at least half a block of rows need the full
+            # kernel runs it over all its dirty rows, as slices: gathering
+            # stencil rows costs about twice as much per row, and a kernel
+            # call per short run of them costs more than the rows.  A full
+            # evaluation is any row's exact result, so the certified rows
+            # among them just get fresh margins.  The remaining rows that
+            # need the full kernel are gathered into blocks.
+            dense = np.bincount((full - r0) // rows_per_block, minlength=len(blocks))
+            dense = 2 * dense >= rows_per_block
+            for b0, b1 in (blocks[i] for i in np.flatnonzero(dense)):
+                i0 = np.searchsorted(run_ends, b0, side="right")
+                i1 = np.searchsorted(run_starts, b1, side="left")
+                a = np.maximum(run_starts[i0:i1], b0)
+                b = np.minimum(run_ends[i0:i1], b1)
+                at = 0  # the runs' values go one after another into val
+                for a0, a1 in zip(a.tolist(), b.tolist()):
+                    self._values(caug, slice(a0, a1), val[at:], tmp)
+                    at += (a1 - a0) * nu
+                v = val[:at].reshape(-1, nu)
+                pieces.append(self._certify(v, _ranges(a, b), cost, policy))
+            sparse = full[~dense[(full - r0) // rows_per_block]]
+            for i in range(0, sparse.size, rows_per_block):
+                rows = sparse[i : i + rows_per_block]
+                v = self._values(caug, rows, val, tmp)
+                pieces.append(self._certify(v, rows, cost, policy))
+            rows = _within(certified_rows, r0, r1)
+            rows = rows[~dense[(rows - r0) // rows_per_block]]
+            alone.append(self._certified_values(caug, rows, cost, policy))
+
+        self._run_chunks(step_rows)
+        if pieces:
+            rows, best, second = (np.concatenate(a) for a in zip(*pieces))
+            state.margin[rows] = self._fresh_margins(best, second, scale)
+        else:
+            rows = full_rows[:0]
+        state.rows = np.flatnonzero(dirty)
+        state.certified = np.sort(np.concatenate(alone))
+        state.pairs = rows.size * nu + state.certified.size
+        state.source, state.cost, state.policy = prev, cost.copy(), policy.copy()
+        return StageTable(cost=cost, policy=policy)
+
+    def _spend_margins(
+        self,
+        prev: np.ndarray,
+        state: _ChainState,
+        changed: np.ndarray,
+        dirty: np.ndarray,
+        scale: float,
+    ) -> np.ndarray:
+        """Lower the margin of every dirty row that holds one by the span of
+        ``D = prev - source`` over its stencil nodes, and return the mask of
+        the rows whose margin still certifies their policy control."""
+        margin = state.margin
+        _, _, c3, tau = self._slack
+        bound = _up(_up(c3 * scale) + tau)
+        live = np.flatnonzero(dirty & (margin > bound))  # spans are >= 0
+        if live.size:
+            d = np.zeros(self.nx + 1)
+            d[-1] = np.nan  # the sentinel, read by no finite pair
+            with np.errstate(invalid="ignore"):
+                np.subtract(prev, state.source, out=d[:-1], where=changed[:-1])
+            d[:-1][np.isinf(prev) & ~changed[:-1]] = np.nan  # infinite at both
+            d[changed & ~np.isfinite(d)] = np.inf  # a node turned (in)finite
+            with np.errstate(invalid="ignore"):  # inf - inf when both are inf
+                # The change between a row's first and last stencil nodes
+                # (the sentinel sorts after them) is at most its span: a row
+                # whose margin that spends goes to the full kernel without
+                # reading the rest of its stencil.
+                first = np.take(d, self._row_nodes[self._row_starts[live]])
+                last = np.take(d, self._row_nodes[self._row_ends[live] - 2])
+                spent = margin[live] - np.abs(first - last) <= bound
+                margin[live[spent]] = -np.inf
+                live = live[~spent]
+                margin[live] = _down(margin[live] - self._spans(d, live))
+        return dirty & (margin > bound)
+
+    def _spans(self, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Upper bounds on ``max - min`` of ``d`` over each row's stencil
+        nodes, NaN entries left out (every dirty row reads a number)."""
+        starts, ends = self._row_starts[rows], self._row_ends[rows]
+        sizes = ends - starts
+        out = np.empty(rows.size)
+        # about 20 bytes per stencil entry: a quarter block of entries
+        # keeps them within the kernel's buffers
+        for i, j in _cuts(sizes, max(1, BLOCK_PAIRS // 4)):
+            nodes = np.take(self._row_nodes, _ranges(starts[i:j], ends[i:j]))
+            vals = np.take(d, nodes)
+            offs = np.cumsum(sizes[i:j]) - sizes[i:j]
+            hi = _up(np.fmax.reduceat(vals, offs))
+            lo = _down(np.fmin.reduceat(vals, offs))
+            out[i:j] = _up(hi - lo)
+        return out
+
+    def _gap_bound(self, best: np.ndarray, second: np.ndarray, scale: float) -> np.ndarray:
+        """A fresh margin: a lower bound on ``(second - best) - c1 * (|second|
+        + |best|) - c2 * scale``, +inf where ``second`` is."""
+        c1, c2, _, _ = self._slack
+        with np.errstate(invalid="ignore"):
+            g = _down(second - best)
+            g = _down(g - _up(c1 * _up(np.abs(second) + np.abs(best))))
+            g = _down(g - _up(c2 * scale))
+        return np.where(second == np.inf, np.inf, g)
+
+    def _certify(
+        self,
+        v: np.ndarray,
+        rows: np.ndarray,
+        cost: np.ndarray,
+        policy: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Minimum and argmin of the full values ``v`` of ``rows``, written
+        to ``cost`` and ``policy``; returns ``rows``, their minima and the
+        values left once the argmin is taken out (:meth:`_fresh_margins`).
+        ``v`` is overwritten."""
+        nu = v.shape[1]
+        arg = v.argmin(axis=1)
+        at = np.arange(0, v.size, nu) + arg
+        flat = v.reshape(-1)
+        best = flat[at]
+        flat[at] = np.inf
+        second = v.min(axis=1)
+        arg[~np.isfinite(best)] = INFEASIBLE
+        cost[rows] = best
+        policy[rows] = arg
+        return rows, best, second
+
+    def _fresh_margins(self, best: np.ndarray, second: np.ndarray, scale: float) -> np.ndarray:
+        """The margins of rows evaluated in full, from their minima and
+        second smallest values.
+
+        A row whose minimum is attained once gets the fresh margin of its
+        second smallest value; a row without a finite value gets +inf (it
+        stays infeasible until a node turns finite); a tied or NaN minimum
+        gets none (-inf).
+        """
+        margin = np.where(best == np.inf, np.inf, -np.inf)
+        unique = np.isfinite(best) & (second > best)
+        margin[unique] = self._gap_bound(best[unique], second[unique], scale)
+        return margin
+
+    def _certified_values(
+        self, caug: np.ndarray, rows: np.ndarray, cost: np.ndarray, policy: np.ndarray
+    ) -> np.ndarray:
+        """Evaluate certified ``rows`` at their policy control only, into
+        ``cost``; the policy stands.  A row without a finite value (policy
+        -1) keeps its +inf and is not evaluated.  Returns the rows
+        evaluated."""
+        rows = rows[policy[rows] != INFEASIBLE]
+        # _pair_values holds about six float64 temporaries per pair: a
+        # quarter block of pairs keeps them within the kernel's buffers.
+        step = max(1, BLOCK_PAIRS // 4)
+        for i in range(0, rows.size, step):
+            r = rows[i : i + step]
+            cost[r] = self._pair_values(caug, r * self.nu + policy[r])
+        return rows
+
     def chain(self) -> Iterator[StageTable]:
         """The backward stages 1, 2, ... without end, as read-only tables.
 
-        Two exact skips keep the kernel off work whose result is known:
+        Three exact skips keep the kernel off work whose result is known:
 
         * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
           weights and stage costs and the cost bits at the row's stencil
           nodes.  The chain keeps private copies of the cost and policy it
           yielded last and of the cost field they were computed from, and
-          hands them to :meth:`backward`, which copies every row none of
-          whose stencil nodes changed bit for bit between those two fields
-          (cost and argmin, tie-break included) and runs the kernel only
-          over the other rows.  Being copies, the kept arrays cannot be
+          :meth:`backward` copies every row none of whose stencil nodes
+          changed bit for bit between those two fields (cost and argmin,
+          tie-break included).  Being copies, the kept arrays cannot be
           changed from outside, so the rule is exact whatever the caller
           does with the tables; each chain keeps its own.
+        * Controls (action elimination: MacQueen 1967, Hastings 1976).  A
+          row evaluated in full whose minimum ``m`` is attained by one
+          control keeps that control as its survivor and a *margin*, the
+          fresh margin of its second smallest value ``m2`` (below).  Each
+          later stage that reads a changed node of the row lowers the
+          margin by an upper bound on the span (max - min) of
+          ``D = C_{j-1} - C_{j-2}`` over the row's stencil nodes; a node
+          that turned finite or infinite makes the span +inf.  While the
+          margin exceeds ``c3 B_j + tau``, no other control can reach the
+          survivor's value, and the row is evaluated at its survivor
+          alone, with the kernel's operations in its order, so its cost
+          has the kernel's bits and its policy stands.  A row reruns the
+          full kernel, which forms a fresh margin, once its margin is
+          spent, and whenever its minimum is tied (no margin separates a
+          tie); a row with no finite value keeps margin +inf and cost
+          +inf until a node it reads turns finite.  Rows that need the
+          full kernel are gathered into blocks of about
+          :data:`BLOCK_PAIRS` pairs; a block in which half of the rows
+          need it runs whole over its runs of changed rows.
         * Stages.  Once a stage's cost is bitwise equal to the one before it
           (the zero terminal field before stage 1), the cost field has
           reached its fixpoint: every later stage is that same table object,
           and the backward kernel is not run again.
 
+        The rounding bound.  Let ``u = 2**-53``, ``n = 2**d`` corners and
+        ``g = (n + 1) u / (1 - (n + 1) u)``: the kernel's ``n`` products
+        and ``n`` sums put a computed value ``V`` within ``g`` times the sum
+        of its terms' absolute values of the exact one, plus
+        ``n 2**-1074`` from underflow.  The weights are nonnegative, but
+        their sum need not be exactly 1: ``eps`` bounds ``|sum_c w_c - 1|``
+        over the admissible pairs, measured at the build.  Let
+        ``q = (1 + g) / (1 - g)`` and ``B_j`` the largest finite
+        ``|C_{j-1}|`` over all nodes, and
+        ``c1 = g (q + 1)``, ``c2 = g (4q + 2)(1 + eps) + 2 eps``,
+        ``c3 = 2 g (1 + eps) + 2 eps``, ``tau = 8 n 2**-1074``.  The fresh
+        margin formed at stage ``k`` is
+        ``(m2 - m) - c1 (|m2| + |m|) - c2 B_k``.  At a later stage ``j``
+        with no node of the row turned finite or infinite, the survivor
+        ``s`` and every other control ``e`` satisfy
+        ``V_j(e) - V_j(s) >= margin - c3 B_j - tau``, where the margin has
+        been lowered by the spans of stages ``k+1..j``: the exact
+        difference moves by at most the summed spans plus
+        ``eps (|min D| + |max D|) <= 2 eps (B_j + B_k)`` over the
+        accumulated change ``D``, and each of the four values is within
+        ``g (|V| + 2 (1 + eps) B) / (1 - g)`` of its exact value.  The bound
+        is increasing in ``m2``, so the second smallest value covers every
+        other control.  The bookkeeping rounds every bound outward
+        (``np.nextafter``).  It assumes that the stage costs of admissible
+        pairs are finite and that no value overflows; a NaN minimum gets
+        no margin.
+
         A stage is computed only when it is pulled.
         """
-        source = np.zeros(self.nx)
-        table = self.backward(None)
+        state = _ChainState(margin=np.full(self.nx, -np.inf))
+        prev = None
         while True:
-            cost, policy = table.cost.copy(), table.policy.copy()
+            table = self.backward(prev, since=state)
             table.cost.flags.writeable = False
             table.policy.flags.writeable = False
             yield table
-            if _same_bits(cost, source):
+            if _same_bits(state.cost, state.source):
                 yield from itertools.repeat(table)
-            table = self.backward(cost, since=(source, cost, policy))
-            source = cost
+            prev = state.cost
 
     # -- forward ensemble step ---------------------------------------------------
 
@@ -589,6 +892,63 @@ def _engine_for(
     if differ:
         raise ValueError(f"engine was built for another {', '.join(differ)}")
     return engine
+
+
+def _up(x):
+    """The next float above ``x``: an upper bound on the exact result of
+    the one round-to-nearest operation that gave ``x``."""
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    """The next float below ``x``; see :func:`_up`."""
+    return np.nextafter(x, -np.inf)
+
+
+def _gamma(n: int) -> float:
+    """An upper bound on ``n u / (1 - n u)``, ``u = 2**-53``: the relative
+    error of ``n`` chained roundings."""
+    nu = np.ldexp(float(n), -53)  # exact
+    return float(_up(nu / _down(1.0 - nu)))
+
+
+def _rounding_slack(ncorners: int, eps: float) -> tuple[float, float, float, float]:
+    """``(c1, c2, c3, tau)`` of the rounding bound in :meth:`DpEngine.chain`,
+    for ``ncorners`` corners and weight sums within ``eps`` of 1, each
+    rounded up."""
+    g = _gamma(ncorners + 1)
+    q = _up(_up(1.0 + g) / _down(1.0 - g))
+    c1 = _up(g * _up(q + 1.0))
+    c2 = _up(_up(_up(g * _up(4.0 * q + 2.0)) * _up(1.0 + eps)) + 2.0 * eps)
+    c3 = _up(_up(2.0 * g * _up(1.0 + eps)) + 2.0 * eps)
+    # the four values' underflow, (4 + 2 g (q + 1)) n 2**-1074, with g < 1/2
+    tau = np.ldexp(8.0 * ncorners, -1074)
+    return float(c1), float(c2), float(c3), float(tau)
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The integer ranges ``[starts[i], ends[i])``, concatenated."""
+    lengths = ends - starts
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(out.size)
+    return out
+
+
+def _cuts(sizes: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive items of ``sizes`` cut into runs ``[i, j)`` whose sizes sum
+    to at most ``limit`` (at least one item each)."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < sizes.size:
+        i = cuts[-1]
+        j = int(np.searchsorted(ends, ends[i] - sizes[i] + limit, side="right"))
+        cuts.append(max(i + 1, j))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _within(rows: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """The entries of sorted ``rows`` in ``[r0, r1)``."""
+    return rows[np.searchsorted(rows, r0) : np.searchsorted(rows, r1)]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -14,9 +14,10 @@ plays the resulting first-stage policy forward from every feasible node for
 Termination requires *every* ``delta_mu`` component strictly below its
 tolerance and *every* ``delta_x`` component strictly below its tolerance.
 Otherwise the target horizon is multiplied by a growth factor, the backward
-recursion resumes from the already-computed stack, and the forward test is
-repeated from a fresh ensemble.  The loop gives up once the next target
-would exceed ``n_max``.
+recursion pulls the further stages from the same
+:meth:`~gridpolicy.dp.DpEngine.chain`, which keeps no stack of earlier
+stages, and the forward test is repeated from a fresh ensemble.  The loop
+gives up once the next target would exceed ``n_max``.
 """
 
 from __future__ import annotations

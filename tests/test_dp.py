@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -512,27 +514,22 @@ def _same_tables(a, b):
 
 def _chain_rows(engine, steps, chain=None):
     """The first ``steps`` stages of ``chain`` (a fresh ``engine.chain()`` by
-    default) and, per stage, the sorted state rows its backward kernel
-    evaluated (None when the kernel did not run)."""
-    rows, blocks = [], dp._row_blocks
+    default) and, per stage, the sorted state rows its backward step
+    evaluated (None when the step did not run)."""
+    rows = []
     chain = engine.chain() if chain is None else chain
 
-    def counting(r0, r1, nu):
-        if rows[-1] is not None:
-            rows[-1].extend(range(r0, r1))
-        return blocks(r0, r1, nu)
-
     def backward(self, prev_cost, since=None):
-        rows[-1] = []
-        return DpEngine.backward(self, prev_cost, since=since)
+        table = DpEngine.backward(self, prev_cost, since=since)
+        rows[-1] = since.rows.tolist()
+        return table
 
     stages = []
-    with mock.patch.object(dp, "_row_blocks", counting):
-        with mock.patch.object(engine, "backward", backward.__get__(engine)):
-            for _ in range(steps):
-                rows.append(None)
-                stages.append(next(chain))
-    return stages, [None if r is None else sorted(r) for r in rows]
+    with mock.patch.object(engine, "backward", backward.__get__(engine)):
+        for _ in range(steps):
+            rows.append(None)
+            stages.append(next(chain))
+    return stages, rows
 
 
 def _chain_counting(engine, steps):
@@ -544,7 +541,7 @@ def _chain_counting(engine, steps):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=_SEEDS, settles=st.booleans())
-def test_extend_equals_step_chain_and_stops_at_the_fixpoint(seed, settles):
+def test_chain_equals_step_chain_and_stops_at_the_fixpoint(seed, settles):
     toy = _fixpoint_toy(np.random.default_rng(seed), settles)
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     plain = _chain(engine, 3 * (engine.nx + 1))
@@ -585,7 +582,7 @@ def _signed_zero_toy(length=6):
     return DpEngine(problem, xg, ug)
 
 
-def test_extend_fixpoint_is_bitwise_not_numeric(monkeypatch):
+def test_chain_fixpoint_is_bitwise_not_numeric(monkeypatch):
     engine = _signed_zero_toy()
     plain = _chain(engine, 12)
     # stage k is plain[k - 1]; stages 1..12 are equal by value
@@ -603,7 +600,7 @@ def test_extend_fixpoint_is_bitwise_not_numeric(monkeypatch):
     assert not _same_tables(stages, plain)
 
 
-def test_extended_tables_are_read_only():
+def test_chain_tables_are_read_only():
     toy = _absorbing_toy()
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     stages = list(itertools.islice(engine.chain(), 4))
@@ -686,7 +683,7 @@ def _assert_rows_skipped(engine, full, rows):
     threads=st.sampled_from([1, 2]),
     seam=st.integers(0, 5),
 )
-def test_extend_skips_exactly_the_rows_whose_stencil_is_unchanged(
+def test_chain_skips_exactly_the_rows_whose_stencil_is_unchanged(
     seed, settles, threads, seam
 ):
     # lattice toys that settle and toys that never do, at one and two
@@ -716,7 +713,7 @@ def _small_pendulum():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_extend_skips_rows_on_an_interpolating_pendulum(threads):
+def test_chain_skips_rows_on_an_interpolating_pendulum(threads):
     problem, xg, ug = _small_pendulum()
     engine = DpEngine(problem, xg, ug, threads=threads)
     assert xg.shape == (11, 11) and (engine._w[1:] > 0.0).any()  # off-node successors
@@ -813,7 +810,7 @@ def test_row_map_is_every_positive_weight_node(rng):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=_SEEDS, settles=st.booleans())
-def test_three_dimensional_extend_equals_enumeration(seed, settles):
+def test_three_dimensional_chain_equals_enumeration(seed, settles):
     # 3-D lattice toys: the chain, skips included, equals brute-force
     # enumeration up to horizon 6 and the full-step chain past its fixpoint
     toy = lattice_toy_3d(np.random.default_rng(seed), settles)
@@ -826,7 +823,7 @@ def test_three_dimensional_extend_equals_enumeration(seed, settles):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_three_dimensional_extend_skips_rows(threads):
+def test_three_dimensional_chain_skips_rows(threads):
     problem, xg, ug = _three_axis_problem()
     engine = DpEngine(problem, xg, ug, threads=threads)
     assert (engine._w[1:] > 0.0).any() and (engine._sc == np.inf).any()
@@ -876,7 +873,7 @@ def test_three_dimensional_parked_forward_equals_unparked_chain(seed, parks):
     assert _forward_chain(toy, [table] * 25, starts, alive)[1] == parks
 
 
-def test_three_dimensional_forward_on_extended_tables_equals_the_chain(rng):
+def test_three_dimensional_forward_on_chain_tables_equals_the_chain(rng):
     # the 3-D interpolating problem under two tables the chain yielded, from
     # nodes and off-node starts: the forward chain equals per-entry
     # apply_policy calls to the end
@@ -889,6 +886,269 @@ def test_three_dimensional_forward_on_extended_tables_equals_the_chain(rng):
     tables = [stages[-2]] * 5 + [stages[-1]] * 15
     kinds, _ = _forward_chain(case, tables, starts, alive)
     assert kinds[-1][3] > 0  # entries still stepping at the last call
+
+
+# -- certified action elimination: rows evaluated at their policy alone ------
+
+
+def _chain_work(engine, steps, chain=None):
+    """The first ``steps`` stages of ``chain`` (a fresh ``engine.chain()`` by
+    default) and, per stage whose backward step ran, a record of it: the
+    rows the row skip did not copy, those evaluated at their policy control
+    alone, the pairs evaluated, and the margin test's inputs."""
+    work = []
+    chain = engine.chain() if chain is None else chain
+
+    def backward(self, prev_cost, since=None):
+        table = DpEngine.backward(self, prev_cost, since=since)
+        prev = np.zeros(self.nx) if prev_cost is None else prev_cost
+        scale = np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0)
+        work[-1] = SimpleNamespace(
+            rows=since.rows.copy(),
+            certified=since.certified.copy(),
+            pairs=since.pairs,
+            margin=since.margin.copy(),
+            prev=np.array(prev, dtype=float),
+            bound=self._slack[2] * scale + self._slack[3],
+        )
+        return table
+
+    stages = []
+    with mock.patch.object(engine, "backward", backward.__get__(engine)):
+        for _ in range(steps):
+            work.append(None)
+            stages.append(next(chain))
+    return stages, work
+
+
+def _certified_pairs(work):
+    return sum(w.certified.size for w in work if w is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=_SEEDS,
+    settles=st.booleans(),
+    threads=st.sampled_from([1, 2]),
+    seam=st.integers(0, 5),
+)
+def test_eliminating_chain_equals_step_chain_and_enumeration(seed, settles, threads, seam):
+    # lattice toys chained six times past their row count, long enough for
+    # rows to be certified: every stage equals the full-step chain, and
+    # the first six the brute-force optimum, at every block seam
+    rng = np.random.default_rng(seed)
+    toy = fixpoint_lattice_toy(rng, (int(rng.integers(2, 13)),), int(rng.integers(2, 5)), settles)
+    nx, nu = toy.xgrid.size, toy.ugrid.size
+    steps = 6 * (nx + 1)
+    full = _chain(DpEngine(toy.problem, toy.xgrid, toy.ugrid), steps)
+    with mock.patch.object(dp, "BLOCK_PAIRS", _seam_blocks(nx, nu)[seam]):
+        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads)
+        stages, work = _chain_work(engine, steps)
+    assert _same_tables(stages, full)
+    for h, table in zip(range(1, 7), stages):
+        want_cost, want_first = enumerate_optimal(toy, h)
+        np.testing.assert_array_equal(table.cost, want_cost)
+        np.testing.assert_array_equal(table.policy, want_first)
+    for w in filter(None, work):
+        assert set(w.certified.tolist()) <= set(w.rows.tolist())
+        assert w.pairs == (w.rows.size - w.certified.size) * nu + w.certified.size or (
+            w.pairs < w.rows.size * nu  # certified rows without a finite value
+        )
+
+
+def test_elimination_spends_a_margin_when_the_argmin_switches_late():
+    # node 3 may step to node 0, whose cost grows by 1 per stage, or to node
+    # 2, which pays 10 once: control 0 wins until stage 10, ties at 11 and
+    # loses from 12.  The gap of 9 formed at stage 2 shrinks by the span 1
+    # per stage, so the row runs at its policy alone over stages 3..10 and
+    # reruns the full kernel at 11, when its margin is spent (and again
+    # whenever the growing gap it then gets is spent).
+    toy = lattice_problem(
+        xshape=(4,),
+        ushape=(2,),
+        next_index=[[0, -1], [1, -1], [1, -1], [0, 2]],
+        cost=[[1.0, 0.0], [0.0, 0.0], [10.0, 0.0], [0.0, 0.0]],
+        admissible=[[True, False], [True, False], [True, False], [True, True]],
+    )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages, work = _chain_work(engine, 30)
+    assert _same_tables(stages, _chain(engine, 30))
+    assert [int(t.policy[3]) for t in stages] == [0] * 11 + [1] * 19
+    alone = [k for k, w in enumerate(work, start=1) if 3 in w.certified]
+    assert alone[:9] == list(range(3, 11)) + [14]  # 11 tied: no margin at 12
+    assert 3 in work[10].rows and work[10].pairs == 1 + 2  # node 0 alone, row 3 in full
+
+
+def test_elimination_reruns_the_kernel_when_a_node_turns_infinite():
+    # node 10 steps to node 0 (pay 5, then 2**-10 per stage) or into the
+    # chain 1 -> 2 -> ... -> 8 -> trap 9 (free, but infeasible past 9
+    # steps).  The free control is certified with margin about 5 while the
+    # span is 2**-10 per stage; at stage 10 node 1 turns infinite, the span
+    # is +inf and the row reruns the full kernel and switches.
+    n = 8
+    nxt = [[0, -1]] + [[i + 1, -1] for i in range(1, n + 1)] + [[-1, -1], [0, 1]]
+    cost = [[2.0**-10, 0.0]] + [[0.0, 0.0]] * n + [[0.0, 0.0], [5.0, 0.0]]
+    admissible = [[True, False]] * (n + 1) + [[False, False], [True, True]]
+    toy = lattice_problem((n + 3,), (2,), nxt, cost, admissible)
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    d = n + 2
+    stages, work = _chain_work(engine, 40)
+    assert _same_tables(stages, _chain(engine, 40))
+    for h in range(1, n + 4):
+        want_cost, want_first = enumerate_optimal(toy, h)
+        np.testing.assert_array_equal(stages[h - 1].cost, want_cost)
+        np.testing.assert_array_equal(stages[h - 1].policy, want_first)
+    assert [int(t.policy[d]) for t in stages[: n + 3]] == [1] * (n + 1) + [0] * 2
+    alone = [k for k, w in enumerate(work, start=1) if w is not None and d in w.certified]
+    assert alone[: n] == list(range(2, n + 2))
+    assert d in work[n + 1].rows and d not in work[n + 1].certified  # stage n + 2
+
+
+def _drifting_weights_engine(delta):
+    """Node 0 pays 1 per stage; node 1 steps to node 0 through control 0,
+    or through control 1 at stage cost 2**-14 with its weight set to
+    ``1 - delta``.  For ``delta = 2**-20`` control 1 catches up by
+    ``delta`` per stage, ties at stage 65 and wins from stage 66, while the
+    span of node 1's stencil stays 0 up to rounding."""
+    toy = lattice_problem(
+        xshape=(2,),
+        ushape=(2,),
+        next_index=[[0, -1], [0, 0]],
+        cost=[[1.0, 0.0], [0.0, 2.0**-14]],
+        admissible=[[True, False], [True, True]],
+    )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    assert engine._w[:, 3].tolist() == [1.0, 0.0]
+    engine._w[0, 3] = 1.0 - delta
+    engine._build_row_index()  # measures the weight sums again
+    return engine
+
+
+def test_elimination_allows_for_weights_that_do_not_sum_to_one(monkeypatch):
+    delta = 2.0**-20
+    engine = _drifting_weights_engine(delta)
+    assert engine._weight_error >= delta
+    full = _chain(engine, 80)
+    assert [int(t.policy[1]) for t in full[63:67]] == [0, 0, 1, 1]
+    stages, work = _chain_work(engine, 80)
+    assert _same_tables(stages, full)
+    assert _certified_pairs(work) > 0
+    # the same bound without its weight-sum term keeps control 0 too long
+    monkeypatch.setattr(engine, "_slack", dp._rounding_slack(2, 0.0))
+    stages, _ = _chain_work(engine, 80)
+    assert not _same_tables(stages, full)
+    assert int(stages[70].policy[1]) == 0
+
+
+def test_weight_error_bounds_exact_weight_sums(rng):
+    # the exact sum of each admissible pair's stored weights (as fractions)
+    # lies within _weight_error of 1, on 2-D and 3-D interpolating grids
+    for problem, xg, ug in (_small_pendulum(), _interpolating_pendulum(), _three_axis_problem()):
+        engine = DpEngine(problem, xg, ug)
+        pairs = np.flatnonzero(engine._base != engine.nx)
+        for p in rng.choice(pairs, size=min(400, pairs.size), replace=False):
+            exact = sum(Fraction(float(w)) for w in engine._w[:, p])
+            assert abs(exact - 1) <= Fraction(engine._weight_error)
+        assert engine._weight_error < 2.0**-40
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_certified_rows_keep_every_other_control_above_their_margin(threads):
+    # at every stage of a 300-stage interpolating chain, each row evaluated
+    # at its policy alone has a strict argmin at its policy among its full
+    # values, by at least what its margin above the stage's bound certifies
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug, threads=threads)
+    stages, work = _chain_work(engine, 300)
+    assert _same_tables(stages, _chain(engine, 300))
+    checked = 0
+    val, tmp = engine._work_buffers(engine.nx)
+    for k, w in enumerate(work, start=1):
+        if w is None or not w.certified.size:
+            continue
+        caug = np.zeros(engine.nx + 1 + int(xg._corner_offsets[-1]))
+        caug[: engine.nx] = w.prev
+        v = engine._values(caug, w.certified, val, tmp).copy()
+        at = np.arange(w.certified.size)
+        s = stages[k - 1].policy[w.certified]
+        mine = v[at, s]
+        v[at, s] = np.inf
+        gap = v.min(axis=1) - mine
+        certified = w.margin[w.certified] - w.bound
+        assert (certified > 0).all(), k
+        assert (gap >= certified * (1 - 1e-9)).all(), k
+        checked += w.certified.size
+    assert checked > 10 * xg.size, checked
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_elimination_block_seams_and_threads(threads, monkeypatch):
+    # a chain long enough for most rows to be certified gives the
+    # full-step chain's bytes at every block seam, gathering full rows,
+    # running dense blocks whole and evaluating certified rows alone; on
+    # the 3-D proof bed as well
+    for problem, xg, ug, steps in (
+        _small_pendulum() + (120,),
+        _three_axis_problem() + (30,),
+    ):
+        full = _chain(DpEngine(problem, xg, ug), steps)
+        for block in _seam_blocks(xg.size, ug.size):
+            monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+            engine = DpEngine(problem, xg, ug, threads=threads)
+            stages, work = _chain_work(engine, steps)
+            assert _same_tables(stages, full), block
+            assert _certified_pairs(work) > 0, block
+
+
+def test_elimination_with_more_threads_than_cores():
+    # four row-chunk threads on at most two CPUs, switching every
+    # microsecond: the pieces each thread hands back are neither lost nor
+    # mixed, so the chain keeps the full-step chain's bytes
+    problem, xg, ug = _small_pendulum()
+    full = _chain(DpEngine(problem, xg, ug), 120)
+    engine = DpEngine(problem, xg, ug)
+    engine.threads = 4  # past the cap that the constructor applies
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stages, work = _chain_work(engine, 120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(engine._row_chunks()) == 4
+    assert _same_tables(stages, full)
+    assert _certified_pairs(work) > 0
+
+
+@pytest.fixture(scope="module")
+def coarse_config_engine():
+    cfg = gp.load_config(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_min_time_coarse.cfg")
+    )
+    return cfg.build_problem(), cfg.state_grid(), cfg.control_grid()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_long_coarse_chain_evaluates_few_pairs_once_its_policy_settles(
+    coarse_config_engine, threads
+):
+    # the coarse pendulum config to its fixpoint (stage 294): bitwise the
+    # full-step chain, and once the policy has stopped changing the chain
+    # evaluates under 2% of the pairs of a full step per stage, and under
+    # 0.5% over the rest of the chain (not a fallback to full steps)
+    problem, xg, ug = coarse_config_engine
+    engine = DpEngine(problem, xg, ug, threads=threads)
+    full = _chain(engine, 300)
+    stages, work = _chain_work(engine, 300)
+    assert _same_tables(stages, full)
+    fixpoint = next(k for k in range(1, 300) if full[k].cost.tobytes() == full[k - 1].cost.tobytes())
+    settled = 1 + max(
+        k for k in range(1, 300) if full[k].policy.tobytes() != full[k - 1].policy.tobytes()
+    )
+    assert settled < 60 and fixpoint > 250
+    pairs = engine.nx * engine.nu
+    tail = [w.pairs for w in work[settled + 10 : fixpoint] if w is not None]
+    assert max(tail) < 0.02 * pairs
+    assert sum(tail) < 0.005 * pairs * len(tail)
 
 
 def _snap_problem():
