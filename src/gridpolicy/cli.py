@@ -445,10 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=_thread_count,
             default=1,
             help=(
-                "worker threads for the backward kernel (0 = all usable CPUs); "
-                "never changes the results.  Default 1: on a 2-CPU host two "
-                "threads ran a backward step at 0.56-1.35x the speed of one, "
-                "since each block's short numpy calls pass the GIL back and forth"
+                "worker threads for the backward kernel (0 = all usable CPUs; "
+                "default 1); never changes the results"
             ),
         )
         p.add_argument(

@@ -83,7 +83,7 @@ _SCALAR_KEYS = {
     "problem.sample_time": _finite,
     "problem.substeps": int,
     "problem.theta_ref": _finite,
-    "problem.torque_limit": _finite,
+    "problem.torque_limit": _check(_finite, lambda v: v >= 0.0, "must be nonnegative"),
     "solver.eps_mu": _positive_floats,
     "solver.eps_x": _positive_floats,
     "solver.n_init": int,
@@ -237,6 +237,12 @@ def parse_config(text: str) -> RunConfig:
     if len(control_axes) != 1:
         raise ConfigError(
             f"pendulum problems need exactly 1 control axis, got {len(control_axes)}"
+        )
+    lo, hi = state_axes[0].lo, state_axes[0].hi
+    if theta_ref is not None and not lo < theta_ref < hi:
+        raise ConfigError(
+            f"'problem.theta_ref' must lie strictly inside the state.0 bounds "
+            f"({lo}, {hi}), got {theta_ref}"
         )
 
     def _eps(key: str, dims: int):

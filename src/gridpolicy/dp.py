@@ -54,9 +54,10 @@ nodes its pairs read with positive weight (``base + off_c`` where
 engine's fixed weights and stage costs and the cost bits at those nodes, so
 when none of them changed between the last two cost fields of a backward
 chain, the row's new cost and argmin (tie-break included) are bitwise those
-of the previous stage.  :meth:`DpEngine.chain` uses this to run the kernel
-only over the runs of rows with a changed input and to copy the others
-(prioritized sweeping, made exact).
+of the previous stage.  :meth:`DpEngine.chain` uses this to copy the rows
+without a changed input (prioritized sweeping, made exact): a block of rows
+in which at least half of the rows need the kernel runs it whole, and the
+rows that need it in other blocks are gathered.
 
 A chain also eliminates controls (MacQueen 1967, Hastings 1976): a row
 whose minimum is attained by a single control keeps a *margin*, a proven
@@ -182,8 +183,8 @@ class _ChainState:
     ``cost`` and ``policy`` are private copies of that stage.  ``margin``
     holds each state row's certificate for its policy control (-inf: none).
     ``rows``, ``certified`` and ``pairs`` record the last step's work: the
-    rows the row skip did not copy, those of them evaluated at their policy
-    control alone, and the number of pairs whose values it formed.
+    rows it did not copy, those of them evaluated at their policy control
+    alone, and the number of pairs whose values it formed.
     """
 
     margin: np.ndarray
@@ -207,15 +208,21 @@ def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     """
     pairs = nx * nu
     row_maps = nx * (2**ndim * nu + 1) * 4 + 2 * (nx + 1) * 8
-    block_pairs = min(max(1, BLOCK_PAIRS // nu), nx) * nu
+    block_pairs = min(_block_rows(nu), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
     return pairs * (8 * 2**ndim + 20) + row_maps + temps
 
 
+def _block_rows(nu: int) -> int:
+    """State rows of ``nu`` pairs per block of about :data:`BLOCK_PAIRS`
+    pairs (at least one)."""
+    return max(1, BLOCK_PAIRS // nu)
+
+
 def _row_blocks(r0: int, r1: int, nu: int) -> list[tuple[int, int]]:
-    """State rows ``[r0, r1)`` of ``nu`` pairs each, cut into blocks of about
-    :data:`BLOCK_PAIRS` pairs (at least one row)."""
-    rows = max(1, BLOCK_PAIRS // nu)
+    """State rows ``[r0, r1)`` of ``nu`` pairs each, cut into blocks of
+    :func:`_block_rows` rows."""
+    rows = _block_rows(nu)
     return [(b0, min(b0 + rows, r1)) for b0 in range(r0, r1, rows)]
 
 
@@ -473,7 +480,7 @@ class DpEngine:
 
     def _work_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Two float buffers for the largest block of ``rows`` state rows."""
-        size = min(max(1, BLOCK_PAIRS // self.nu), rows) * self.nu
+        size = min(_block_rows(self.nu), rows) * self.nu
         return np.empty(size, dtype=float), np.empty(size, dtype=float)
 
     def _values(
@@ -551,7 +558,6 @@ class DpEngine:
         """:meth:`backward` on :meth:`chain`'s state (see there)."""
         nx, nu = self.nx, self.nu
         prev = caug[:nx]
-        rows_per_block = max(1, BLOCK_PAIRS // nu)
         scale = float(np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0))
         if state.source is None:
             dirty = np.ones(nx, dtype=bool)
@@ -566,54 +572,37 @@ class DpEngine:
             certified = self._spend_margins(prev, state, changed, dirty, scale)
             cost, policy = state.cost.copy(), state.policy.copy()
         full_rows = np.flatnonzero(dirty & ~certified)
-        certified_rows = np.flatnonzero(certified)
-        edges = np.flatnonzero(np.diff(dirty, prepend=False, append=False))
-        run_starts, run_ends = edges[::2], edges[1::2]
-        pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         alone: list[np.ndarray] = []  # rows evaluated at their policy control
 
         def step_rows(r0: int, r1: int) -> None:
             val, tmp = self._work_buffers(r1 - r0)
-            blocks = _row_blocks(r0, r1, nu)
-            full = _within(full_rows, r0, r1)
-            # A block in which at least half a block of rows need the full
-            # kernel runs it over all its dirty rows, as slices: gathering
-            # stencil rows costs about twice as much per row, and a kernel
-            # call per short run of them costs more than the rows.  A full
-            # evaluation is any row's exact result, so the certified rows
-            # among them just get fresh margins.  The remaining rows that
-            # need the full kernel are gathered into blocks.
-            dense = np.bincount((full - r0) // rows_per_block, minlength=len(blocks))
-            dense = 2 * dense >= rows_per_block
-            for b0, b1 in (blocks[i] for i in np.flatnonzero(dense)):
-                i0 = np.searchsorted(run_ends, b0, side="right")
-                i1 = np.searchsorted(run_starts, b1, side="left")
-                a = np.maximum(run_starts[i0:i1], b0)
-                b = np.minimum(run_ends[i0:i1], b1)
-                at = 0  # the runs' values go one after another into val
-                for a0, a1 in zip(a.tolist(), b.tolist()):
-                    self._values(caug, slice(a0, a1), val[at:], tmp)
-                    at += (a1 - a0) * nu
-                v = val[:at].reshape(-1, nu)
-                pieces.append(self._certify(v, _ranges(a, b), cost, policy))
-            sparse = full[~dense[(full - r0) // rows_per_block]]
-            for i in range(0, sparse.size, rows_per_block):
-                rows = sparse[i : i + rows_per_block]
-                v = self._values(caug, rows, val, tmp)
-                pieces.append(self._certify(v, rows, cost, policy))
-            rows = _within(certified_rows, r0, r1)
-            rows = rows[~dense[(rows - r0) // rows_per_block]]
+            gathered = [full_rows[:0]]  # never empty, for np.concatenate
+            for b0, b1 in _row_blocks(r0, r1, nu):
+                rows = _within(full_rows, b0, b1)
+                if 2 * rows.size < b1 - b0:
+                    gathered.append(rows)
+                    continue
+                # At least half of the block's rows need the full kernel, so
+                # it runs over the whole block as slices: gathering stencil
+                # rows costs about twice as much per row.  The block's other
+                # rows get their own bits again, and a fresh margin.
+                v = self._values(caug, slice(b0, b1), val, tmp)
+                self._certify(v, slice(b0, b1), cost, policy, state.margin, scale)
+                dirty[b0:b1] = True  # dirty: the rows not copied
+                certified[b0:b1] = False  # certified: the rows run alone
+            rows = np.concatenate(gathered)
+            step = _block_rows(nu)
+            for i in range(0, rows.size, step):
+                part = rows[i : i + step]
+                v = self._values(caug, part, val, tmp)
+                self._certify(v, part, cost, policy, state.margin, scale)
+            rows = np.flatnonzero(certified[r0:r1]) + r0
             alone.append(self._certified_values(caug, rows, cost, policy))
 
         self._run_chunks(step_rows)
-        if pieces:
-            rows, best, second = (np.concatenate(a) for a in zip(*pieces))
-            state.margin[rows] = self._fresh_margins(best, second, scale)
-        else:
-            rows = full_rows[:0]
         state.rows = np.flatnonzero(dirty)
         state.certified = np.sort(np.concatenate(alone))
-        state.pairs = rows.size * nu + state.certified.size
+        state.pairs = (state.rows.size - np.count_nonzero(certified)) * nu + state.certified.size
         state.source, state.cost, state.policy = prev, cost.copy(), policy.copy()
         return StageTable(cost=cost, policy=policy)
 
@@ -682,14 +671,21 @@ class DpEngine:
     def _certify(
         self,
         v: np.ndarray,
-        rows: np.ndarray,
+        rows: slice | np.ndarray,
         cost: np.ndarray,
         policy: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Minimum and argmin of the full values ``v`` of ``rows``, written
-        to ``cost`` and ``policy``; returns ``rows``, their minima and the
-        values left once the argmin is taken out (:meth:`_fresh_margins`).
-        ``v`` is overwritten."""
+        margin: np.ndarray,
+        scale: float,
+    ) -> None:
+        """Minimum, argmin and fresh margin of the full values ``v`` of
+        ``rows``, written to ``cost``, ``policy`` and ``margin``; ``scale``
+        is the stage's ``B``.  ``v`` is overwritten.
+
+        A row whose minimum is attained once gets the fresh margin of its
+        second smallest value; a row without a finite value gets +inf (it
+        stays infeasible until a node turns finite); a tied or NaN minimum
+        gets none (-inf).
+        """
         nu = v.shape[1]
         arg = v.argmin(axis=1)
         at = np.arange(0, v.size, nu) + arg
@@ -700,21 +696,10 @@ class DpEngine:
         arg[~np.isfinite(best)] = INFEASIBLE
         cost[rows] = best
         policy[rows] = arg
-        return rows, best, second
-
-    def _fresh_margins(self, best: np.ndarray, second: np.ndarray, scale: float) -> np.ndarray:
-        """The margins of rows evaluated in full, from their minima and
-        second smallest values.
-
-        A row whose minimum is attained once gets the fresh margin of its
-        second smallest value; a row without a finite value gets +inf (it
-        stays infeasible until a node turns finite); a tied or NaN minimum
-        gets none (-inf).
-        """
-        margin = np.where(best == np.inf, np.inf, -np.inf)
+        fresh = np.where(best == np.inf, np.inf, -np.inf)
         unique = np.isfinite(best) & (second > best)
-        margin[unique] = self._gap_bound(best[unique], second[unique], scale)
-        return margin
+        fresh[unique] = self._gap_bound(best[unique], second[unique], scale)
+        margin[rows] = fresh
 
     def _certified_values(
         self, caug: np.ndarray, rows: np.ndarray, cost: np.ndarray, policy: np.ndarray
@@ -741,7 +726,7 @@ class DpEngine:
           weights and stage costs and the cost bits at the row's stencil
           nodes.  The chain keeps private copies of the cost and policy it
           yielded last and of the cost field they were computed from, and
-          :meth:`backward` copies every row none of whose stencil nodes
+          :meth:`backward` may copy every row none of whose stencil nodes
           changed bit for bit between those two fields (cost and argmin,
           tie-break included).  Being copies, the kept arrays cannot be
           changed from outside, so the rule is exact whatever the caller
@@ -761,10 +746,12 @@ class DpEngine:
           full kernel, which forms a fresh margin, once its margin is
           spent, and whenever its minimum is tied (no margin separates a
           tie); a row with no finite value keeps margin +inf and cost
-          +inf until a node it reads turns finite.  Rows that need the
-          full kernel are gathered into blocks of about
-          :data:`BLOCK_PAIRS` pairs; a block in which half of the rows
-          need it runs whole over its runs of changed rows.
+          +inf until a node it reads turns finite.  A block of rows
+          (about :data:`BLOCK_PAIRS` pairs) in which at least half of the
+          rows need the full kernel runs it over every row of the block:
+          the unchanged rows get the bits a copy would hold and every row
+          a fresh margin.  The rows that need it in other blocks are
+          gathered into blocks of the same size.
         * Stages.  Once a stage's cost is bitwise equal to the one before it
           (the zero terminal field before stage 1), the cost field has
           reached its fixpoint: every later stage is that same table object,
@@ -800,15 +787,13 @@ class DpEngine:
         A stage is computed only when it is pulled.
         """
         state = _ChainState(margin=np.full(self.nx, -np.inf))
-        prev = None
         while True:
-            table = self.backward(prev, since=state)
+            table = self.backward(state.cost, since=state)
             table.cost.flags.writeable = False
             table.policy.flags.writeable = False
             yield table
             if _same_bits(state.cost, state.source):
                 yield from itertools.repeat(table)
-            prev = state.cost
 
     # -- forward ensemble step ---------------------------------------------------
 

@@ -165,6 +165,10 @@ class _Box:
     theta_bounds: tuple[float, float]
     omega_bounds: tuple[float, float]
 
+    def __post_init__(self) -> None:
+        if not self.torque_limit >= 0.0:  # NaN fails too
+            raise ValueError(f"torque_limit must be nonnegative, got {self.torque_limit}")
+
     def __call__(self, x: Array, u: Array) -> Array:
         x = np.asarray(x, dtype=float)
         tq = np.asarray(u, dtype=float)[..., 0]

@@ -536,6 +536,31 @@ def test_bad_flag_values_exit_1(tmp_path, capsys, argv, line):
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "config, old, new",
+    [
+        ("pendulum_avg_angle_sweep.cfg", "problem.theta_ref = 0.2", "problem.theta_ref = 5.0"),
+        (
+            "pendulum_min_time_coarse.cfg",
+            "problem.substeps = 10",
+            "problem.substeps = 10\nproblem.torque_limit = -1.0",
+        ),
+    ],
+    ids=["theta_ref-outside-the-state-box", "torque_limit-negative"],
+)
+def test_out_of_range_problem_values_exit_1(tmp_path, capsys, config, old, new):
+    text = (CONFIGS / config).read_text(encoding="utf-8")
+    assert old in text
+    cfg = tmp_path / config
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = new.splitlines()[-1].split(" = ")[0]
+    assert err.startswith("config error: ") and repr(key) in err, err
+    assert "Traceback" not in err, err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1

@@ -149,6 +149,15 @@ def test_comments_and_whitespace():
         (lambda t: t + "sweep.trajectory_horizon = 0\n", "trajectory_horizon"),
         (lambda t: t + "equilibrium.tolerance = 0\n", "tolerance"),
         (lambda t: t + "problem.mass = -1\n", "mass"),
+        (lambda t: t + "problem.torque_limit = -1.0\n", "'problem.torque_limit'.*nonnegative"),
+        (
+            lambda t: t.replace("problem.theta_ref = 0.5", "problem.theta_ref = 5.0"),
+            "'problem.theta_ref' must lie strictly inside",
+        ),
+        (
+            lambda t: t.replace("problem.theta_ref = 0.5", "problem.theta_ref = -1.0"),
+            "'problem.theta_ref' must lie strictly inside",
+        ),
         (
             lambda t: t.replace("state.0.spacing = 0.02", "state.0.spacing = -0.02"),
             "spacing",

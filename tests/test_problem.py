@@ -204,6 +204,17 @@ def test_avg_angle_construction():
         builtin_avg_angle_pendulum(-1.2)
 
 
+@pytest.mark.parametrize("limit", [-1.0, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [builtin_min_time_pendulum, lambda **kw: builtin_avg_angle_pendulum(0.5, **kw)],
+    ids=["min_time", "avg_angle"],
+)
+def test_builtin_problems_reject_a_bad_torque_limit(build, limit):
+    with pytest.raises(ValueError, match="torque_limit"):
+        build(torque_limit=limit)
+
+
 def test_lambda_stationarity():
     # c_eq(th) = sin(th)^2 + lam*th has a stationary minimum at theta_ref
     theta_ref = 0.5
