@@ -27,6 +27,7 @@ from .problem import (
     relaxed_cost,
 )
 from .reference import (
+    PolicyRuns,
     RolloutTrace,
     finite_horizon_policies,
     horizon_sweep,
@@ -61,6 +62,7 @@ __all__ = [
     "InfeasibleRolloutError",
     "NoEquilibriumError",
     "PendulumParams",
+    "PolicyRuns",
     "ProblemDef",
     "RolloutTrace",
     "RunConfig",

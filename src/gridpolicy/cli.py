@@ -352,7 +352,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     trace_sol = rollout_stationary(
         problem, xg, ug, report.first_stage_policy, x0, window
     )
-    policies = finite_horizon_policies(problem, xg, ug, window, engine=engine)
+    policies = finite_horizon_policies(
+        problem, xg, ug, window, engine=engine, stages=report.stages
+    )
     trace_ref = rollout_time_varying(problem, xg, ug, policies, x0)
     if trace_sol.reason is not None or trace_ref.reason is not None:
         print(

@@ -839,7 +839,7 @@ class DpEngine:
         active = np.flatnonzero(ensemble.feasible & ~parked)
         x = np.take(ensemble.states, active, axis=0)
         if active.size:
-            reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table, x)
+            reason, u, xn = apply_policy(self.problem, self.xgrid, self.ugrid, table.policy, x)
             ok = reason == 0
             if not ok.all():
                 ensemble.feasible[active[~ok]] = False
@@ -991,16 +991,19 @@ def apply_policy(
     problem: ProblemDef,
     xgrid: CartesianGrid,
     ugrid: CartesianGrid,
-    table: StageTable,
+    policy: np.ndarray,
     x: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One closed-loop step under ``table`` from every state in ``x``.
+    """One closed-loop step under ``policy`` from every state in ``x``.
 
-    ``x`` has shape ``(..., state_dim)``; pass a single state as
-    ``(state_dim,)``.  A state fails at the first of these checks: its
-    policy interpolation stencil leaves the grid or touches an infeasible
-    node with positive weight, the interpolated control violates an
-    inequality component, or the successor state leaves the grid box.
+    ``policy`` is a flat integer array of one control-node index per state
+    node, -1 where none (a :class:`StageTable`'s ``policy``); any other
+    shape or dtype raises :class:`ValueError`.  ``x`` has shape
+    ``(..., state_dim)``; pass a single state as ``(state_dim,)``.  A state
+    fails at the first of these checks: its policy interpolation stencil
+    leaves the grid or touches an infeasible node with positive weight, the
+    interpolated control violates an inequality component, or the
+    successor state leaves the grid box.
 
     Returns:
         ``(reason, u, x_next)``.  ``reason`` is an int8 array of the batch
@@ -1011,10 +1014,16 @@ def apply_policy(
         ``x_next`` may be the very array ``problem.dynamics`` returned,
         unless that array shares memory with ``x`` or ``u``.
     """
+    policy = np.asarray(policy)
+    if policy.shape != (xgrid.size,) or policy.dtype.kind not in "iu":
+        raise ValueError(
+            f"policy must be an integer array of shape ({xgrid.size},), "
+            f"got {policy.dtype} of shape {policy.shape}"
+        )
     x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
     idx, w, inside = xgrid.locate_cells(x.reshape(-1, xgrid.ndim))
-    pol = table.policy[idx]
+    pol = policy[idx]
     undefined = ~inside | _any_rows((pol == INFEASIBLE) & (w > 0.0))
     reason = undefined.astype(np.int8)  # codes index STEP_REASONS
     # Zero-weight corners may carry the -1 marker; their contribution is

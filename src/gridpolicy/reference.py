@@ -1,11 +1,15 @@
 """Finite-horizon reference policies, rollouts, and horizon sweeps.
 
-The reference solution to an ``N``-step problem is the full time-varying
-policy sequence from the backward recursion: stage ``k`` of the forward
-pass uses the table computed ``N - k`` steps from the end.  Rolling that
-sequence out is the exact (up to interpolation) finite-horizon optimum and
-serves as the comparison baseline for the stationary policy produced by the
-growing-horizon solver.
+The reference solution to a ``W``-step problem is the full time-varying
+policy sequence from the backward recursion: step ``k`` of the forward
+pass applies the policy of the stage with ``W - k`` steps to go.  Rolling
+that sequence out is the exact (up to interpolation) finite-horizon optimum
+and serves as the comparison baseline for the stationary policy produced by
+the growing-horizon solver.  The rollout reads nothing of a stage but its
+policy, so the reference keeps the policies alone: one read-only array per
+run of consecutive stages whose policies are bitwise equal
+(:class:`PolicyRuns`).  A solve's record of its stages 1..N is handed on
+explicitly, so the reference computes only the stages past ``N``.
 
 A *horizon sweep* evaluates how the mean per-step relaxed cost of closed
 loop trajectories -- same fixed trajectory length for every entry -- varies
@@ -60,45 +64,105 @@ class RolloutTrace:
         return self.controls.shape[0]
 
 
+class PolicyRuns:
+    """One :meth:`DpEngine.chain` pulled stage by stage, with the policy of
+    every stage pulled so far kept as runs.
+
+    Iterating yields the chain's read-only tables, stage 1 first.  Of each
+    stage only its policy array is kept, and only once per run of
+    consecutive stages whose policies are bitwise equal: the record of
+    ``count`` stages holds one grid-sized int64 array per run, plus the
+    chain's own grid-sized copies.  :func:`~gridpolicy.solver.solve` pulls
+    its stages through one and returns it as ``SolveReport.stages``;
+    :func:`finite_horizon_policies` given it reads the stages already pulled
+    from the record and pulls only the ones past them.  The record and the
+    chain are this object's, not the engine's, so it may be handed on,
+    reused and extended.
+    """
+
+    def __init__(self, engine: DpEngine):
+        self.engine = engine
+        self.count = 0  # stages pulled
+        self._chain = engine.chain()
+        self._runs: list[list] = []  # [policy, stages in the run], stage 1's first
+
+    def __iter__(self) -> PolicyRuns:
+        return self
+
+    def __next__(self) -> StageTable:
+        table = next(self._chain)
+        runs, policy = self._runs, table.policy
+        if runs and (runs[-1][0] is policy or np.array_equal(runs[-1][0], policy)):
+            runs[-1][1] += 1
+        else:
+            runs.append([policy, 1])
+        self.count += 1
+        return table
+
+    def policies(self, horizon: int) -> list[np.ndarray]:
+        """The policies of stages ``horizon, horizon - 1, ..., 1`` (forward
+        time order), pulling the stages past ``count`` first.  Equal
+        consecutive entries are one array object."""
+        for _ in range(horizon - self.count):
+            next(self)
+        out: list[np.ndarray] = []
+        for policy, length in self._runs:
+            out += [policy] * min(length, horizon - len(out))
+            if len(out) == horizon:
+                break
+        out.reverse()
+        return out
+
+
 def finite_horizon_policies(
     problem: ProblemDef,
     xgrid: CartesianGrid,
     ugrid: CartesianGrid,
     horizon: int,
     engine: DpEngine | None = None,
-) -> list[StageTable]:
+    stages: PolicyRuns | None = None,
+) -> list[np.ndarray]:
     """Optimal time-varying policies for the ``horizon``-step problem.
 
     ``engine`` is as in :func:`~gridpolicy.solver.solve`: built for exactly
     these arguments, else :class:`ValueError`; None builds a one-thread one.
+    ``stages`` continues a record instead of starting a fresh chain, such as
+    a solve's ``SolveReport.stages``: its stages are reused and only the
+    ones past them are computed, and it is extended in place.  It must
+    come from ``engine`` (or, with ``engine`` None, from an engine built for
+    these arguments), else :class:`ValueError`.  The result is bitwise the
+    same either way.
 
     Returns:
-        Tables in forward time order: entry ``k`` is the policy to apply at
-        step ``k`` (i.e. the table with ``horizon - k`` steps to go).  The
-        stages past the cost fixpoint (see :meth:`DpEngine.chain`) are one
-        shared read-only table.
+        Read-only int64 policy arrays in forward time order: entry ``k`` is
+        the policy to apply at step ``k``, that of the stage with
+        ``horizon - k`` steps to go.  Consecutive entries whose policies are
+        bitwise equal are one array object.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    engine = _engine_for(problem, xgrid, ugrid, engine)
-    stages = list(itertools.islice(engine.chain(), horizon))
-    stages.reverse()
-    return stages
+    if stages is None:
+        stages = PolicyRuns(_engine_for(problem, xgrid, ugrid, engine))
+    elif engine is not None and engine is not stages.engine:
+        raise ValueError("stages were recorded on another engine")
+    else:
+        _engine_for(problem, xgrid, ugrid, stages.engine)
+    return stages.policies(horizon)
 
 
 def _rollout(
     problem: ProblemDef,
     xgrid: CartesianGrid,
     ugrid: CartesianGrid,
-    tables,
+    policies,
     x0: np.ndarray,
 ) -> RolloutTrace:
     x = np.asarray(x0, dtype=float).reshape(xgrid.ndim)
     states = [x]
     controls: list[np.ndarray] = []
     reason = None
-    for k, table in enumerate(tables):
-        code, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
+    for k, policy in enumerate(policies):
+        code, u, xn = apply_policy(problem, xgrid, ugrid, policy, x)
         if code:
             reason = STEP_REASONS[code]
             if k == 0:
@@ -125,10 +189,13 @@ def rollout_time_varying(
     problem: ProblemDef,
     xgrid: CartesianGrid,
     ugrid: CartesianGrid,
-    policies: list[StageTable],
+    policies: list[np.ndarray],
     x0: np.ndarray,
 ) -> RolloutTrace:
-    """Roll the stage-``k`` policy at step ``k`` starting from ``x0``.
+    """Roll policy ``policies[k]`` at step ``k`` starting from ``x0``.
+
+    ``policies`` holds flat policy arrays, as :func:`finite_horizon_policies`
+    returns them.
 
     Raises:
         InfeasibleRolloutError: if the very first step is infeasible (``x0``
@@ -152,7 +219,7 @@ def rollout_stationary(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    return _rollout(problem, xgrid, ugrid, (table for _ in range(horizon)), x0)
+    return _rollout(problem, xgrid, ugrid, itertools.repeat(table.policy, horizon), x0)
 
 
 def horizon_sweep(

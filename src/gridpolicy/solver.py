@@ -32,7 +32,7 @@ import numpy as np
 from .dp import DpEngine, ForwardEnsemble, StageTable, _engine_for
 from .grid import CartesianGrid
 from .problem import ProblemDef
-from .reference import InfeasibleRolloutError, rollout_stationary
+from .reference import InfeasibleRolloutError, PolicyRuns, rollout_stationary
 
 
 class SolverError(RuntimeError):
@@ -83,7 +83,12 @@ class SolveReport:
     ``status`` is ``"converged"`` or ``"hit_n_max"``; ``terminal_horizon`` is
     the last horizon actually tested.  ``achieved_average`` is the long-run
     mean of the problem's average output under the returned policy (NaN when
-    the evaluation rollout failed; see ``notes``).
+    the evaluation rollout failed; see ``notes``).  ``stages`` is the
+    :class:`~gridpolicy.reference.PolicyRuns` the solve pulled its backward
+    stages through: it holds the policies of stages ``1..terminal_horizon``
+    as runs and the chain past them, and passed to
+    :func:`~gridpolicy.reference.finite_horizon_policies` with the same
+    engine it lets the reference compute only the stages past the solve's.
     """
 
     status: str
@@ -93,6 +98,7 @@ class SolveReport:
     final_ensemble: ForwardEnsemble
     achieved_average: float
     wall_time: float
+    stages: PolicyRuns
     notes: list[str] = field(default_factory=list)
 
 
@@ -240,12 +246,14 @@ def solve(
 ) -> SolveReport:
     """Solve for a stationary grid policy on a growing horizon.
 
-    The backward stages come from one :meth:`DpEngine.chain`: its tables,
-    the returned ``first_stage_policy`` among them, are read-only, and the
-    stages past the cost fixpoint are one shared table.  Only the last
-    table is kept: while the stages ``ceil(N/2)..N`` of a tested horizon
-    ``N`` are produced, each node's range of control coordinates is kept
-    instead, which gives :func:`delta_mu` bit for bit.
+    The backward stages come from one :meth:`DpEngine.chain`, pulled
+    through a :class:`~gridpolicy.reference.PolicyRuns` that the report
+    returns as ``stages``: its tables, the returned ``first_stage_policy``
+    among them, are read-only, and the stages past the cost fixpoint are one
+    shared table.  Only the last table is kept whole, and of the others
+    their policies as runs: while the stages ``ceil(N/2)..N`` of a tested
+    horizon ``N`` are produced, each node's range of control coordinates is
+    kept, which gives :func:`delta_mu` bit for bit.
 
     Args:
         problem: the control problem.
@@ -272,8 +280,7 @@ def solve(
     engine = _engine_for(problem, xgrid, ugrid, engine)
 
     t0 = time.perf_counter()
-    chain = engine.chain()
-    n = 0  # stages produced
+    stages = PolicyRuns(engine)
     metrics: list[ConvergenceMetrics] = []
     target = cfg.n_init
     status = None
@@ -281,13 +288,12 @@ def solve(
 
     while True:
         window = _PolicyWindow(ugrid)
-        j0 = (target + 1) // 2  # ceil(target / 2), never below n as growth >= 2
-        if n == j0:  # growth 2: the window opens at the previous candidate
+        j0 = (target + 1) // 2  # ceil(target / 2), >= stages.count as growth >= 2
+        if stages.count == j0:  # growth 2: the window opens at the previous candidate
             window.add(table.policy)
-        while n < target:
-            table = next(chain)
-            n += 1
-            if n >= j0:
+        while stages.count < target:
+            table = next(stages)
+            if stages.count >= j0:
                 window.add(table.policy)
 
         ensemble = engine.seed_ensemble(table)
@@ -349,5 +355,6 @@ def solve(
         final_ensemble=ensemble,
         achieved_average=avg,
         wall_time=time.perf_counter() - t0,
+        stages=stages,
         notes=notes,
     )

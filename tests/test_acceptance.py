@@ -112,7 +112,12 @@ def test_criterion_2_min_time_cost_parity(min_time_run):
         run.problem, run.xgrid, run.ugrid, run.report.first_stage_policy, x0, window
     )
     policies = finite_horizon_policies(
-        run.problem, run.xgrid, run.ugrid, window, engine=run.engine
+        run.problem,
+        run.xgrid,
+        run.ugrid,
+        window,
+        engine=run.engine,
+        stages=run.report.stages,
     )
     ref = rollout_time_varying(run.problem, run.xgrid, run.ugrid, policies, x0)
 
@@ -135,7 +140,12 @@ def test_criterion_3_avg_angle_tracking(avg_angle_run):
         run.problem, run.xgrid, run.ugrid, run.report.first_stage_policy, x0, window
     )
     policies = finite_horizon_policies(
-        run.problem, run.xgrid, run.ugrid, window, engine=run.engine
+        run.problem,
+        run.xgrid,
+        run.ugrid,
+        window,
+        engine=run.engine,
+        stages=run.report.stages,
     )
     ref = rollout_time_varying(run.problem, run.xgrid, run.ugrid, policies, x0)
 

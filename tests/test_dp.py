@@ -605,14 +605,16 @@ def test_chain_tables_are_read_only():
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     stages = list(itertools.islice(engine.chain(), 4))
     assert stages[-1] is stages[-2]  # past the fixpoint
-    tables = stages + gp.finite_horizon_policies(
-        toy.problem, toy.xgrid, toy.ugrid, 3, engine=engine
-    )
-    for table in tables:
+    for table in stages:
         with pytest.raises(ValueError):
             table.cost[0] = 1.0
         with pytest.raises(ValueError):
             table.policy[0] = 1
+    for policy in gp.finite_horizon_policies(
+        toy.problem, toy.xgrid, toy.ugrid, 3, engine=engine
+    ):
+        with pytest.raises(ValueError):
+            policy[0] = 1
 
 
 # -- row skips: only rows whose stencil inputs changed are recomputed --------
@@ -1322,7 +1324,7 @@ def test_forward_matches_apply_policy(rng):
     starts = ens.states.copy()
     controls = engine.forward(ens, t)
     for i in range(0, xg.size, 7):
-        reason, u, xn = apply_policy(prob, xg, ug, t, starts[i])
+        reason, u, xn = apply_policy(prob, xg, ug, t.policy, starts[i])
         if reason == 0:
             assert ens.feasible[i]
             np.testing.assert_array_equal(controls[i], u)
@@ -1356,7 +1358,7 @@ def test_forward_equals_single_state_steps(seed):
     for i in range(k):
         ok = False
         if alive[i]:
-            reason, u, xn = apply_policy(toy.problem, xg, ug, table, starts[i])
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table.policy, starts[i])
             ok = reason == 0
         assert ens.feasible[i] == ok
         if ok:
@@ -1392,14 +1394,14 @@ def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
     starts = []
     while len(starts) < k:
         x = xg.node_coords()[rng.choice(feasible)] + rng.uniform(0.05, 0.95, 2) * xg.spacings
-        if apply_policy(problem, xg, ug, table, x)[0] == 0:
+        if apply_policy(problem, xg, ug, table.policy, x)[0] == 0:
             starts.append(x)
     starts = np.array(starts)
 
-    reason, u, xn = apply_policy(problem, xg, ug, table, starts)
+    reason, u, xn = apply_policy(problem, xg, ug, table.policy, starts)
     assert not reason.any()
     for i in range(k):
-        _, ui, xi = apply_policy(problem, xg, ug, table, starts[i])
+        _, ui, xi = apply_policy(problem, xg, ug, table.policy, starts[i])
         assert ui.tobytes() == u[i].tobytes(), i
         assert xi.tobytes() == xn[i].tobytes(), i
 
@@ -1411,7 +1413,7 @@ def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
         if step == 0:
             assert ens.stepped.size == k  # every entry stepped
         for i in np.flatnonzero(ok):
-            r, ui, xi = apply_policy(problem, xg, ug, table, x[i])
+            r, ui, xi = apply_policy(problem, xg, ug, table.policy, x[i])
             ok[i] = r == 0
             if ok[i]:
                 assert controls[i].tobytes() == ui.tobytes(), (step, i)
@@ -1483,7 +1485,7 @@ def _forward_chain(toy, tables, starts, alive):
         stepping, before, was_ok = ok & ~still, x.copy(), ok.copy()
         controls = engine.forward(ens, table)
         for i in np.flatnonzero(ok):
-            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table.policy, x[i])
             if reason != 0:
                 ok[i] = False
                 assert np.isnan(controls[i]).all()
@@ -1552,7 +1554,7 @@ def test_forward_calls_with_every_kind_of_entry_equal_the_chain():
         steps_ok = [
             i
             for i in range(xg.size)
-            if apply_policy(toy.problem, xg, ug, table, nodes[i])[0] == 0
+            if apply_policy(toy.problem, xg, ug, table.policy, nodes[i])[0] == 0
         ]
         if len(steps_ok) > 1:
             starts = nodes[steps_ok]
@@ -1583,7 +1585,7 @@ def test_forward_never_parks_under_a_writeable_policy(seed=7):
             table.policy[:] = np.where(table.policy < 0, -1, 0)  # in place
         controls = engine.forward(ens, table)
         for i in np.flatnonzero(ok):
-            reason, u, xn = apply_policy(toy.problem, xg, ug, table, x[i])
+            reason, u, xn = apply_policy(toy.problem, xg, ug, table.policy, x[i])
             ok[i] = reason == 0
             if ok[i]:
                 assert controls[i].tobytes() == u.tobytes(), (step, i)
@@ -1636,7 +1638,7 @@ def test_forward_parks_on_bits_not_values(monkeypatch):
 
     x, unparked = np.array([[0.0], [1.0]]), []
     for _ in range(6):
-        x = np.array([apply_policy(problem, xg, ug, table, xi)[2] for xi in x])
+        x = np.array([apply_policy(problem, xg, ug, table.policy, xi)[2] for xi in x])
         unparked.append(x)
     unparked = np.array(unparked)
     assert np.signbit(unparked[:, 0, 0]).tolist() == [True, False] * 3
@@ -1657,7 +1659,7 @@ def test_apply_policy_statuses():
     table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
 
     def step(problem, xgrid, ugrid, table, x):
-        reason, u, xn = apply_policy(problem, xgrid, ugrid, table, x)
+        reason, u, xn = apply_policy(problem, xgrid, ugrid, table.policy, x)
         assert reason.shape == () and u.shape == (1,) and xn.shape == (1,)
         return STEP_REASONS[reason], u, xn
 
@@ -1693,6 +1695,24 @@ def test_apply_policy_statuses():
     assert st == "left_domain" and not np.isnan(u).any() and np.isnan(xn).all()
 
 
+def test_apply_policy_rejects_a_policy_of_another_shape_or_dtype():
+    toy = _absorbing_toy()
+    policy = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None).policy
+    args = toy.problem, toy.xgrid, toy.ugrid
+    assert apply_policy(*args, policy, [0.0])[0] == 0
+    for bad in (
+        np.append(policy, 0),  # one entry too many would be read silently
+        policy[:-1],
+        policy.reshape(1, -1),
+        policy.astype(float),
+        policy.astype(bool),
+    ):
+        with pytest.raises(ValueError, match="policy must be an integer array"):
+            apply_policy(*args, bad, [0.0])
+    with pytest.raises(ValueError, match="policy must be"):
+        apply_policy(*args, StageTable(np.zeros(4), np.zeros(4, dtype=int)), [0.0])
+
+
 @pytest.mark.parametrize("hand_back", ["x", "u"])
 def test_apply_policy_successors_never_alias_the_states(hand_back):
     # dynamics that hand back an input: when every state steps, the
@@ -1710,7 +1730,7 @@ def test_apply_policy_successors_never_alias_the_states(hand_back):
     ug = CartesianGrid([AxisSpec(0.0, 1.0, 1.0)])
     table = _policy_table(np.zeros(3, dtype=np.int64))
     for x in (np.array([[0.5], [2.0]]), np.array([1.0])):
-        reason, u, xn = apply_policy(problem, xg, ug, table, x)
+        reason, u, xn = apply_policy(problem, xg, ug, table.policy, x)
         want = x if hand_back == "x" else u
         assert not reason.any() and xn.tobytes() == want.tobytes()
         assert not np.shares_memory(xn, x) and not np.shares_memory(xn, u)
@@ -1745,7 +1765,7 @@ def test_apply_policy_reasons_match_the_reduction_formulas(seed):
     prob, xg, ug, table = _tight_bounds_case(rng)
     x = rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(int(rng.integers(1, 200)), 2))
 
-    reason, u, _ = apply_policy(prob, xg, ug, table, x)
+    reason, u, _ = apply_policy(prob, xg, ug, table.policy, x)
     idx, w, inside = xg.locate_cells(x)
     undefined = ~inside | ((table.policy[idx] == -1) & (w > 0.0)).any(axis=-1)
     u_ok = np.where(undefined[:, None], 0.0, u)
@@ -1764,12 +1784,12 @@ def test_apply_policy_batch_equals_single_states(rng):
     prob, xg, ug, table = _tight_bounds_case(rng)
     x = rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(400, 2))
 
-    reason, u, xn = apply_policy(prob, xg, ug, table, x)
+    reason, u, xn = apply_policy(prob, xg, ug, table.policy, x)
     assert reason.dtype == np.int8 and reason.shape == (400,)
     assert u.shape == (400, 1) and xn.shape == (400, 2)
     assert set(np.unique(reason)) == {0, 1, 2, 3}
     for i in range(x.shape[0]):
-        r, ui, xi = apply_policy(prob, xg, ug, table, x[i])
+        r, ui, xi = apply_policy(prob, xg, ug, table.policy, x[i])
         assert r == reason[i]
         if r != 1:
             np.testing.assert_array_equal(ui, u[i])
@@ -1781,7 +1801,7 @@ def test_apply_policy_batch_equals_single_states(rng):
             assert np.isnan(xn[i]).all()
 
     # any batch shape: a (4, 100, n) stack gives the same numbers
-    r3, u3, x3 = apply_policy(prob, xg, ug, table, x.reshape(4, 100, 2))
+    r3, u3, x3 = apply_policy(prob, xg, ug, table.policy, x.reshape(4, 100, 2))
     np.testing.assert_array_equal(r3.reshape(-1), reason)
     np.testing.assert_array_equal(u3.reshape(-1, 1), u)
     np.testing.assert_array_equal(x3.reshape(-1, 2), xn)

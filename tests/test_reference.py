@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridpolicy import (
     STEP_REASONS,
@@ -7,6 +11,8 @@ from gridpolicy import (
     CartesianGrid,
     DpEngine,
     InfeasibleRolloutError,
+    PolicyRuns,
+    SolverConfig,
     StageTable,
     apply_policy,
     builtin_avg_angle_pendulum,
@@ -16,6 +22,7 @@ from gridpolicy import (
     relaxed_cost,
     rollout_stationary,
     rollout_time_varying,
+    solve,
 )
 
 from _toys import fixpoint_lattice_toy, lattice_problem, random_lattice_toy
@@ -47,16 +54,134 @@ def test_finite_horizon_policies_order():
         chain.append(prev)
     policies = finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 4)
     assert len(policies) == 4
-    # entry k is applied at forward step k and has 4 - k steps to go
+    # entry k is applied at forward step k and is the policy of the stage
+    # with 4 - k steps to go
     for k in range(4):
-        np.testing.assert_array_equal(policies[k].cost, chain[3 - k].cost)
-        np.testing.assert_array_equal(policies[k].policy, chain[3 - k].policy)
+        assert policies[k].dtype == np.int64
+        assert policies[k].tobytes() == chain[3 - k].policy.tobytes()
 
 
 def test_finite_horizon_policies_validation():
     toy = _trap_chain()
     with pytest.raises(ValueError):
         finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 0)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _fixpoint_engine(seed, settles):
+    """An engine on a 1-D :func:`fixpoint_lattice_toy` of 2 to 9 nodes."""
+    rng = np.random.default_rng(seed)
+    nx, nu = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+    toy = fixpoint_lattice_toy(rng, (nx,), nu, settles)
+    return DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+
+
+def _reference(engine, horizon, stages=None):
+    return finite_horizon_policies(
+        engine.problem, engine.xgrid, engine.ugrid, horizon, engine=engine, stages=stages
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, settles=st.booleans(), horizon=st.integers(1, 8))
+def test_reference_entry_k_is_the_policy_of_chain_stage_h_minus_k(seed, settles, horizon):
+    engine = _fixpoint_engine(seed, settles)
+    chain = list(itertools.islice(engine.chain(), horizon))
+    policies = _reference(engine, horizon)
+    assert len(policies) == horizon
+    for k, policy in enumerate(policies):
+        assert policy.dtype == np.int64 and policy.shape == (engine.nx,)
+        assert policy.tobytes() == chain[horizon - k - 1].policy.tobytes(), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, settles=st.booleans())
+def test_reference_shares_one_read_only_array_per_run(seed, settles):
+    engine = _fixpoint_engine(seed, settles)
+    policies = _reference(engine, 3 * (engine.nx + 1))
+    for a, b in zip(policies, policies[1:]):
+        assert (a is b) == (a.tobytes() == b.tobytes())
+    for policy in policies:
+        assert not policy.flags.writeable
+        with pytest.raises(ValueError):
+            policy[0] = 0
+
+
+def _solved_engine(seed, horizon):
+    """An engine on a random lattice where every pair is admissible and
+    stays on the grid, and a solve on it whose terminal horizon is
+    ``horizon`` (every node stays feasible, and the tolerances exceed any
+    deviation)."""
+    rng = np.random.default_rng(seed)
+    nx, nu = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+    toy = lattice_problem(
+        (nx,),
+        (nu,),
+        next_index=rng.integers(0, nx, (nx, nu)),
+        cost=rng.uniform(-1.0, 2.0, (nx, nu)),
+        admissible=np.ones((nx, nu), dtype=bool),
+    )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    config = SolverConfig(eps_mu=100.0, eps_x=100.0, n_init=horizon, n_max=horizon)
+    report = solve(toy.problem, toy.xgrid, toy.ugrid, config, engine=engine, progress=None)
+    assert report.terminal_horizon == horizon == report.stages.count
+    return engine, report
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_SEEDS,
+    horizon=st.integers(1, 6),
+    window=st.sampled_from(["W < N", "W = N", "W > N"]),
+)
+def test_reference_continued_from_a_solve_equals_a_fresh_one(seed, horizon, window):
+    engine, report = _solved_engine(seed, horizon)
+    w = {"W < N": max(1, horizon - 1), "W = N": horizon, "W > N": horizon + 5}[window]
+    continued = _reference(engine, w, stages=report.stages)
+    fresh = _reference(engine, w)
+    assert len(continued) == len(fresh) == w
+    for k, (a, b) in enumerate(zip(continued, fresh)):
+        assert a.tobytes() == b.tobytes(), k
+    # the same runs share arrays on both sides
+    for a, b in zip(zip(continued, continued[1:]), zip(fresh, fresh[1:])):
+        assert (a[0] is a[1]) == (b[0] is b[1])
+    assert report.stages.count == max(horizon, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEEDS, horizon=st.integers(1, 6))
+def test_reusing_a_solve_hand_off_gives_equal_lists(seed, horizon):
+    engine, report = _solved_engine(seed, horizon)
+    for w in (horizon, horizon + 4, horizon, horizon + 2, horizon + 4):
+        first = _reference(engine, w, stages=report.stages)
+        again = _reference(engine, w, stages=report.stages)
+        assert len(first) == len(again) == w
+        assert all(a is b for a, b in zip(first, again))
+    assert report.stages.count == horizon + 4
+
+
+def test_a_hand_off_with_a_foreign_engine_is_rejected():
+    toy = _trap_chain()
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages = PolicyRuns(engine)
+    next(stages)
+    other = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    with pytest.raises(ValueError, match="another engine"):
+        finite_horizon_policies(
+            toy.problem, toy.xgrid, toy.ugrid, 3, engine=other, stages=stages
+        )
+    assert stages.count == 1
+    # without an engine the record's own must fit the arguments: a toy built
+    # again has callables of its own
+    twin = _trap_chain()
+    with pytest.raises(ValueError, match="engine was built for another problem"):
+        finite_horizon_policies(twin.problem, toy.xgrid, toy.ugrid, 3, stages=stages)
+    policies = finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 3, stages=stages)
+    assert [p.tobytes() for p in policies] == [
+        p.tobytes() for p in finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 3)
+    ]
 
 
 # -- rollouts ------------------------------------------------------------------
@@ -68,8 +193,12 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
     for _ in range(8):
         toy = random_lattice_toy(rng)
         horizon = 4
-        policies = finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, horizon)
-        top = policies[0]
+        engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+        policies = finite_horizon_policies(
+            toy.problem, toy.xgrid, toy.ugrid, horizon, engine=engine
+        )
+        top = next(itertools.islice(engine.chain(), horizon - 1, None))
+        assert policies[0].tobytes() == top.policy.tobytes()
         feas = np.flatnonzero(top.feasible_mask)
         if feas.size == 0:
             continue
@@ -95,13 +224,13 @@ def _assert_rollout_matches_apply_policy_chain(problem, xg, ug, table, start, ho
     trace = rollout_stationary(problem, xg, ug, table, start, horizon=horizon)
     x = np.asarray(start, dtype=float)
     for k in range(trace.length):
-        reason, u, xn = apply_policy(problem, xg, ug, table, x)
+        reason, u, xn = apply_policy(problem, xg, ug, table.policy, x)
         assert STEP_REASONS[reason] == "ok"
         np.testing.assert_array_equal(trace.controls[k], u)
         np.testing.assert_array_equal(trace.states[k + 1], xn)
         x = xn
     if trace.reason is not None:
-        reason = apply_policy(problem, xg, ug, table, x)[0]
+        reason = apply_policy(problem, xg, ug, table.policy, x)[0]
         assert STEP_REASONS[reason] == trace.reason
     # the batched cost bookkeeping equals one (n,) evaluation per step, bitwise
     steps = [(trace.states[k], trace.controls[k]) for k in range(trace.length)]
@@ -157,7 +286,8 @@ def test_stationary_equals_repeated_time_varying():
     toy = _trap_chain()
     table = DpEngine(toy.problem, toy.xgrid, toy.ugrid).backward(None)
     a = rollout_stationary(toy.problem, toy.xgrid, toy.ugrid, table, [3.0], 2)
-    b = rollout_time_varying(toy.problem, toy.xgrid, toy.ugrid, [table, table], [3.0])
+    policies = [table.policy, table.policy]
+    b = rollout_time_varying(toy.problem, toy.xgrid, toy.ugrid, policies, [3.0])
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.controls, b.controls)
     np.testing.assert_array_equal(a.relaxed_costs, b.relaxed_costs)
@@ -266,8 +396,9 @@ def test_horizon_sweep_multiple_horizons():
     traj = 4
     sweep = horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [5, 1, 5], traj)
     assert sorted(sweep) == [1, 5]
-    policies = finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 5)
-    for n, table in ((5, policies[0]), (1, policies[4])):
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages = list(itertools.islice(engine.chain(), 5))
+    for n, table in ((5, stages[4]), (1, stages[0])):
         for node in range(4):
             trace = rollout_stationary(
                 toy.problem,
@@ -314,6 +445,17 @@ def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
     calls.clear()
     finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 7, engine=engine)
     assert len(calls) == 7
+    # continued from a record of N = 4 stages, the reference runs only the
+    # W - N stages past it, and none when W <= N
+    for window in (2, 4, 7):
+        stages = PolicyRuns(engine)
+        for _ in range(4):
+            next(stages)
+        calls.clear()
+        finite_horizon_policies(
+            toy.problem, toy.xgrid, toy.ugrid, window, engine=engine, stages=stages
+        )
+        assert len(calls) == max(window - 4, 0), window
 
 
 def _unparked_sweep(engine, horizons, steps):
@@ -327,7 +469,7 @@ def _unparked_sweep(engine, horizons, steps):
         acc = np.zeros(xg.size)
         for _ in range(steps):
             live = np.flatnonzero(alive)
-            reason, u, xn = apply_policy(problem, xg, ug, table, x[live])
+            reason, u, xn = apply_policy(problem, xg, ug, table.policy, x[live])
             ok = reason == 0
             alive[live[~ok]] = False
             if not alive.any():
