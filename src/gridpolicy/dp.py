@@ -999,7 +999,8 @@ def apply_policy(
     ``policy`` is a flat integer array of one control-node index per state
     node, -1 where none (a :class:`StageTable`'s ``policy``); any other
     shape or dtype raises :class:`ValueError`.  ``x`` has shape
-    ``(..., state_dim)``; pass a single state as ``(state_dim,)``.  A state
+    ``(..., state_dim)``; pass a single state as ``(state_dim,)``.  Any
+    other last axis raises :class:`ValueError`.  A state
     fails at the first of these checks: its policy interpolation stencil
     leaves the grid or touches an infeasible node with positive weight, the
     interpolated control violates an inequality component, or the
@@ -1014,13 +1015,15 @@ def apply_policy(
         ``x_next`` may be the very array ``problem.dynamics`` returned,
         unless that array shares memory with ``x`` or ``u``.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (xgrid.ndim,):
+        raise ValueError(f"states must have shape (..., {xgrid.ndim}), got shape {x.shape}")
     policy = np.asarray(policy)
     if policy.shape != (xgrid.size,) or policy.dtype.kind not in "iu":
         raise ValueError(
             f"policy must be an integer array of shape ({xgrid.size},), "
             f"got {policy.dtype} of shape {policy.shape}"
         )
-    x = np.asarray(x, dtype=float)
     batch = x.shape[:-1]
     idx, w, inside = xgrid.locate_cells(x.reshape(-1, xgrid.ndim))
     pol = policy[idx]

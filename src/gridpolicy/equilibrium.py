@@ -67,13 +67,17 @@ def equilibrium_search(
             defaults to half the smallest state spacing.
 
     Raises:
+        ValueError: when ``eq_tol`` or a given ``avg_tol`` is not positive
+            (NaN included).
         NoEquilibriumError: when no pair passes; the message suggests
             loosening ``eq_tol``.
     """
     if eq_tol is None:
         eq_tol = float(xgrid.spacings.max()) / 10.0
-    if eq_tol <= 0.0:
+    if not eq_tol > 0.0:  # NaN included
         raise ValueError("eq_tol must be positive")
+    if avg_tol is not None and not avg_tol > 0.0:
+        raise ValueError("avg_tol must be positive")
 
     averaged = problem.lam is None and problem.nominal_average is not None
     if averaged and avg_tol is None:

@@ -19,6 +19,7 @@ with the horizon the policy was designed for.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +241,13 @@ def horizon_sweep(
     (see :meth:`DpEngine.chain`) share one read-only table.
     ``engine`` is as in :func:`finite_horizon_policies`.
 
+    A design horizon that is not an integer raises :class:`TypeError`.
+
     Returns:
         Mapping ``N -> (size,)`` array of per-node mean costs; NaN at nodes
         whose trajectory went infeasible before the full length.
     """
-    horizons = sorted(set(int(n) for n in problem_horizons))
+    horizons = sorted(set(map(operator.index, problem_horizons)))
     if not horizons or horizons[0] < 1:
         raise ValueError("problem horizons must be positive integers")
     if trajectory_horizon < 1:

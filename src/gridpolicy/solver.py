@@ -15,9 +15,11 @@ Termination requires *every* ``delta_mu`` component strictly below its
 tolerance and *every* ``delta_x`` component strictly below its tolerance.
 Otherwise the target horizon is multiplied by a growth factor, the backward
 recursion pulls the further stages from the same
-:meth:`~gridpolicy.dp.DpEngine.chain`, which keeps no stack of earlier
-stages, and the forward test is repeated from a fresh ensemble.  The loop
-gives up once the next target would exceed ``n_max``.
+:meth:`~gridpolicy.dp.DpEngine.chain`, and the forward test is repeated
+from a fresh ensemble.  The stages are pulled through a
+:class:`~gridpolicy.reference.PolicyRuns`, which keeps only their policies,
+once per run of equal ones; ``delta_mu`` reads its window from that record.
+The loop gives up once the next target would exceed ``n_max``.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class SolveReport:
     the evaluation rollout failed; see ``notes``).  ``stages`` is the
     :class:`~gridpolicy.reference.PolicyRuns` the solve pulled its backward
     stages through: it holds the policies of stages ``1..terminal_horizon``
-    as runs and the chain past them, and passed to
+    as runs, from which the solve read each tested horizon's
+    :func:`delta_mu`, and the chain past them; passed to
     :func:`~gridpolicy.reference.finite_horizon_policies` with the same
     engine it lets the reference compute only the stages past the solve's.
     """
@@ -122,66 +125,50 @@ def _resolve_eps(
     return arr
 
 
-class _PolicyWindow:
-    """Per node and control component, the range of the control coordinate
-    over the stage policies added so far, and whether any of them was -1.
-
-    ``max |c_j - c_N|`` over the window equals ``max(hi - c_N, c_N - lo)``
-    bit for bit, because a rounded difference ``fl(a - b)`` is monotone in
-    ``a`` and in ``b``; so :meth:`deviation` needs no stage but the
-    candidate's.
-    """
-
-    def __init__(self, ugrid: CartesianGrid):
-        self._coords = ugrid.node_coords()
-        self._lo = self._hi = self._undefined = None
-
-    def add(self, policy: np.ndarray) -> None:
-        c = self._coords[policy]  # -1 reads the last node; flagged below
-        if self._lo is None:
-            self._lo, self._hi, self._undefined = c, c.copy(), policy < 0
-        else:
-            np.minimum(self._lo, c, out=self._lo)
-            np.maximum(self._hi, c, out=self._hi)
-            self._undefined |= policy < 0
-
-    def deviation(self, candidate: np.ndarray, survivors: np.ndarray) -> np.ndarray:
-        """Per-component max deviation of the window from the candidate
-        policy (which must be in the window) over ``survivors``."""
-        survivors = np.asarray(survivors, dtype=np.int64)
-        if survivors.size == 0:
-            raise InfeasibleProblemError("no feasible nodes survive the forward pass")
-        if self._undefined[survivors].any():
-            # Monotone infeasibility makes this unreachable for true survivors.
-            raise SolverError("forward survivor lacks a control in a compared stage")
-        c = self._coords[candidate[survivors]]
-        dev = np.maximum(self._hi[survivors] - c, c - self._lo[survivors])
-        return dev.max(axis=0)
-
-
 def delta_mu(
-    stages: list[StageTable],
+    policies: list[np.ndarray],
     survivors: np.ndarray,
     ugrid: CartesianGrid,
 ) -> np.ndarray:
-    """Policy-stationarity deviation over the second half of the stack.
+    """Policy-stationarity deviation over the back half of a horizon.
 
     Args:
-        stages: backward tables in recursion order (``stages[j-1]`` holds the
-            ``j``-step table); the last entry is the candidate policy.
-        survivors: flat node indices that stayed feasible forward.
+        policies: one horizon's ``N`` stage policies in forward order, as
+            :meth:`~gridpolicy.reference.PolicyRuns.policies` lists them;
+            entry 0 is the candidate.  The window is the first
+            ``N - ceil(N/2) + 1`` entries (stages ``ceil(N/2)..N``), and an
+            entry that is the very object before it is read only once.
+        survivors: flat node indices that stayed feasible forward; only
+            these nodes are read.
         ugrid: control grid (deviations are measured in node coordinates).
 
     Returns:
-        Per-control-component max deviation, shape ``(ugrid.ndim,)``.
+        Per-control-component max of ``|c_j - c_N|``, shape
+        ``(ugrid.ndim,)``, formed as ``max(hi - c_N, c_N - lo)`` over each
+        node's range: bitwise the same, as ``fl(a - b)`` is monotone in
+        ``a`` and in ``b``.
     """
-    n = len(stages)
+    n = len(policies)
     if n == 0:
-        raise ValueError("empty stage stack")
-    window = _PolicyWindow(ugrid)
-    for j in range((n + 1) // 2, n + 1):  # from ceil(n / 2)
-        window.add(stages[j - 1].policy)
-    return window.deviation(stages[-1].policy, survivors)
+        raise ValueError("empty policy list")
+    survivors = np.asarray(survivors, dtype=np.int64)
+    if survivors.size == 0:
+        raise InfeasibleProblemError("no feasible nodes survive the forward pass")
+    coords = ugrid.node_coords()
+    window = policies[: n - (n + 1) // 2 + 1]
+    for k, policy in enumerate(window):
+        if k and policy is window[k - 1]:
+            continue
+        p = policy[survivors]
+        if (p < 0).any():
+            # Monotone infeasibility makes this unreachable for true survivors.
+            raise SolverError("forward survivor lacks a control in a compared stage")
+        c = coords[p]
+        if k:
+            lo, hi = np.minimum(lo, c), np.maximum(hi, c)
+        else:
+            candidate = lo = hi = c
+    return np.maximum(hi - candidate, candidate - lo).max(axis=0)
 
 
 def delta_x(ensemble: ForwardEnsemble) -> np.ndarray:
@@ -251,9 +238,8 @@ def solve(
     returns as ``stages``: its tables, the returned ``first_stage_policy``
     among them, are read-only, and the stages past the cost fixpoint are one
     shared table.  Only the last table is kept whole, and of the others
-    their policies as runs: while the stages ``ceil(N/2)..N`` of a tested
-    horizon ``N`` are produced, each node's range of control coordinates is
-    kept, which gives :func:`delta_mu` bit for bit.
+    their policies as runs; each tested horizon ``N`` calls
+    :func:`delta_mu` once, on ``stages.policies(N)``.
 
     Args:
         problem: the control problem.
@@ -287,14 +273,8 @@ def solve(
     ensemble = None
 
     while True:
-        window = _PolicyWindow(ugrid)
-        j0 = (target + 1) // 2  # ceil(target / 2), >= stages.count as growth >= 2
-        if stages.count == j0:  # growth 2: the window opens at the previous candidate
-            window.add(table.policy)
         while stages.count < target:
             table = next(stages)
-            if stages.count >= j0:
-                window.add(table.policy)
 
         ensemble = engine.seed_ensemble(table)
         if not ensemble.feasible.any():
@@ -303,7 +283,7 @@ def solve(
             engine.forward(ensemble, table)
         survivors = np.flatnonzero(ensemble.feasible)
 
-        dmu = window.deviation(table.policy, survivors)
+        dmu = delta_mu(stages.policies(target), survivors, ugrid)
         dx = delta_x(ensemble)
         metrics.append(
             ConvergenceMetrics(

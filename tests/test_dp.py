@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -1711,6 +1712,15 @@ def test_apply_policy_rejects_a_policy_of_another_shape_or_dtype():
             apply_policy(*args, bad, [0.0])
     with pytest.raises(ValueError, match="policy must be"):
         apply_policy(*args, StageTable(np.zeros(4), np.zeros(4, dtype=int)), [0.0])
+
+
+def test_apply_policy_rejects_states_of_another_last_axis(coarse_config_engine):
+    # a clear error instead of a late reshape error in the cell search
+    problem, xg, ug = coarse_config_engine
+    policy = np.zeros(xg.size, dtype=np.int64)
+    for shape in ((2, 3), (4,), (5, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"(..., 2), got shape {shape}")):
+            apply_policy(problem, xg, ug, policy, np.zeros(shape))
 
 
 @pytest.mark.parametrize("hand_back", ["x", "u"])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,15 @@ def test_eq_tol_validation():
     toy = _self_loop_toy([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
         equilibrium_search(toy.problem, toy.xgrid, toy.ugrid, eq_tol=0.0)
+
+
+def test_nan_tolerances_are_rejected_not_searched():
+    # a NaN tolerance used to pass no pair and blame the tolerance's size
+    toy = _self_loop_toy([[1.0, 1.0], [1.0, 1.0]])
+    args = toy.problem, toy.xgrid, toy.ugrid
+    for kwargs in ({"eq_tol": math.nan}, {"avg_tol": math.nan}, {"avg_tol": -1.0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            equilibrium_search(*args, **kwargs)
 
 
 def test_default_tolerance_scales_with_grid():

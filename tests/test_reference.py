@@ -427,6 +427,17 @@ def test_horizon_sweep_validation():
         horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3], 0)
 
 
+def test_horizon_sweep_rejects_non_integral_design_horizons():
+    # 1.7 used to run silently as horizon 1
+    toy = _trap_chain()
+    args = toy.problem, toy.xgrid, toy.ugrid
+    for bad in ([1.7], [2, 3.0], [np.float64(2.0)]):
+        with pytest.raises(TypeError):
+            horizon_sweep(*args, bad, 5)
+    sweep = horizon_sweep(*args, [np.int64(3), 1], 5)
+    assert list(sweep) == [1, 3] and all(type(n) is int for n in sweep)
+
+
 def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
     # a toy whose cost never settles runs the kernel at every stage: the
     # longest horizon, 7, takes 7 steps, and no stage past it is pulled

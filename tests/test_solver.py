@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpolicy.solver
 from gridpolicy import (
     AxisSpec,
     CartesianGrid,
@@ -44,6 +45,11 @@ def _table(policy):
     return StageTable(cost=cost, policy=policy)
 
 
+def _forward(stages):
+    """The policies of tables in recursion order, in forward order."""
+    return [t.policy for t in reversed(stages)]
+
+
 # -- config ------------------------------------------------------------------
 
 
@@ -68,25 +74,25 @@ def test_delta_mu_window_and_value():
         _table([1, 1, 0]),
         _table([0, 2, 0]),  # candidate
     ]
-    got = delta_mu(stages, survivors=[0, 1], ugrid=_ugrid3())
+    got = delta_mu(_forward(stages), survivors=[0, 1], ugrid=_ugrid3())
     # per stage vs candidate: stage2 max|.|=1, stage3 max=1, stage4 = 0
     np.testing.assert_array_equal(got, [1.0])
 
 
 def test_delta_mu_single_stage_is_zero():
-    got = delta_mu([_table([2, 1])], survivors=[0, 1], ugrid=_ugrid3())
+    got = delta_mu(_forward([_table([2, 1])]), survivors=[0, 1], ugrid=_ugrid3())
     np.testing.assert_array_equal(got, [0.0])
 
 
 def test_delta_mu_rejects_undefined_survivor():
     stages = [_table([0, 1]), _table([0, -1])]
     with pytest.raises(SolverError):
-        delta_mu(stages, survivors=[0, 1], ugrid=_ugrid3())
+        delta_mu(_forward(stages), survivors=[0, 1], ugrid=_ugrid3())
 
 
 def test_delta_mu_empty_survivors():
     with pytest.raises(InfeasibleProblemError):
-        delta_mu([_table([0, 1])], survivors=[], ugrid=_ugrid3())
+        delta_mu(_forward([_table([0, 1])]), survivors=[], ugrid=_ugrid3())
 
 
 def _stacked_delta_mu(stages, survivors, ugrid):
@@ -116,26 +122,35 @@ _CONTROL_GRIDS = {
     n=st.integers(1, 9),
     nx=st.integers(1, 12),
     undefined=st.sampled_from([0.0, 0.02, 0.3]),
+    shared=st.sampled_from([0.0, 0.5, 1.0]),
     data=st.data(),
 )
-def test_delta_mu_equals_the_stacked_formula(seed, m, n, nx, undefined, data):
+def test_delta_mu_equals_the_stacked_formula(seed, m, n, nx, undefined, shared, data):
     # random stage policies on control grids with fractional spacings, an
     # arbitrary survivor subset (empty included) and -1 markers: the same
-    # bits, or the same exception, as the stacked formula
+    # bits, or the same exception, as the stacked formula; a list whose
+    # consecutive entries share one array object, as PolicyRuns lists
+    # them, gives what a list of copies gives
     rng = np.random.default_rng(seed)
     ug = _CONTROL_GRIDS[m]
-    policies = rng.integers(0, ug.size, size=(n, nx))
-    policies[rng.random((n, nx)) < undefined] = -1
-    stages = [_table(p) for p in policies]
+    rows = rng.integers(0, ug.size, size=(n, nx))
+    rows[rng.random((n, nx)) < undefined] = -1
+    stages = [_table(rows[0])]
+    for row in rows[1:]:
+        stages.append(stages[-1] if rng.random() < shared else _table(row))
+    runs = _forward(stages)
+    copies = [p.copy() for p in runs]
     survivors = data.draw(st.lists(st.integers(0, nx - 1), unique=True))
     try:
         want = _stacked_delta_mu(stages, survivors, ug)
     except (InfeasibleProblemError, SolverError) as exc:
-        with pytest.raises(type(exc)):
-            delta_mu(stages, survivors, ug)
+        for policies in (runs, copies):
+            with pytest.raises(type(exc)):
+                delta_mu(policies, survivors, ug)
         return
-    got = delta_mu(stages, survivors, ug)
-    assert got.shape == (m,) and got.tobytes() == want.tobytes()
+    for policies in (runs, copies):
+        got = delta_mu(policies, survivors, ug)
+        assert got.shape == (m,) and got.tobytes() == want.tobytes()
 
 
 def _check_metrics_against_every_stage(toy, report):
@@ -152,7 +167,8 @@ def _check_metrics_against_every_stage(toy, report):
         assert m.feasible_count == survivors.size
         want = _stacked_delta_mu(stages[: m.horizon], survivors, toy.ugrid)
         assert m.delta_mu.tobytes() == want.tobytes(), m.horizon
-        assert delta_mu(stages[: m.horizon], survivors, toy.ugrid).tobytes() == want.tobytes()
+        got = delta_mu(_forward(stages[: m.horizon]), survivors, toy.ugrid)
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +178,7 @@ def _check_metrics_against_every_stage(toy, report):
     n_init=st.integers(1, 4),
 )
 def test_solve_metrics_equal_delta_mu_over_every_stage(seed, growth, n_init):
-    # solve keeps two tables and a running range per node; every tested
+    # solve keeps one table and the policies as runs; every tested
     # horizon's delta_mu is still the formula over the whole stack
     toy = random_lattice_toy(np.random.default_rng(seed))
     cfg = SolverConfig(eps_mu=1e-9, eps_x=1e-9, n_init=n_init, n_max=40, growth=growth)
@@ -182,6 +198,28 @@ def test_growth_two_window_opens_at_the_previous_candidate():
     assert [m.horizon for m in report.metrics] == [3, 6]
     np.testing.assert_array_equal(report.metrics[1].delta_mu, [1.0])
     _check_metrics_against_every_stage(toy, report)
+
+
+def test_solve_calls_delta_mu_once_per_horizon_on_its_record(monkeypatch):
+    # the tested horizon's policies come from the report's own stage record
+    calls = []
+
+    def spy(policies, survivors, ugrid):
+        calls.append((policies, len(survivors)))
+        return real(policies, survivors, ugrid)
+
+    real = gridpolicy.solver.delta_mu
+    monkeypatch.setattr(gridpolicy.solver, "delta_mu", spy)
+    toy = _late_switch_toy()
+    cfg = SolverConfig(eps_mu=0.5, eps_x=0.1, n_init=2, n_max=12, growth=2)
+    report = solve(toy.problem, toy.xgrid, toy.ugrid, config=cfg, progress=None)
+    assert [m.horizon for m in report.metrics] == [2, 4, 8]
+    assert len(calls) == len(report.metrics)
+    for (policies, count), m in zip(calls, report.metrics):
+        want = report.stages.policies(m.horizon)
+        assert len(policies) == m.horizon
+        assert all(a is b for a, b in zip(policies, want))
+        assert count == m.feasible_count
 
 
 def test_delta_x_spread():
