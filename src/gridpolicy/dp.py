@@ -342,9 +342,10 @@ class DpEngine:
                 del g  # off the integrator's peak
                 xn = np.asarray(self.problem.dynamics(x, u), dtype=float)
                 # The cell search writes corner-major weight rows, the
-                # stencil's own layout, straight into the engine array.
+                # stencil's own layout, straight into the engine array
+                # (through their transposed, point-major view).
                 w = self._w[:, s]
-                base, inside = self.xgrid._corner_cells(xn, w)
+                base, inside = self.xgrid._corner_cells(xn, w.T)
                 bad |= ~inside
                 del xn
                 np.copyto(w, 0.0, where=bad)
@@ -973,18 +974,25 @@ def _put_rows(a: np.ndarray, rows: np.ndarray, v: np.ndarray) -> None:
         a[rows, j] = v[:, j]
 
 
-def _on_rows(fn, x: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``fn(x, u)`` on the flat ``rows`` of the batch, shape ``(rows, -1)``.
+def _on_live(fn, x: np.ndarray, u: np.ndarray, failed: np.ndarray) -> np.ndarray:
+    """``fn(x, u)`` in the batch shape of ``failed``, NaN rows where it holds.
 
-    When every row is selected the callable sees the caller's own batch
-    shape, so a single ``(n,)`` state is evaluated with scalar arithmetic.
+    When no state failed the callable sees the caller's own batch shape, so
+    a single ``(n,)`` state is evaluated with scalar arithmetic, and its
+    result is returned as it is.  Otherwise the other rows are gathered
+    (with none left, the NaN rows are as wide as the states).
     """
-    if rows.size == u.shape[0]:
-        out = fn(x, u.reshape(x.shape[:-1] + u.shape[-1:]))
-    else:
-        x = np.take(x.reshape(u.shape[0], -1), rows, axis=0)
-        out = fn(x, np.take(u, rows, axis=0))
-    return np.asarray(out, dtype=float).reshape(rows.size, -1)
+    if not np.count_nonzero(failed):  # cheaper than .any() on one state
+        return np.asarray(fn(x, u), dtype=float)
+    rows = np.flatnonzero(~failed)
+    if not rows.size:
+        return np.full(failed.shape + x.shape[-1:], np.nan)
+    k = failed.size
+    xs, us = (np.take(a.reshape(k, -1), rows, axis=0) for a in (x, u))
+    vals = np.asarray(fn(xs, us), dtype=float).reshape(rows.size, -1)
+    out = np.full((k, vals.shape[1]), np.nan)
+    _put_rows(out, rows, vals)
+    return out.reshape(failed.shape + out.shape[-1:])
 
 
 def apply_policy(
@@ -1004,16 +1012,22 @@ def apply_policy(
     fails at the first of these checks: its policy interpolation stencil
     leaves the grid or touches an infeasible node with positive weight, the
     interpolated control violates an inequality component, or the
-    successor state leaves the grid box.
+    successor state leaves the grid box.  The problem's callables see only
+    the states that passed the checks before them.
+
+    The step keeps the batch shape of ``x`` throughout, so one state is
+    stepped with NumPy scalar arithmetic, and bitwise as it would be inside
+    a batch.
 
     Returns:
         ``(reason, u, x_next)``.  ``reason`` is an int8 array of the batch
-        shape indexing :data:`STEP_REASONS` (0 is ``STEP_OK``, else the
-        failed check).  ``u`` has shape ``(..., control_dim)``, NaN where the
-        policy is undefined; ``x_next`` has the shape of ``x``, NaN wherever
-        the step failed.  When every state stepped and stayed in the box,
-        ``x_next`` may be the very array ``problem.dynamics`` returned,
-        unless that array shares memory with ``x`` or ``u``.
+        shape (0-d for one state) indexing :data:`STEP_REASONS` (0 is
+        ``STEP_OK``, else the failed check).  ``u`` has shape
+        ``(..., control_dim)``, NaN where the policy is undefined;
+        ``x_next`` has the shape of ``x``, NaN wherever the step failed.
+        When every state stepped and stayed in the box, ``x_next`` may be
+        the very array ``problem.dynamics`` returned, unless that array
+        shares memory with ``x`` or ``u``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (xgrid.ndim,):
@@ -1024,37 +1038,32 @@ def apply_policy(
             f"policy must be an integer array of shape ({xgrid.size},), "
             f"got {policy.dtype} of shape {policy.shape}"
         )
-    batch = x.shape[:-1]
-    idx, w, inside = xgrid.locate_cells(x.reshape(-1, xgrid.ndim))
-    pol = policy[idx]
+    batch, nc = x.shape[:-1], xgrid._ncorners
+    w = np.empty(batch + (nc,))
+    base, inside = xgrid._corner_cells(x, w)
+    # One corner at a time: on a batch, a (..., 2**ndim) index sum would
+    # loop over the corners once per state.
+    pol = np.empty(batch + (nc,), dtype=policy.dtype)
+    for c, offset in enumerate(xgrid._corner_offsets.tolist()):
+        pol[..., c] = policy[base + offset]
     undefined = ~inside | _any_rows((pol == INFEASIBLE) & (w > 0.0))
-    reason = undefined.astype(np.int8)  # codes index STEP_REASONS
     # Zero-weight corners may carry the -1 marker; their contribution is
     # exactly 0 * coordinate.  einsum's order of summing the corners follows
-    # the operands' layout: locate_cells' C-contiguous rows keep it the same
+    # the operands' layout (measured: 2-D corners as (c0 + c2) + (c1 + c3),
+    # not in sequence): C-contiguous (k, 2**ndim) weights keep it the same
     # for a batch as for one state, bit for bit.
-    u = np.einsum("kc,kcm->km", w, ugrid.node_coords()[pol])
-    live = (~undefined).nonzero()[0]
-    if live.size < reason.size:
+    u = np.einsum("kc,kcm->km", w.reshape(-1, nc), ugrid.node_coords()[pol.reshape(-1, nc)])
+    u = u.reshape(batch + u.shape[-1:])
+    violated = _any_rows(_on_live(problem.inequality, x, u, undefined) > 0.0)
+    failed = undefined | violated
+    xn = _on_live(problem.dynamics, x, u, failed)
+    left = ~(failed | xgrid._inside(xn))
+    reason = np.zeros(batch, dtype=np.int8)  # codes index STEP_REASONS
+    if np.count_nonzero(failed | left):
+        for code, bad in enumerate((undefined, violated, left), start=1):
+            reason[bad] = code
         u[undefined] = np.nan
-    if live.size:
-        g = _on_rows(problem.inequality, x, u, live)
-        violated = _any_rows(g > 0.0)
-        if violated.any():
-            reason[live[violated]] = 2
-            live = live[~violated]
-    xn = None
-    if live.size:
-        step = _on_rows(problem.dynamics, x, u, live)
-        kept = xgrid.in_domain(step)
-        if not kept.all():
-            reason[live[~kept]] = 3
-            live, step = live[kept], np.compress(kept, step, axis=0)
-        shared = np.may_share_memory(step, x) or np.may_share_memory(step, u)
-        if live.size == reason.size and not shared:
-            xn = step  # every state stepped and stayed in the box
-    if xn is None:
-        xn = np.full((reason.size, xgrid.ndim), np.nan)
-        if live.size:
-            _put_rows(xn, live, step)
-    return reason.reshape(batch), u.reshape(batch + u.shape[-1:]), xn.reshape(x.shape)
+        xn = np.where((failed | left)[..., None], np.nan, xn)
+    elif np.may_share_memory(xn, x) or np.may_share_memory(xn, u):
+        xn = xn.copy()
+    return reason, u, xn

@@ -17,6 +17,7 @@ on that node, so interpolation reproduces node values exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -105,15 +106,18 @@ class CartesianGrid:
         self._upper = np.asarray([ax.upper for ax in self.axes], dtype=float)
         self._spacing = np.asarray([ax.spacing for ax in self.axes], dtype=float)
         self._ncorners = 1 << self.ndim
-        # Domain bounds with the face slack of :meth:`in_domain`.  The
-        # ``(ndim, 1)`` columns broadcast along axis-major ``(ndim, k)`` points.
+        # Per axis, as Python numbers, since the domain test and the cell
+        # search read one axis at a time (for a single point every operation
+        # is then a NumPy-scalar one): the bounds with the face slack of
+        # :meth:`in_domain`, then lo, spacing, last cell index and stride.
         atol = self._spacing * _REL_TOL
-        self._lo_slack = (self._lo - atol)[:, None]
-        self._upper_slack = (self._upper + atol)[:, None]
-        self._lo_col = self._lo[:, None]
-        self._spacing_col = self._spacing[:, None]
-        self._strides_col = self._strides[:, None]
-        self._max_cell = np.maximum(np.asarray(self.shape, dtype=np.int64)[:, None] - 2, 0)
+        self._faces = tuple(zip((self._lo - atol).tolist(), (self._upper + atol).tolist()))
+        self._search_axes = tuple(
+            (*faces, lo, h, max(n - 2, 0), stride)
+            for faces, lo, h, n, stride in zip(
+                self._faces, self._lo.tolist(), self._spacing.tolist(), self.shape, strides
+            )
+        )
         # Corner c sets axis a's bit (c >> (ndim - 1 - a)) & 1; its flat
         # offset from the cell's base node is bits @ strides.
         shifts = np.arange(self.ndim - 1, -1, -1)
@@ -168,24 +172,21 @@ class CartesianGrid:
             ``(ndim,)`` point.  The box faces get a small spacing-relative
             slack so that states produced by integrating exactly onto the
             boundary are not spuriously rejected; NaN is outside.
-
-        The test runs on an axis-major ``(ndim, k)`` copy of the points.
-        NumPy pays a fixed cost per inner loop, and on ``(k, ndim)`` points
-        every comparison and the reduction over the last axis loop over
-        ``ndim`` elements ``k`` times; axis-major, each operation is
-        ``ndim`` loops of ``k`` elements.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 0 or pts.shape[-1] != self.ndim:
             raise ValueError(f"expected (..., {self.ndim}) points, got {pts.shape}")
-        cols = pts.reshape(-1, self.ndim).T.copy()
-        return self._inside(cols).reshape(pts.shape[:-1])[()]
+        return self._inside(pts)
 
-    def _inside(self, cols: np.ndarray) -> np.ndarray:
-        """:meth:`in_domain` of axis-major ``(ndim, k)`` points, shape ``(k,)``."""
-        ok = cols >= self._lo_slack
-        ok &= cols <= self._upper_slack
-        return np.logical_and.reduce(ok, axis=0)
+    def _inside(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`in_domain` without its checks: two comparisons per
+        component ``points[..., a]``, in the points' batch shape."""
+        inside = np.True_
+        for a, (lo, hi) in enumerate(self._faces):
+            p = points[..., a][()]
+            inside &= p >= lo
+            inside &= p <= hi
+        return inside
 
     def locate_cells(
         self, points: np.ndarray
@@ -202,18 +203,14 @@ class CartesianGrid:
             points), and ``inside`` the boolean domain mask.  Rows of outside
             points have all-zero weights and corner index 0; callers must
             consult ``inside`` before trusting them.
-
-        The search (:meth:`_corner_cells`) works axis-major, for the reason
-        given at :meth:`in_domain`: on an ``(ndim, k)`` copy of the points,
-        filling the weights through their transposed, corner-major view.
-        Every element gets the float operations of a row-by-row search in
-        the same order, so the results are bitwise those of one.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        k = pts.shape[0]
-        idx = np.empty((k, self._ncorners), dtype=np.int64)
-        w = np.empty((k, self._ncorners))
-        base, inside = self._corner_cells(pts, w.T)
+        if pts.ndim != 2 or pts.shape[1] != self.ndim:
+            raise ValueError(f"expected (k, {self.ndim}) points, got {pts.shape}")
+        idx = np.empty((pts.shape[0], self._ncorners), dtype=np.int64)
+        w = np.empty(idx.shape)
+        base, inside = self._corner_cells(pts, w)
+        # corner-major, so that NumPy loops along the points, not the corners
         np.copyto(idx.T, base + self._corner_offsets[:, None])
         if not inside.all():
             np.copyto(idx.T, 0, where=~inside)
@@ -222,57 +219,74 @@ class CartesianGrid:
     def _corner_cells(
         self, points: np.ndarray, w: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The cell search of :meth:`locate_cells`, weights corner-major.
+        """The cell search of :meth:`locate_cells`, in the points' batch shape.
 
-        Row ``c`` of the ``(2**ndim, k)`` array ``w`` receives corner ``c``'s
-        weight of every point, whatever its strides: :meth:`locate_cells`
-        passes the transposed view of its C-contiguous result, the engine
-        build its own stencil rows.  Corner ``c`` of a point is node
-        ``base + _corner_offsets[c]``.
+        ``points`` has shape ``(..., ndim)``.  ``w[..., c]`` receives corner
+        ``c``'s weight of every point, whatever the strides of the
+        ``(..., 2**ndim)`` array ``w``: :meth:`locate_cells` and
+        :func:`~gridpolicy.dp.apply_policy` pass C-contiguous arrays, the
+        engine build the transposed view of its corner-major stencil rows.
+        Corner ``c`` of a point is node ``base + _corner_offsets[c]``.
+
+        The search reads one component ``points[..., a]`` at a time and
+        keeps the batch shape, so one ``(ndim,)`` point costs NumPy scalar
+        operations (tens of nanoseconds each) instead of array operations
+        on a batch of one (about half a microsecond each).  Every element
+        gets the same float operations in the same order whatever the
+        batch shape.  NaN, infinite and far-out points are outside; the
+        invalid and overflowing operations they meet here raise no warning.
 
         Returns:
             ``(base, inside)``: the int64 flat index of each point's cell
             base node (a valid node, but meaningless outside), and the
-            boolean domain mask, shape ``(k,)``.
+            boolean domain mask, both of the batch shape (NumPy scalars for
+            one point).
         """
-        if points.ndim != 2 or points.shape[1] != self.ndim:
-            raise ValueError(f"expected (k, {self.ndim}) points, got {points.shape}")
-        t = points.T.copy()  # axis-major, and ours to overwrite
-        inside = self._inside(t)
-        t -= self._lo_col
-        t /= self._spacing_col
-        snapped = np.rint(t)
-        near = t - snapped
-        np.abs(near, out=near)
-        np.copyto(t, snapped, where=near <= _SNAP_TOL)
-        del near
-        cell = np.floor(t, out=snapped).astype(np.int64)
-        del snapped
-        # np.minimum/np.maximum: np.clip costs twice as much on one point
-        np.maximum(cell, 0, out=cell)
-        np.minimum(cell, self._max_cell, out=cell)
-        t -= cell  # the fraction of the cell on each axis
-        cell *= self._strides_col
-        base = cell.sum(axis=0)
-        del cell
-
-        # Corner weights as an outer product over axes, each weight
-        # ((g_0 * g_1) * g_2)... with g_a = frac (bit a set) or 1 - frac
-        # (clear); C order puts axis 0 in the top bit of the corner index.
-        # The product starts from an exact 1.0, and the last axis writes it
-        # into ``w`` with the contiguous operand first, so that NumPy loops
-        # along ``k`` whatever the layout of ``w``.
-        k = t.shape[1]
-        head = 1.0
-        for a, f in enumerate(t):
-            shape = (2,) * (a + 1) + (k,)
-            # reshape only splits the corner axis of w, so it is a view
-            part = w.reshape(shape) if a == self.ndim - 1 else np.empty(shape)
-            for bit, g in enumerate((1.0 - f, f)):
-                np.multiply(head, g, out=part[..., bit, :])
-            head = part
-        if not inside.all():
-            np.copyto(w, 0.0, where=~inside)
+        inside = np.True_
+        base = 0
+        factors = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            for a, (lo_slack, hi_slack, lo, h, max_cell, stride) in enumerate(
+                self._search_axes
+            ):
+                p = points[..., a][()]
+                inside &= p >= lo_slack
+                inside &= p <= hi_slack
+                t = p - lo
+                t /= h
+                snapped = np.rint(t)
+                # t = snapped where |d| <= _SNAP_TOL, else t, written as
+                # arithmetic: np.where costs 1.5 us on a NumPy scalar.  It is
+                # exact for finite t: d is exact (Sterbenz, or -t when
+                # snapped is 0), so snapped - d * 1.0 is t; and d * 0.0 is
+                # -0.0 only when snapped < t, when snapped is not -0.0, so
+                # snapped - d * 0.0 is snapped, sign of zero included.
+                d = snapped - t
+                d *= abs(d) > _SNAP_TOL
+                snapped -= d
+                t = snapped
+                # Clamp to [0, max_cell] by exact integer products: on a NumPy
+                # scalar, np.maximum and np.minimum cost about 1 us each, an
+                # int64 times a bool about 0.1 us.
+                cell = np.floor(t).astype(np.int64)
+                cell *= cell > 0
+                cell -= (cell - max_cell) * (cell > max_cell)
+                t -= cell  # the fraction of the cell on this axis
+                factors.append((1.0 - t, t))
+                cell *= stride
+                base += cell
+            # Corner weights as an outer product over axes, each weight
+            # ((g_0 * g_1) * g_2)... with g_a = frac (bit a set) or 1 - frac
+            # (clear); C order puts axis 0 in the top bit of the corner
+            # index.  The last axis's products are formed one at a time,
+            # each written into ``w`` before the next.
+            weights = factors[0]
+            for g in factors[1:]:
+                weights = (head * x for head, x in itertools.product(weights, g))
+            for c, v in enumerate(weights):
+                w[..., c] = v
+        if np.count_nonzero(inside) < inside.size:  # cheaper than .all()
+            np.copyto(w, 0.0, where=~inside[..., None])
         return base, inside
 
     def interpolate(self, field: np.ndarray, point: np.ndarray) -> float:

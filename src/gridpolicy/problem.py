@@ -119,9 +119,11 @@ def pendulum_step(params: PendulumParams, x: Array, u: Array) -> Array:
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    th = x[..., 0]
-    om = x[..., 1]
-    tq = u[..., 0]
+    # components as NumPy scalars for a single state (``[()]``), so that one
+    # state is integrated with scalar arithmetic
+    th = x[..., 0][()]
+    om = x[..., 1][()]
+    tq = u[..., 0][()]
 
     inv_ml2 = 1.0 / (params.mass * params.length**2)
     damp = params.damping / params.mass
@@ -129,22 +131,25 @@ def pendulum_step(params: PendulumParams, x: Array, u: Array) -> Array:
     h = params.sample_time / params.substeps
 
     drive = tq * inv_ml2  # the torque term is constant over the sample
-
-    def acc(theta: Array, omega: Array) -> Array:
-        return drive - damp * omega - grav * np.sin(theta)
-
+    half, sixth, sin = 0.5 * h, h / 6.0, np.sin
+    # The acceleration drive - damp * omega - grav * sin(theta) is written
+    # out at each stage: as a helper, its 40 calls per sample took a fifth
+    # of a single state's step.
     for _ in range(params.substeps):
         k1t = om
-        k1o = acc(th, om)
-        k2t = om + 0.5 * h * k1o
-        k2o = acc(th + 0.5 * h * k1t, k2t)
-        k3t = om + 0.5 * h * k2o
-        k3o = acc(th + 0.5 * h * k2t, k3t)
+        k1o = drive - damp * k1t - grav * sin(th)
+        k2t = om + half * k1o
+        k2o = drive - damp * k2t - grav * sin(th + half * k1t)
+        k3t = om + half * k2o
+        k3o = drive - damp * k3t - grav * sin(th + half * k2t)
         k4t = om + h * k3o
-        k4o = acc(th + h * k3t, k4t)
-        th = th + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        om = om + (h / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-    return np.stack([th, om], axis=-1)
+        k4o = drive - damp * k4t - grav * sin(th + h * k3t)
+        th = th + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        om = om + sixth * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
+    out = np.empty(th.shape + (2,))  # np.stack costs 8 us on one state
+    out[..., 0] = th
+    out[..., 1] = om
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,12 +176,15 @@ class _Box:
 
     def __call__(self, x: Array, u: Array) -> Array:
         x = np.asarray(x, dtype=float)
-        tq = np.asarray(u, dtype=float)[..., 0]
-        th, om = x[..., 0], x[..., 1]
+        tq = np.asarray(u, dtype=float)[..., 0][()]
+        th, om = x[..., 0][()], x[..., 1][()]
         (th_lo, th_hi), (om_lo, om_hi) = self.theta_bounds, self.omega_bounds
         lim = self.torque_limit
-        g = [tq - lim, -lim - tq, th - th_hi, th_lo - th, om - om_hi, om_lo - om]
-        return np.stack(g, axis=-1)
+        g = (tq - lim, -lim - tq, th - th_hi, th_lo - th, om - om_hi, om_lo - om)
+        out = np.empty(th.shape + (len(g),))
+        for i, gi in enumerate(g):
+            out[..., i] = gi
+        return out
 
 
 @dataclass(frozen=True)

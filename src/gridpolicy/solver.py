@@ -120,7 +120,7 @@ def _resolve_eps(
         arr = np.full(grid.ndim, float(arr[0]))
     if arr.shape != (grid.ndim,):
         raise ValueError(f"tolerance must be scalar or length {grid.ndim}")
-    if (arr <= 0.0).any():
+    if not (arr > 0.0).all():  # NaN fails too
         raise ValueError("tolerances must be positive")
     return arr
 

@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -25,8 +27,21 @@ def test_bench_selftest_passes():
     assert "selftest FAILED" not in _run("bench/selftest.py")
 
 
-def test_bench_compare_coarse_repetition_reproduces_expected_outputs():
-    result = json.loads(_run("bench/worker.py", "compare_coarse", "tier1", "0").splitlines()[-1])
+def _repetition(workload: str, traced: bool) -> dict:
+    result = json.loads(_run("bench/worker.py", workload, "tier1", str(int(traced))).splitlines()[-1])
     assert "error" not in result, result["error"]
     expected = json.loads((ROOT / "bench" / "expected.json").read_text())
-    assert result["outputs"] == expected["compare_coarse"]
+    assert result["outputs"] == expected[workload]
+    return result
+
+
+@pytest.mark.parametrize("workload", ["min_time", "compare_coarse", "sweep_avg_angle"])
+def test_bench_repetition_reproduces_expected_outputs(workload):
+    _repetition(workload, traced=False)
+
+
+def test_bench_traced_compare_coarse_repetition_runs():
+    # the tracer patches functions by name and reads their results' shapes,
+    # so an API change can break --trace 1 alone
+    layers = _repetition("compare_coarse", traced=True)["layers"]
+    assert layers["dp.apply_policy_calls"] > 0 and layers["dp.backward_steps"] > 0

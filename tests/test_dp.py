@@ -1790,28 +1790,56 @@ def test_apply_policy_reasons_match_the_reduction_formulas(seed):
 
 def test_apply_policy_batch_equals_single_states(rng):
     # a (k, n) batch gives bitwise the same reasons, controls and successors
-    # as k separate (n,) calls, with every failure kind
+    # as k separate (n,) calls (bytes, so -0.0 differs from 0.0), with every
+    # failure kind and every branch of the cell search: interior, on-node,
+    # snapped to a node (+-1e-12 h), just off one, on-face, outside, NaN and
+    # infinite states
     prob, xg, ug, table = _tight_bounds_case(rng)
-    x = rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(400, 2))
+    (lo, hi), h = grid_bounds(xg), xg.spacings
+    nodes = xg.node_coords()[rng.integers(0, xg.size, 80)]
+    jitter = rng.choice([0.0, 1e-12, -1e-12, 1e-7, -1e-7], size=nodes.shape)
+    faces = rng.uniform(lo, hi, size=(40, 2))
+    axis = rng.integers(0, 2, 40)
+    faces[np.arange(40), axis] = np.where(rng.random(40) < 0.5, lo[axis], hi[axis])
+    special = rng.uniform(lo, hi, size=(12, 2))
+    special[np.arange(12), rng.integers(0, 2, 12)] = rng.choice(
+        [np.nan, np.inf, -np.inf, 1e300], 12
+    )
+    x = np.vstack(
+        [
+            rng.uniform([-2.2, -1.7], [3.7, 2.2], size=(400, 2)),
+            nodes + jitter * h,
+            faces,
+            special,
+        ]
+    )
+    k = x.shape[0]
 
     reason, u, xn = apply_policy(prob, xg, ug, table.policy, x)
-    assert reason.dtype == np.int8 and reason.shape == (400,)
-    assert u.shape == (400, 1) and xn.shape == (400, 2)
+    assert reason.dtype == np.int8 and reason.shape == (k,)
+    assert u.shape == (k, 1) and xn.shape == (k, 2)
     assert set(np.unique(reason)) == {0, 1, 2, 3}
-    for i in range(x.shape[0]):
+    assert set(np.unique(reason[400:480])) >= {0, 1}  # the node states step too
+    for i in range(k):
         r, ui, xi = apply_policy(prob, xg, ug, table.policy, x[i])
-        assert r == reason[i]
-        if r != 1:
-            np.testing.assert_array_equal(ui, u[i])
-        else:
-            assert np.isnan(u[i]).all()
-        if r == 0:
-            np.testing.assert_array_equal(xi, xn[i])
-        else:
-            assert np.isnan(xn[i]).all()
+        assert r.shape == () and r == reason[i]
+        assert ui.tobytes() == u[i].tobytes() and xi.tobytes() == xn[i].tobytes()
 
-    # any batch shape: a (4, 100, n) stack gives the same numbers
-    r3, u3, x3 = apply_policy(prob, xg, ug, table.policy, x.reshape(4, 100, 2))
-    np.testing.assert_array_equal(r3.reshape(-1), reason)
-    np.testing.assert_array_equal(u3.reshape(-1, 1), u)
-    np.testing.assert_array_equal(x3.reshape(-1, 2), xn)
+    # any batch shape: a (4, 100, n) stack gives the same bytes
+    r3, u3, x3 = apply_policy(prob, xg, ug, table.policy, x[:400].reshape(4, 100, 2))
+    assert r3.shape == (4, 100) and u3.shape == (4, 100, 1) and x3.shape == (4, 100, 2)
+    for got, want in ((r3, reason), (u3, u), (x3, xn)):
+        assert got.tobytes() == want[:400].tobytes()
+
+
+def test_apply_policy_is_silent_on_nan_infinite_and_far_states(rng):
+    # such states leave the policy's grid: reason 1, NaN control and
+    # successor, and no RuntimeWarning from the cell search, batched or not
+    prob, xg, ug, table = _tight_bounds_case(rng)
+    bad = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7e308]
+    x = np.array([[b, 0.5] for b in bad] + [[0.5, b] for b in bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for states in (x, *x):
+            reason, u, xn = apply_policy(prob, xg, ug, table.policy, states)
+            assert (reason == 1).all() and np.isnan(u).all() and np.isnan(xn).all()

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,24 +209,25 @@ def _locate_cells_corner_loop(g, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
     inside = g.in_domain(pts)
-    t = (pts - grid_bounds(g)[0]) / g.spacings
-    snapped = np.rint(t)
-    t = np.where(np.abs(t - snapped) <= 1e-9, snapped, t)
-    nmax = np.asarray(g.shape, dtype=np.int64) - 2
-    cell = np.clip(np.floor(t).astype(np.int64), 0, np.maximum(nmax, 0))
-    frac = t - cell
     strides = [int(np.prod(g.shape[a + 1 :])) for a in range(g.ndim)]
     idx = np.zeros((k, 1 << g.ndim), dtype=np.int64)
     w = np.ones((k, 1 << g.ndim), dtype=float)
-    for c in range(1 << g.ndim):
-        flat = np.zeros(k, dtype=np.int64)
-        wc = np.ones(k, dtype=float)
-        for a in range(g.ndim):
-            bit = (c >> (g.ndim - 1 - a)) & 1
-            flat += (cell[:, a] + bit) * strides[a]
-            wc = wc * (frac[:, a] if bit else 1.0 - frac[:, a])
-        idx[:, c] = flat
-        w[:, c] = wc
+    with np.errstate(all="ignore"):  # NaN, infinite and far-out points
+        t = (pts - grid_bounds(g)[0]) / g.spacings
+        snapped = np.rint(t)
+        t = np.where(np.abs(t - snapped) <= 1e-9, snapped, t)
+        nmax = np.asarray(g.shape, dtype=np.int64) - 2
+        cell = np.clip(np.floor(t).astype(np.int64), 0, np.maximum(nmax, 0))
+        frac = t - cell
+        for c in range(1 << g.ndim):
+            flat = np.zeros(k, dtype=np.int64)
+            wc = np.ones(k, dtype=float)
+            for a in range(g.ndim):
+                bit = (c >> (g.ndim - 1 - a)) & 1
+                flat += (cell[:, a] + bit) * strides[a]
+                wc = wc * (frac[:, a] if bit else 1.0 - frac[:, a])
+            idx[:, c] = flat
+            w[:, c] = wc
     w[~inside] = 0.0
     idx[~inside] = 0
     return idx, w, inside
@@ -245,12 +248,18 @@ def test_locate_cells_matches_corner_loop(rng, ndim):
     slack = rng.choice([0.0, 0.5e-9, -0.5e-9, 1e-8, -1e-8], size=200)
     side = rng.random(200) < 0.5
     faces[np.arange(200), axis] = np.where(side, lo[axis], hi[axis]) + slack * h[axis]
+    # NaN, infinite and far-out values on one axis of otherwise inside points
+    far = rng.uniform(lo, hi, size=(60, ndim))
+    far[np.arange(60), rng.integers(0, ndim, 60)] = rng.choice(
+        [np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7e308], 60
+    )
     pts = np.vstack(
         [
             rng.uniform(lo, hi, size=(500, ndim)),
             rng.uniform(lo - 3 * h, hi + 3 * h, size=(500, ndim)),
             nodes + jitter * h,
             faces,
+            far,
         ]
     )
     got = g.locate_cells(pts)
@@ -261,9 +270,42 @@ def test_locate_cells_matches_corner_loop(rng, ndim):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
     # one point at a time, as a closed-loop step passes it
-    for p in pts[::97]:
+    for p in np.vstack([pts[::97], far[:6]]):
         for a, b in zip(g.locate_cells(p), _locate_cells_corner_loop(g, p)):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_locate_cells_keeps_signed_zeros_of_the_corner_loop(ndim):
+    # on an axis from 0, a point at -0.0 or just below 0 snaps to the node
+    # -0.0 and gets a -0.0 fraction; every weight's sign bit must match
+    g = CartesianGrid([AxisSpec(0.0, 1.0, 0.25)] * ndim)
+    values = [-0.0, 0.0, -1e-12, 1e-12, -2e-10, 2e-10, 1.0, 1.0 - 1e-12, 0.25 - 1e-12]
+    pts = np.array(list(itertools.product(values, repeat=ndim)))
+    got, want = g.locate_cells(pts), _locate_cells_corner_loop(g, pts)
+    assert np.signbit(got[1]).any()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    for p in pts:
+        for a, b in zip(g.locate_cells(p), _locate_cells_corner_loop(g, p)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_cell_search_is_silent_on_nan_infinite_and_far_points():
+    # such points are outside; the search meets invalid casts, inf - inf and
+    # overflowing divisions on them, and must not warn (under -W error,
+    # interpolate would raise instead of returning +inf)
+    g = CartesianGrid([AxisSpec(0.0, 1.0, 0.25), AxisSpec(-1.0, 1.0, 0.1)])
+    field = np.arange(g.size, dtype=float)
+    bad = [np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7e308]
+    pts = np.array([[b, 0.5] for b in bad] + [[0.5, b] for b in bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, w, inside = g.locate_cells(pts)
+        assert not inside.any() and not w.any() and not idx.any()
+        for p in pts:
+            assert g.interpolate(field, p) == math.inf
+            assert not g.in_domain(p)
 
 
 def test_three_dimensional_interpolation(rng):

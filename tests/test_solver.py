@@ -381,6 +381,16 @@ def test_solve_tolerance_validation():
         )
 
 
+@pytest.mark.parametrize("key", ["eps_mu", "eps_x"])
+@pytest.mark.parametrize("bad", [float("nan"), (float("nan"),), -1.0])
+def test_solve_rejects_tolerances_that_are_not_positive(key, bad):
+    # a NaN tolerance would pass a "<= 0" test, and no delta < NaN ever
+    # holds: the solve would run on to n_max instead of failing fast
+    toy = _funnel_toy()
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        solve(toy.problem, toy.xgrid, toy.ugrid, config=SolverConfig(**{key: bad}), progress=None)
+
+
 def test_solve_progress_lines():
     toy = _funnel_toy()
     lines: list[str] = []
