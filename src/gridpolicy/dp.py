@@ -54,10 +54,11 @@ nodes its pairs read with positive weight (``base + off_c`` where
 engine's fixed weights and stage costs and the cost bits at those nodes, so
 when none of them changed between the last two cost fields of a backward
 chain, the row's new cost and argmin (tie-break included) are bitwise those
-of the previous stage.  :meth:`DpEngine.chain` uses this to copy the rows
-without a changed input (prioritized sweeping, made exact): a block of rows
-in which at least half of the rows need the kernel runs it whole, and the
-rows that need it in other blocks are gathered.
+of the previous stage.  A :class:`BackwardChain` uses this from stage 2 on
+(stage 1 is the full step) to copy the rows without a changed input
+(prioritized sweeping, made exact): a block of rows in which at least half
+of the rows need the kernel runs it whole, and the rows that need it in
+other blocks are gathered.
 
 A chain also eliminates controls (MacQueen 1967, Hastings 1976): a row
 whose minimum is attained by a single control keeps a *margin*, a proven
@@ -69,7 +70,7 @@ kernel's operations in its order, so its cost has the kernel's bits.  The
 row reruns the full kernel once its margin is spent, when a node it reads
 turns finite or infinite, and while its minimum is tied.  The rule, its
 rounding bound and the conditions it assumes are stated at
-:meth:`DpEngine.chain`.
+:class:`BackwardChain`.
 
 The forward step advances an ensemble of closed-loop states and parks each
 entry at an exact closed-loop fixpoint, after which it is no longer stepped
@@ -80,9 +81,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import os
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -100,7 +99,8 @@ BLOCK_PAIRS = 65536
 
 # Bound on the build's temporaries per pair of one block (inputs, successors,
 # the integrator's and the cell search's arrays); tracemalloc measures
-# 104-127 B on the 2-D pendulums.
+# 141 B on the coarse min-time pendulum in 4096-pair blocks (132 B on a
+# repeated build in the same process).
 BUILD_BYTES_PER_BLOCK_PAIR = 512
 
 # Closed-loop step outcomes, also used as rollout truncation reasons.
@@ -173,27 +173,6 @@ class ForwardEnsemble:
         self.parked = np.zeros(self.feasible.shape, dtype=bool)
         self.stepped = np.empty(0, dtype=np.int64)
         self.stepped_from = self.states[:0].copy()
-
-
-@dataclass(eq=False)
-class _ChainState:
-    """What one :meth:`DpEngine.chain` keeps between stages.
-
-    ``source`` is the cost field the last stage read (None before stage 1);
-    ``cost`` and ``policy`` are private copies of that stage.  ``margin``
-    holds each state row's certificate for its policy control (-inf: none).
-    ``rows``, ``certified`` and ``pairs`` record the last step's work: the
-    rows it did not copy, those of them evaluated at their policy control
-    alone, and the number of pairs whose values it formed.
-    """
-
-    margin: np.ndarray
-    source: np.ndarray | None = None
-    cost: np.ndarray | None = None
-    policy: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    certified: np.ndarray | None = None
-    pairs: int = 0
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
@@ -373,7 +352,7 @@ class DpEngine:
         blocks (counts, then entries) keep the peak at the map and the list
         plus one block's sort per thread.  The first pass also bounds how far
         an admissible pair's weights may sum from 1 (``_weight_error``, the
-        ``eps`` of :meth:`chain`'s rounding bound).
+        ``eps`` of :class:`BackwardChain`'s rounding bound).
         """
         nx, nu, nc = self.nx, self.nu, self._ncorners
         offsets = self.xgrid._corner_offsets.tolist()
@@ -437,32 +416,12 @@ class DpEngine:
 
     # -- backward value step ---------------------------------------------------
 
-    def backward(
-        self,
-        prev_cost: np.ndarray | None,
-        *,
-        since: _ChainState | None = None,
-    ) -> StageTable:
-        """One backward recursion step on top of cost-to-go ``prev_cost``.
-
-        ``None`` stands for the all-zero terminal field.  ``since`` is
-        :meth:`chain`'s state, which the step reads and advances: rows whose
-        stencil reads no node whose bits changed since the last stage are
-        copied, and rows whose margin certifies their policy control are
-        evaluated at that control alone.  Without it every pair is
-        evaluated.
-        """
+    def backward(self, prev_cost: np.ndarray | None) -> StageTable:
+        """One full backward recursion step on top of cost-to-go
+        ``prev_cost``, every pair evaluated; ``None`` stands for the
+        all-zero terminal field."""
         nx = self.nx
-        offsets = self.xgrid._corner_offsets
-        # The sentinel nx and the pad up to the largest corner offset hold 0.
-        caug = np.zeros(nx + 1 + int(offsets[-1]))
-        if prev_cost is not None:
-            prev_cost = np.asarray(prev_cost, dtype=float)
-            if prev_cost.shape != (nx,):
-                raise ValueError(f"prev_cost must have shape ({nx},)")
-            caug[:nx] = prev_cost
-        if since is not None:
-            return self._chain_step(caug, since)
+        caug = self._augmented(prev_cost)
         cost = np.empty(nx, dtype=float)
         policy = np.empty(nx, dtype=np.int64)
 
@@ -478,6 +437,18 @@ class DpEngine:
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
+
+    def _augmented(self, prev_cost: np.ndarray | None) -> np.ndarray:
+        """``prev_cost`` (None: all zeros) followed by the sentinel ``nx``
+        and the pad up to the largest corner offset, which hold 0."""
+        nx = self.nx
+        caug = np.zeros(nx + 1 + int(self.xgrid._corner_offsets[-1]))
+        if prev_cost is not None:
+            prev_cost = np.asarray(prev_cost, dtype=float)
+            if prev_cost.shape != (nx,):
+                raise ValueError(f"prev_cost must have shape ({nx},)")
+            caug[:nx] = prev_cost
+        return caug
 
     def _work_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Two float buffers for the largest block of ``rows`` state rows."""
@@ -555,23 +526,18 @@ class DpEngine:
         val += self._sc[pairs]
         return val
 
-    def _chain_step(self, caug: np.ndarray, state: _ChainState) -> StageTable:
-        """:meth:`backward` on :meth:`chain`'s state (see there)."""
+    def _chain_step(self, caug: np.ndarray, chain: BackwardChain) -> None:
+        """Stage 2 or later of ``chain`` on top of its cost field ``caug``:
+        updates the chain's cost and policy in place and records the step
+        (see :class:`BackwardChain`)."""
         nx, nu = self.nx, self.nu
         prev = caug[:nx]
         scale = float(np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0))
-        if state.source is None:
-            dirty = np.ones(nx, dtype=bool)
-            certified = np.zeros(nx, dtype=bool)
-            cost = np.empty(nx, dtype=float)
-            policy = np.empty(nx, dtype=np.int64)
-        else:
-            changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
-            np.not_equal(prev.view(np.uint64), state.source.view(np.uint64), out=changed[:nx])
-            read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
-            dirty = np.logical_or.reduceat(read, self._row_starts)
-            certified = self._spend_margins(prev, state, changed, dirty, scale)
-            cost, policy = state.cost.copy(), state.policy.copy()
+        changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
+        np.not_equal(prev.view(np.uint64), chain._source.view(np.uint64), out=changed[:nx])
+        read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
+        dirty = np.logical_or.reduceat(read, self._row_starts)
+        certified = self._spend_margins(chain, prev, changed, dirty, scale)
         full_rows = np.flatnonzero(dirty & ~certified)
         alone: list[np.ndarray] = []  # rows evaluated at their policy control
 
@@ -588,7 +554,7 @@ class DpEngine:
                 # rows costs about twice as much per row.  The block's other
                 # rows get their own bits again, and a fresh margin.
                 v = self._values(caug, slice(b0, b1), val, tmp)
-                self._certify(v, slice(b0, b1), cost, policy, state.margin, scale)
+                self._certify(v, slice(b0, b1), chain, scale)
                 dirty[b0:b1] = True  # dirty: the rows not copied
                 certified[b0:b1] = False  # certified: the rows run alone
             rows = np.concatenate(gathered)
@@ -596,29 +562,29 @@ class DpEngine:
             for i in range(0, rows.size, step):
                 part = rows[i : i + step]
                 v = self._values(caug, part, val, tmp)
-                self._certify(v, part, cost, policy, state.margin, scale)
+                self._certify(v, part, chain, scale)
             rows = np.flatnonzero(certified[r0:r1]) + r0
-            alone.append(self._certified_values(caug, rows, cost, policy))
+            alone.append(self._certified_values(caug, rows, chain))
 
         self._run_chunks(step_rows)
-        state.rows = np.flatnonzero(dirty)
-        state.certified = np.sort(np.concatenate(alone))
-        state.pairs = (state.rows.size - np.count_nonzero(certified)) * nu + state.certified.size
-        state.source, state.cost, state.policy = prev, cost.copy(), policy.copy()
-        return StageTable(cost=cost, policy=policy)
+        chain.rows = np.flatnonzero(dirty)
+        chain.certified = np.sort(np.concatenate(alone))
+        chain.pairs = (chain.rows.size - np.count_nonzero(certified)) * nu + chain.certified.size
+        chain._source = prev
 
     def _spend_margins(
         self,
+        chain: BackwardChain,
         prev: np.ndarray,
-        state: _ChainState,
         changed: np.ndarray,
         dirty: np.ndarray,
         scale: float,
     ) -> np.ndarray:
-        """Lower the margin of every dirty row that holds one by the span of
-        ``D = prev - source`` over its stencil nodes, and return the mask of
-        the rows whose margin still certifies their policy control."""
-        margin = state.margin
+        """Lower the margin of every dirty row of ``chain`` that holds one by
+        the span of ``D = prev - source`` over its stencil nodes, and return
+        the mask of the rows whose margin still certifies their policy
+        control."""
+        margin = chain._margin
         _, _, c3, tau = self._slack
         bound = _up(_up(c3 * scale) + tau)
         live = np.flatnonzero(dirty & (margin > bound))  # spans are >= 0
@@ -626,7 +592,7 @@ class DpEngine:
             d = np.zeros(self.nx + 1)
             d[-1] = np.nan  # the sentinel, read by no finite pair
             with np.errstate(invalid="ignore"):
-                np.subtract(prev, state.source, out=d[:-1], where=changed[:-1])
+                np.subtract(prev, chain._source, out=d[:-1], where=changed[:-1])
             d[:-1][np.isinf(prev) & ~changed[:-1]] = np.nan  # infinite at both
             d[changed & ~np.isfinite(d)] = np.inf  # a node turned (in)finite
             with np.errstate(invalid="ignore"):  # inf - inf when both are inf
@@ -670,16 +636,10 @@ class DpEngine:
         return np.where(second == np.inf, np.inf, g)
 
     def _certify(
-        self,
-        v: np.ndarray,
-        rows: slice | np.ndarray,
-        cost: np.ndarray,
-        policy: np.ndarray,
-        margin: np.ndarray,
-        scale: float,
+        self, v: np.ndarray, rows: slice | np.ndarray, chain: BackwardChain, scale: float
     ) -> None:
         """Minimum, argmin and fresh margin of the full values ``v`` of
-        ``rows``, written to ``cost``, ``policy`` and ``margin``; ``scale``
+        ``rows``, written to ``chain``'s cost, policy and margins; ``scale``
         is the stage's ``B``.  ``v`` is overwritten.
 
         A row whose minimum is attained once gets the fresh margin of its
@@ -695,20 +655,21 @@ class DpEngine:
         flat[at] = np.inf
         second = v.min(axis=1)
         arg[~np.isfinite(best)] = INFEASIBLE
-        cost[rows] = best
-        policy[rows] = arg
+        chain._cost[rows] = best
+        chain._policy[rows] = arg
         fresh = np.where(best == np.inf, np.inf, -np.inf)
         unique = np.isfinite(best) & (second > best)
         fresh[unique] = self._gap_bound(best[unique], second[unique], scale)
-        margin[rows] = fresh
+        chain._margin[rows] = fresh
 
     def _certified_values(
-        self, caug: np.ndarray, rows: np.ndarray, cost: np.ndarray, policy: np.ndarray
+        self, caug: np.ndarray, rows: np.ndarray, chain: BackwardChain
     ) -> np.ndarray:
-        """Evaluate certified ``rows`` at their policy control only, into
-        ``cost``; the policy stands.  A row without a finite value (policy
+        """Evaluate certified ``rows`` at ``chain``'s policy control only,
+        into its cost; the policy stands.  A row without a finite value (policy
         -1) keeps its +inf and is not evaluated.  Returns the rows
         evaluated."""
+        cost, policy = chain._cost, chain._policy
         rows = rows[policy[rows] != INFEASIBLE]
         # _pair_values holds about six float64 temporaries per pair: a
         # quarter block of pairs keeps them within the kernel's buffers.
@@ -718,83 +679,10 @@ class DpEngine:
             cost[r] = self._pair_values(caug, r * self.nu + policy[r])
         return rows
 
-    def chain(self) -> Iterator[StageTable]:
-        """The backward stages 1, 2, ... without end, as read-only tables.
-
-        Three exact skips keep the kernel off work whose result is known:
-
-        * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
-          weights and stage costs and the cost bits at the row's stencil
-          nodes.  The chain keeps private copies of the cost and policy it
-          yielded last and of the cost field they were computed from, and
-          :meth:`backward` may copy every row none of whose stencil nodes
-          changed bit for bit between those two fields (cost and argmin,
-          tie-break included).  Being copies, the kept arrays cannot be
-          changed from outside, so the rule is exact whatever the caller
-          does with the tables; each chain keeps its own.
-        * Controls (action elimination: MacQueen 1967, Hastings 1976).  A
-          row evaluated in full whose minimum ``m`` is attained by one
-          control keeps that control as its survivor and a *margin*, the
-          fresh margin of its second smallest value ``m2`` (below).  Each
-          later stage that reads a changed node of the row lowers the
-          margin by an upper bound on the span (max - min) of
-          ``D = C_{j-1} - C_{j-2}`` over the row's stencil nodes; a node
-          that turned finite or infinite makes the span +inf.  While the
-          margin exceeds ``c3 B_j + tau``, no other control can reach the
-          survivor's value, and the row is evaluated at its survivor
-          alone, with the kernel's operations in its order, so its cost
-          has the kernel's bits and its policy stands.  A row reruns the
-          full kernel, which forms a fresh margin, once its margin is
-          spent, and whenever its minimum is tied (no margin separates a
-          tie); a row with no finite value keeps margin +inf and cost
-          +inf until a node it reads turns finite.  A block of rows
-          (about :data:`BLOCK_PAIRS` pairs) in which at least half of the
-          rows need the full kernel runs it over every row of the block:
-          the unchanged rows get the bits a copy would hold and every row
-          a fresh margin.  The rows that need it in other blocks are
-          gathered into blocks of the same size.
-        * Stages.  Once a stage's cost is bitwise equal to the one before it
-          (the zero terminal field before stage 1), the cost field has
-          reached its fixpoint: every later stage is that same table object,
-          and the backward kernel is not run again.
-
-        The rounding bound.  Let ``u = 2**-53``, ``n = 2**d`` corners and
-        ``g = (n + 1) u / (1 - (n + 1) u)``: the kernel's ``n`` products
-        and ``n`` sums put a computed value ``V`` within ``g`` times the sum
-        of its terms' absolute values of the exact one, plus
-        ``n 2**-1074`` from underflow.  The weights are nonnegative, but
-        their sum need not be exactly 1: ``eps`` bounds ``|sum_c w_c - 1|``
-        over the admissible pairs, measured at the build.  Let
-        ``q = (1 + g) / (1 - g)`` and ``B_j`` the largest finite
-        ``|C_{j-1}|`` over all nodes, and
-        ``c1 = g (q + 1)``, ``c2 = g (4q + 2)(1 + eps) + 2 eps``,
-        ``c3 = 2 g (1 + eps) + 2 eps``, ``tau = 8 n 2**-1074``.  The fresh
-        margin formed at stage ``k`` is
-        ``(m2 - m) - c1 (|m2| + |m|) - c2 B_k``.  At a later stage ``j``
-        with no node of the row turned finite or infinite, the survivor
-        ``s`` and every other control ``e`` satisfy
-        ``V_j(e) - V_j(s) >= margin - c3 B_j - tau``, where the margin has
-        been lowered by the spans of stages ``k+1..j``: the exact
-        difference moves by at most the summed spans plus
-        ``eps (|min D| + |max D|) <= 2 eps (B_j + B_k)`` over the
-        accumulated change ``D``, and each of the four values is within
-        ``g (|V| + 2 (1 + eps) B) / (1 - g)`` of its exact value.  The bound
-        is increasing in ``m2``, so the second smallest value covers every
-        other control.  The bookkeeping rounds every bound outward
-        (``np.nextafter``).  It assumes that the stage costs of admissible
-        pairs are finite and that no value overflows; a NaN minimum gets
-        no margin.
-
-        A stage is computed only when it is pulled.
-        """
-        state = _ChainState(margin=np.full(self.nx, -np.inf))
-        while True:
-            table = self.backward(state.cost, since=state)
-            table.cost.flags.writeable = False
-            table.policy.flags.writeable = False
-            yield table
-            if _same_bits(state.cost, state.source):
-                yield from itertools.repeat(table)
+    def chain(self) -> BackwardChain:
+        """A fresh :class:`BackwardChain` on this engine: its stages 1, 2,
+        ... without end."""
+        return BackwardChain(self)
 
     # -- forward ensemble step ---------------------------------------------------
 
@@ -858,6 +746,117 @@ class DpEngine:
         return u_out
 
 
+class BackwardChain:
+    """The backward stages 1, 2, ... of one engine without end, as read-only
+    tables; :meth:`DpEngine.chain` makes one.
+
+    Stage 1 is the full step :meth:`DpEngine.backward` on the zero terminal
+    field.  Three exact skips keep later stages off work whose result is known:
+
+    * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
+      weights and stage costs and the cost bits at the row's stencil
+      nodes.  The chain keeps its own cost and policy of the last stage,
+      which a step updates in place, and the cost field they were computed
+      from; a step copies every row none of whose stencil nodes changed bit
+      for bit between those two fields (cost and argmin, tie-break
+      included).  Each yielded table is a copy, so the kept arrays cannot
+      be changed from outside and the rule is exact whatever the caller
+      does with the tables; each chain keeps its own.
+    * Controls (action elimination: MacQueen 1967, Hastings 1976).  A row
+      evaluated in full whose minimum ``m`` is attained by one control keeps
+      that control as its survivor and a *margin*, the fresh margin of its
+      second smallest value ``m2`` (below).  Every margin starts at -inf
+      (none), so the full kernel runs of stage 2 form the first ones.  Each
+      later stage that reads a changed node of the row lowers the margin by an
+      upper bound on the span (max - min) of ``D = C_{j-1} - C_{j-2}`` over the
+      row's stencil nodes; a node that turned finite or infinite makes the span
+      +inf.  While the margin exceeds ``c3 B_j + tau``, no other control can
+      reach the survivor's value, and the row is evaluated at its survivor
+      alone, with the kernel's operations in its order, so its cost has the
+      kernel's bits and its policy stands.  A row reruns the full kernel, which
+      forms a fresh margin, once its margin is spent, and whenever its minimum
+      is tied (no margin separates a tie); a row with no finite value keeps
+      margin +inf and cost +inf until a node it reads turns finite.  A block of
+      rows (about :data:`BLOCK_PAIRS` pairs) in which at least half of the rows
+      need the full kernel runs it over every row of the block: the unchanged
+      rows get the bits a copy would hold and every row a fresh margin.  The
+      rows that need it in other blocks are gathered into blocks of the same
+      size.
+    * Stages.  Once a stage's cost is bitwise equal to the one before it
+      (the zero terminal field before stage 1), the cost field has
+      reached its fixpoint: every later stage is that same table object,
+      and the backward kernel is not run again.
+
+    The rounding bound.  Let ``u = 2**-53``, ``n = 2**d`` corners and
+    ``g = (n + 1) u / (1 - (n + 1) u)``: the kernel's ``n`` products
+    and ``n`` sums put a computed value ``V`` within ``g`` times the sum
+    of its terms' absolute values of the exact one, plus
+    ``n 2**-1074`` from underflow.  The weights are nonnegative, but
+    their sum need not be exactly 1: ``eps`` bounds ``|sum_c w_c - 1|``
+    over the admissible pairs, measured at the build.  Let
+    ``q = (1 + g) / (1 - g)`` and ``B_j`` the largest finite
+    ``|C_{j-1}|`` over all nodes, and
+    ``c1 = g (q + 1)``, ``c2 = g (4q + 2)(1 + eps) + 2 eps``,
+    ``c3 = 2 g (1 + eps) + 2 eps``, ``tau = 8 n 2**-1074``.  The fresh
+    margin formed at stage ``k`` is
+    ``(m2 - m) - c1 (|m2| + |m|) - c2 B_k``.  At a later stage ``j``
+    with no node of the row turned finite or infinite, the survivor
+    ``s`` and every other control ``e`` satisfy
+    ``V_j(e) - V_j(s) >= margin - c3 B_j - tau``, where the margin has
+    been lowered by the spans of stages ``k+1..j``: the exact
+    difference moves by at most the summed spans plus
+    ``eps (|min D| + |max D|) <= 2 eps (B_j + B_k)`` over the
+    accumulated change ``D``, and each of the four values is within
+    ``g (|V| + 2 (1 + eps) B) / (1 - g)`` of its exact value.  The bound
+    is increasing in ``m2``, so the second smallest value covers every
+    other control.  The bookkeeping rounds every bound outward
+    (``np.nextafter``).  It assumes that the stage costs of admissible
+    pairs are finite and that no value overflows; a NaN minimum gets
+    no margin.
+
+    A stage is computed only when it is pulled.
+
+    Attributes:
+        stage: the stages pulled so far.
+        rows: the sorted state rows the last computed step did not copy
+            (every row at stage 1, None before it).
+        certified: those of them evaluated at their policy control alone.
+        pairs: the pairs whose values that step formed (``nx * nu`` at stage 1).
+    """
+
+    def __init__(self, engine: DpEngine):
+        self.engine = engine
+        self.stage = 0
+        self.rows = self.certified = None
+        self.pairs = 0
+        self._margin = np.full(engine.nx, -np.inf)  # per row; -inf: none
+        self._source = np.zeros(engine.nx)  # the cost field the last step read
+        self._cost = self._policy = None  # the last stage's, updated in place
+        self._fixpoint: StageTable | None = None
+
+    def __iter__(self) -> BackwardChain:
+        return self
+
+    def __next__(self) -> StageTable:
+        self.stage += 1
+        if self._fixpoint is not None:
+            return self._fixpoint
+        engine = self.engine
+        if self._cost is None:
+            table = engine.backward(None)
+            self._cost, self._policy = table.cost.copy(), table.policy.copy()
+            self.rows = np.arange(engine.nx)
+            self.certified = self.rows[:0]
+            self.pairs = engine.nx * engine.nu
+        else:
+            engine._chain_step(engine._augmented(self._cost), self)
+            table = StageTable(cost=self._cost.copy(), policy=self._policy.copy())
+        table.cost.flags.writeable = table.policy.flags.writeable = False
+        if _same_bits(self._cost, self._source):
+            self._fixpoint = table
+        return table
+
+
 def _engine_for(
     problem: ProblemDef,
     xgrid: CartesianGrid,
@@ -899,7 +898,7 @@ def _gamma(n: int) -> float:
 
 
 def _rounding_slack(ncorners: int, eps: float) -> tuple[float, float, float, float]:
-    """``(c1, c2, c3, tau)`` of the rounding bound in :meth:`DpEngine.chain`,
+    """``(c1, c2, c3, tau)`` of the rounding bound in :class:`BackwardChain`,
     for ``ncorners`` corners and weight sums within ``eps`` of 1, each
     rounded up."""
     g = _gamma(ncorners + 1)
@@ -939,7 +938,7 @@ def _within(rows: np.ndarray, r0: int, r1: int) -> np.ndarray:
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality of two float64 fields (``-0.0`` differs from ``0.0``)."""
-    return a is b or np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _any_rows(b: np.ndarray) -> np.ndarray:

@@ -83,7 +83,6 @@ class PolicyRuns:
 
     def __init__(self, engine: DpEngine):
         self.engine = engine
-        self.count = 0  # stages pulled
         self._chain = engine.chain()
         self._runs: list[list] = []  # [policy, stages in the run], stage 1's first
 
@@ -97,8 +96,12 @@ class PolicyRuns:
             runs[-1][1] += 1
         else:
             runs.append([policy, 1])
-        self.count += 1
         return table
+
+    @property
+    def count(self) -> int:
+        """The stages pulled so far."""
+        return self._chain.stage
 
     def policies(self, horizon: int) -> list[np.ndarray]:
         """The policies of stages ``horizon, horizon - 1, ..., 1`` (forward

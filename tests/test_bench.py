@@ -42,6 +42,8 @@ def test_bench_repetition_reproduces_expected_outputs(workload):
 
 def test_bench_traced_compare_coarse_repetition_runs():
     # the tracer patches functions by name and reads their results' shapes,
-    # so an API change can break --trace 1 alone
+    # so an API change can break --trace 1 alone; and a layer that moves
+    # out of the traced spans can take coverage below what run.py accepts
     layers = _repetition("compare_coarse", traced=True)["layers"]
     assert layers["dp.apply_policy_calls"] > 0 and layers["dp.backward_steps"] > 0
+    assert layers["trace.coverage"] >= 0.9  # MIN_COVERAGE in bench/tracer.py

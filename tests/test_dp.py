@@ -513,31 +513,40 @@ def _same_tables(a, b):
     )
 
 
-def _chain_rows(engine, steps, chain=None):
+def _chain_work(engine, steps, chain=None):
     """The first ``steps`` stages of ``chain`` (a fresh ``engine.chain()`` by
-    default) and, per stage, the sorted state rows its backward step
-    evaluated (None when the step did not run)."""
-    rows = []
+    default) and, per stage, the record of its backward step read from the
+    chain after each ``next()`` (None when no step ran): the rows the row
+    skip did not copy, those evaluated at their policy control alone, the
+    pairs evaluated, and the margin test's inputs."""
     chain = engine.chain() if chain is None else chain
-
-    def backward(self, prev_cost, since=None):
-        table = DpEngine.backward(self, prev_cost, since=since)
-        rows[-1] = since.rows.tolist()
-        return table
-
-    stages = []
-    with mock.patch.object(engine, "backward", backward.__get__(engine)):
-        for _ in range(steps):
-            rows.append(None)
-            stages.append(next(chain))
-    return stages, rows
+    stages, work = [], []
+    for _ in range(steps):
+        before = chain.rows
+        stages.append(next(chain))
+        if chain.rows is before:  # past the fixpoint
+            work.append(None)
+            continue
+        prev = chain._source
+        scale = np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0)
+        work.append(
+            SimpleNamespace(
+                rows=chain.rows.copy(),
+                certified=chain.certified.copy(),
+                pairs=chain.pairs,
+                margin=chain._margin.copy(),
+                prev=prev.copy(),
+                bound=engine._slack[2] * scale + engine._slack[3],
+            )
+        )
+    return stages, work
 
 
 def _chain_counting(engine, steps):
     """The first ``steps`` stages of ``engine.chain()`` and the kernel calls
     they made."""
-    stages, rows = _chain_rows(engine, steps)
-    return stages, sum(r is not None for r in rows)
+    stages, work = _chain_work(engine, steps)
+    return stages, sum(w is not None for w in work)
 
 
 @settings(max_examples=100, deadline=None)
@@ -618,6 +627,42 @@ def test_chain_tables_are_read_only():
             policy[0] = 1
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chain_stage_one_is_the_full_step(rng, threads):
+    # stage 1 is the plain full step on the zero terminal field: its bits,
+    # a record of every row read, none certified and every pair formed, and
+    # no margin yet
+    toy = random_lattice_toy(rng)
+    for problem, xg, ug in ((toy.problem, toy.xgrid, toy.ugrid), _small_pendulum()):
+        engine = DpEngine(problem, xg, ug, threads=threads)
+        chain = engine.chain()
+        assert chain.stage == 0 and chain.rows is None
+        first = next(chain)
+        assert _same_tables([first], [engine.backward(None)])
+        assert chain.stage == 1
+        assert chain.rows.tolist() == list(range(engine.nx))
+        assert chain.certified.size == 0 and chain.pairs == engine.nx * engine.nu
+        assert (chain._margin == -np.inf).all()
+
+
+def test_chain_of_zero_stage_costs_settles_at_stage_one(rng):
+    # every pair admissible at stage cost +0.0: stage 1's cost is the zero
+    # terminal field bit for bit, so stage 1 is the fixpoint, every later
+    # stage is its table object, and the kernel runs once
+    nx, nu = 7, 3
+    toy = lattice_problem(
+        xshape=(nx,),
+        ushape=(nu,),
+        next_index=rng.integers(0, nx, size=(nx, nu)),
+        cost=np.zeros((nx, nu)),
+        admissible=np.ones((nx, nu), dtype=bool),
+    )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    stages, calls = _chain_counting(engine, 6)
+    assert stages[0].cost.tobytes() == np.zeros(nx).tobytes()
+    assert calls == 1 and all(t is stages[0] for t in stages)
+
+
 # -- row skips: only rows whose stencil inputs changed are recomputed --------
 
 
@@ -652,13 +697,13 @@ def _assert_chain_equals_full_chain(engine, steps):
     """
     full = _chain(engine, steps)
     assert _row_map(engine) == _brute_stencils(engine)
-    stages, rows = _chain_rows(engine, steps)
+    stages, work = _chain_work(engine, steps)
     assert _same_tables(stages, full)
-    return _assert_rows_skipped(engine, full, rows)
+    return _assert_rows_skipped(engine, full, work)
 
 
-def _assert_rows_skipped(engine, full, rows):
-    """Each kernel call of a chain, ``rows[k - 1]`` at stage ``k``, recomputed
+def _assert_rows_skipped(engine, full, work):
+    """Each kernel call of a chain, ``work[k - 1]`` at stage ``k``, recomputed
     every changed row: every row whose stencil holds a node whose cost bits
     changed between the two stages of ``full`` before it (every row at stage
     1).  Within each row block of each thread's chunk it recomputed either
@@ -669,10 +714,11 @@ def _assert_rows_skipped(engine, full, rows):
     costs = [np.zeros(engine.nx)] + [t.cost for t in full]
     blocks = [b for r0, r1 in engine._row_chunks() for b in dp._row_blocks(r0, r1, engine.nu)]
     skipped = 0
-    for k, got in enumerate(rows, start=1):
-        if got is None:  # past the fixpoint
+    for k, w in enumerate(work, start=1):
+        if w is None:  # past the fixpoint
             assert costs[k - 1].tobytes() == costs[k - 2].tobytes()
             continue
+        got = w.rows.tolist()
         assert got == sorted(set(got)), k
         want = np.ones(engine.nx, dtype=bool)
         if k > 1:
@@ -744,18 +790,18 @@ def test_alternating_stage_lists_on_one_engine(rng):
     chains = (engine.chain(), engine.chain())
     pulled = (([], []), ([], []))
     for pick in rng.integers(0, 2, size=100):
-        stages, rows = pulled[pick]
+        stages, work = pulled[pick]
         if len(stages) < 60:
-            got, kernel = _chain_rows(engine, 1, chains[pick])
+            got, record = _chain_work(engine, 1, chains[pick])
             stages += got
-            rows += kernel
+            work += record
         if rng.random() < 0.2:
             table = engine.backward(stages[-1].cost)
             assert _same_tables([table], [full[len(stages)]])
-    for stages, rows in pulled:
+    for stages, work in pulled:
         assert len(stages) > 20
         assert _same_tables(stages, full[: len(stages)])
-        assert _assert_rows_skipped(engine, full, rows) > 0
+        assert _assert_rows_skipped(engine, full, work) > 0
 
 
 def test_tables_changed_in_place_do_not_leak_into_later_stages():
@@ -904,36 +950,6 @@ def test_three_dimensional_forward_on_chain_tables_equals_the_chain(rng):
 # -- certified action elimination: rows evaluated at their policy alone ------
 
 
-def _chain_work(engine, steps, chain=None):
-    """The first ``steps`` stages of ``chain`` (a fresh ``engine.chain()`` by
-    default) and, per stage whose backward step ran, a record of it: the
-    rows the row skip did not copy, those evaluated at their policy control
-    alone, the pairs evaluated, and the margin test's inputs."""
-    work = []
-    chain = engine.chain() if chain is None else chain
-
-    def backward(self, prev_cost, since=None):
-        table = DpEngine.backward(self, prev_cost, since=since)
-        prev = np.zeros(self.nx) if prev_cost is None else prev_cost
-        scale = np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0)
-        work[-1] = SimpleNamespace(
-            rows=since.rows.copy(),
-            certified=since.certified.copy(),
-            pairs=since.pairs,
-            margin=since.margin.copy(),
-            prev=np.array(prev, dtype=float),
-            bound=self._slack[2] * scale + self._slack[3],
-        )
-        return table
-
-    stages = []
-    with mock.patch.object(engine, "backward", backward.__get__(engine)):
-        for _ in range(steps):
-            work.append(None)
-            stages.append(next(chain))
-    return stages, work
-
-
 def _certified_pairs(work):
     return sum(w.certified.size for w in work if w is not None)
 
@@ -995,9 +1011,11 @@ def test_elimination_spends_a_margin_when_the_argmin_switches_late():
 def test_elimination_reruns_the_kernel_when_a_node_turns_infinite():
     # node 10 steps to node 0 (pay 5, then 2**-10 per stage) or into the
     # chain 1 -> 2 -> ... -> 8 -> trap 9 (free, but infeasible past 9
-    # steps).  The free control is certified with margin about 5 while the
-    # span is 2**-10 per stage; at stage 10 node 1 turns infinite, the span
-    # is +inf and the row reruns the full kernel and switches.
+    # steps).  The free control is certified with margin about 5 at stage 2
+    # (stage 1, the full step, forms no margins) while the span is 2**-10
+    # per stage, so the row runs alone from stage 3; at stage 10 node 1
+    # turns infinite, the span is +inf and the row reruns the full kernel
+    # and switches.
     n = 8
     nxt = [[0, -1]] + [[i + 1, -1] for i in range(1, n + 1)] + [[-1, -1], [0, 1]]
     cost = [[2.0**-10, 0.0]] + [[0.0, 0.0]] * n + [[0.0, 0.0], [5.0, 0.0]]
@@ -1013,7 +1031,7 @@ def test_elimination_reruns_the_kernel_when_a_node_turns_infinite():
         np.testing.assert_array_equal(stages[h - 1].policy, want_first)
     assert [int(t.policy[d]) for t in stages[: n + 3]] == [1] * (n + 1) + [0] * 2
     alone = [k for k, w in enumerate(work, start=1) if w is not None and d in w.certified]
-    assert alone[: n] == list(range(2, n + 2))
+    assert alone[: n - 1] == list(range(3, n + 2))
     assert d in work[n + 1].rows and d not in work[n + 1].certified  # stage n + 2
 
 

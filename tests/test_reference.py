@@ -443,30 +443,30 @@ def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
     # longest horizon, 7, takes 7 steps, and no stage past it is pulled
     toy = fixpoint_lattice_toy(rng, (6,), 3, settles=False)
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-    calls = []
-    backward = DpEngine.backward
+    chains = []
+    chain = DpEngine.chain
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return backward(self, *args, **kwargs)
+    def recording(self):
+        chains.append(chain(self))
+        return chains[-1]
 
-    monkeypatch.setattr(DpEngine, "backward", counting)
+    monkeypatch.setattr(DpEngine, "chain", recording)
     horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3, 7], 4, engine=engine)
-    assert len(calls) == 7
-    calls.clear()
+    assert [c.stage for c in chains] == [7]
+    chains.clear()
     finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 7, engine=engine)
-    assert len(calls) == 7
+    assert [c.stage for c in chains] == [7]
     # continued from a record of N = 4 stages, the reference runs only the
     # W - N stages past it, and none when W <= N
     for window in (2, 4, 7):
         stages = PolicyRuns(engine)
         for _ in range(4):
             next(stages)
-        calls.clear()
+        chains.clear()
         finite_horizon_policies(
             toy.problem, toy.xgrid, toy.ugrid, window, engine=engine, stages=stages
         )
-        assert len(calls) == max(window - 4, 0), window
+        assert not chains and stages.count - 4 == max(window - 4, 0), window
 
 
 def _unparked_sweep(engine, horizons, steps):
