@@ -109,7 +109,7 @@ class CartesianGrid:
         # Per axis, as Python numbers, since the domain test and the cell
         # search read one axis at a time (for a single point every operation
         # is then a NumPy-scalar one): the bounds with the face slack of
-        # :meth:`in_domain`, then lo, spacing, last cell index and stride.
+        # :meth:`_inside`, then lo, spacing, last cell index and stride.
         atol = self._spacing * _REL_TOL
         self._faces = tuple(zip((self._lo - atol).tolist(), (self._upper + atol).tolist()))
         self._search_axes = tuple(
@@ -161,26 +161,15 @@ class CartesianGrid:
 
     # -- membership and cells ------------------------------------------------
 
-    def in_domain(self, points: np.ndarray) -> np.ndarray:
-        """Elementwise test whether points lie inside the node hull.
-
-        Args:
-            points: array of shape ``(..., ndim)``.
-
-        Returns:
-            Boolean array of shape ``(...,)``, a NumPy bool for one
-            ``(ndim,)`` point.  The box faces get a small spacing-relative
-            slack so that states produced by integrating exactly onto the
-            boundary are not spuriously rejected; NaN is outside.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 0 or pts.shape[-1] != self.ndim:
-            raise ValueError(f"expected (..., {self.ndim}) points, got {pts.shape}")
-        return self._inside(pts)
-
     def _inside(self, points: np.ndarray) -> np.ndarray:
-        """:meth:`in_domain` without its checks: two comparisons per
-        component ``points[..., a]``, in the points' batch shape."""
+        """Whether float64 ``(..., ndim)`` points lie inside the node hull,
+        shape ``(...,)`` (a NumPy bool for one ``(ndim,)`` point).
+
+        Two comparisons per component ``points[..., a]``, in the points'
+        batch shape.  The box faces get a small spacing-relative slack so
+        that states produced by integrating exactly onto the boundary are
+        not spuriously rejected; NaN is outside.
+        """
         inside = np.True_
         for a, (lo, hi) in enumerate(self._faces):
             p = points[..., a][()]

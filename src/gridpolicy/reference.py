@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import STEP_REASONS, DpEngine, StageTable, _engine_for, apply_policy
+from .dp import STEP_REASONS, BackwardChain, DpEngine, StageTable, _engine_for, apply_policy
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
@@ -65,32 +65,26 @@ class RolloutTrace:
         return self.controls.shape[0]
 
 
-class PolicyRuns:
-    """One :meth:`DpEngine.chain` pulled stage by stage, with the policy of
-    every stage pulled so far kept as runs.
+class PolicyRuns(BackwardChain):
+    """A :class:`~gridpolicy.dp.BackwardChain` that keeps the policy of
+    every stage pulled so far, as runs.
 
-    Iterating yields the chain's read-only tables, stage 1 first.  Of each
-    stage only its policy array is kept, and only once per run of
+    Of each stage only its policy array is kept, and only once per run of
     consecutive stages whose policies are bitwise equal: the record of
-    ``count`` stages holds one grid-sized int64 array per run, plus the
-    chain's own grid-sized copies.  :func:`~gridpolicy.solver.solve` pulls
-    its stages through one and returns it as ``SolveReport.stages``;
-    :func:`finite_horizon_policies` given it reads the stages already pulled
-    from the record and pulls only the ones past them.  The record and the
-    chain are this object's, not the engine's, so it may be handed on,
-    reused and extended.
+    ``stage`` stages holds one grid-sized int64 array per run.
+    :func:`~gridpolicy.solver.solve` pulls its stages through one and
+    returns it as ``SolveReport.stages``; :func:`finite_horizon_policies`
+    given it reads the stages already pulled from the record and pulls only
+    the ones past them.  The record is this object's, not the engine's, so
+    it may be handed on, reused and extended.
     """
 
     def __init__(self, engine: DpEngine):
-        self.engine = engine
-        self._chain = engine.chain()
+        super().__init__(engine)
         self._runs: list[list] = []  # [policy, stages in the run], stage 1's first
 
-    def __iter__(self) -> PolicyRuns:
-        return self
-
     def __next__(self) -> StageTable:
-        table = next(self._chain)
+        table = super().__next__()
         runs, policy = self._runs, table.policy
         if runs and (runs[-1][0] is policy or np.array_equal(runs[-1][0], policy)):
             runs[-1][1] += 1
@@ -98,16 +92,11 @@ class PolicyRuns:
             runs.append([policy, 1])
         return table
 
-    @property
-    def count(self) -> int:
-        """The stages pulled so far."""
-        return self._chain.stage
-
     def policies(self, horizon: int) -> list[np.ndarray]:
         """The policies of stages ``horizon, horizon - 1, ..., 1`` (forward
-        time order), pulling the stages past ``count`` first.  Equal
+        time order), pulling the stages past ``stage`` first.  Equal
         consecutive entries are one array object."""
-        for _ in range(horizon - self.count):
+        for _ in range(horizon - self.stage):
             next(self)
         out: list[np.ndarray] = []
         for policy, length in self._runs:
@@ -135,7 +124,8 @@ def finite_horizon_policies(
     ones past them are computed, and it is extended in place.  It must
     come from ``engine`` (or, with ``engine`` None, from an engine built for
     these arguments), else :class:`ValueError`.  The result is bitwise the
-    same either way.
+    same either way.  A ``horizon`` that is not an integer raises
+    :class:`TypeError` before any stage is computed.
 
     Returns:
         Read-only int64 policy arrays in forward time order: entry ``k`` is
@@ -143,7 +133,7 @@ def finite_horizon_policies(
         ``horizon - k`` steps to go.  Consecutive entries whose policies are
         bitwise equal are one array object.
     """
-    if horizon < 1:
+    if operator.index(horizon) < 1:
         raise ValueError("horizon must be at least 1")
     if stages is None:
         stages = PolicyRuns(_engine_for(problem, xgrid, ugrid, engine))
@@ -244,7 +234,8 @@ def horizon_sweep(
     (see :meth:`DpEngine.chain`) share one read-only table.
     ``engine`` is as in :func:`finite_horizon_policies`.
 
-    A design horizon that is not an integer raises :class:`TypeError`.
+    A design horizon or ``trajectory_horizon`` that is not an integer raises
+    :class:`TypeError` before any stage is computed.
 
     Returns:
         Mapping ``N -> (size,)`` array of per-node mean costs; NaN at nodes
@@ -253,7 +244,7 @@ def horizon_sweep(
     horizons = sorted(set(map(operator.index, problem_horizons)))
     if not horizons or horizons[0] < 1:
         raise ValueError("problem horizons must be positive integers")
-    if trajectory_horizon < 1:
+    if operator.index(trajectory_horizon) < 1:
         raise ValueError("trajectory_horizon must be at least 1")
     engine = _engine_for(problem, xgrid, ugrid, engine)
 

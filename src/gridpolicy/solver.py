@@ -14,17 +14,18 @@ plays the resulting first-stage policy forward from every feasible node for
 Termination requires *every* ``delta_mu`` component strictly below its
 tolerance and *every* ``delta_x`` component strictly below its tolerance.
 Otherwise the target horizon is multiplied by a growth factor, the backward
-recursion pulls the further stages from the same
-:meth:`~gridpolicy.dp.DpEngine.chain`, and the forward test is repeated
-from a fresh ensemble.  The stages are pulled through a
-:class:`~gridpolicy.reference.PolicyRuns`, which keeps only their policies,
-once per run of equal ones; ``delta_mu`` reads its window from that record.
+recursion pulls the further stages from the same backward chain, and the
+forward test is repeated from a fresh ensemble.  That chain is a
+:class:`~gridpolicy.reference.PolicyRuns`, which keeps of its stages only
+their policies, once per run of equal ones; ``delta_mu`` reads its window
+from that record.
 The loop gives up once the next target would exceed ``n_max``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -51,6 +52,8 @@ class SolverConfig:
 
     ``eps_mu`` / ``eps_x`` accept a scalar or a per-component sequence;
     ``None`` defaults to twice the respective grid spacing per component.
+    ``n_init``, ``n_max`` and ``growth`` must be integers, else
+    :class:`TypeError`.
     """
 
     eps_mu: float | tuple[float, ...] | None = None
@@ -60,6 +63,8 @@ class SolverConfig:
     growth: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("n_init", "n_max", "growth"):
+            operator.index(getattr(self, name))
         if self.n_init < 1:
             raise ValueError("n_init must be at least 1")
         if self.n_max < self.n_init:
@@ -85,11 +90,12 @@ class SolveReport:
     ``status`` is ``"converged"`` or ``"hit_n_max"``; ``terminal_horizon`` is
     the last horizon actually tested.  ``achieved_average`` is the long-run
     mean of the problem's average output under the returned policy (NaN when
-    the evaluation rollout failed; see ``notes``).  ``stages`` is the
-    :class:`~gridpolicy.reference.PolicyRuns` the solve pulled its backward
-    stages through: it holds the policies of stages ``1..terminal_horizon``
-    as runs, from which the solve read each tested horizon's
-    :func:`delta_mu`, and the chain past them; passed to
+    the evaluation rollout failed; see ``notes``).  ``stages`` is the solve's
+    own backward chain, a :class:`~gridpolicy.reference.PolicyRuns` pulled
+    to ``stage == terminal_horizon``: its ``rows``, ``certified`` and
+    ``pairs`` describe the last stage computed, and it holds the policies of
+    stages ``1..terminal_horizon`` as runs, from which the solve read each
+    tested horizon's :func:`delta_mu`.  Passed to
     :func:`~gridpolicy.reference.finite_horizon_policies` with the same
     engine it lets the reference compute only the stages past the solve's.
     """
@@ -199,8 +205,10 @@ def achieved_average(
     per-stage output over the last ``tail`` steps.
 
     Raises:
+        TypeError: if ``horizon`` or ``tail`` is not an integer.
         InfeasibleRolloutError: if any step fails a feasibility check.
     """
+    horizon, tail = operator.index(horizon), operator.index(tail)
     if not 1 <= tail <= horizon:
         raise ValueError("need 1 <= tail <= horizon")
     trace = rollout_stationary(problem, xgrid, ugrid, table, x0, horizon)
@@ -233,8 +241,8 @@ def solve(
 ) -> SolveReport:
     """Solve for a stationary grid policy on a growing horizon.
 
-    The backward stages come from one :meth:`DpEngine.chain`, pulled
-    through a :class:`~gridpolicy.reference.PolicyRuns` that the report
+    The backward stages come from one
+    :class:`~gridpolicy.reference.PolicyRuns` chain that the report
     returns as ``stages``: its tables, the returned ``first_stage_policy``
     among them, are read-only, and the stages past the cost fixpoint are one
     shared table.  Only the last table is kept whole, and of the others
@@ -273,7 +281,7 @@ def solve(
     ensemble = None
 
     while True:
-        while stages.count < target:
+        while stages.stage < target:
             table = next(stages)
 
         ensemble = engine.seed_ensemble(table)

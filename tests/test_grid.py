@@ -136,18 +136,18 @@ def test_infinity_propagation_through_cells():
     assert g.interpolate(field, np.array([0.5])) == 0.5
 
 
-def test_in_domain_face_slack():
+def test_inside_face_slack():
     g = CartesianGrid([AxisSpec(0.0, 1.0, 0.5), AxisSpec(0.0, 1.0, 0.5)])
-    assert g.in_domain(np.array([1.0, 1.0]))
-    assert g.in_domain(np.array([1.0 + 0.5e-10, 0.0]))
-    assert not g.in_domain(np.array([1.0 + 1e-8, 0.0]))
-    assert not g.in_domain(np.array([-1e-8, 0.0]))
-    flags = g.in_domain(np.array([[0.5, 0.5], [2.0, 0.0]]))
+    assert g._inside(np.array([1.0, 1.0]))
+    assert g._inside(np.array([1.0 + 0.5e-10, 0.0]))
+    assert not g._inside(np.array([1.0 + 1e-8, 0.0]))
+    assert not g._inside(np.array([-1e-8, 0.0]))
+    flags = g._inside(np.array([[0.5, 0.5], [2.0, 0.0]]))
     np.testing.assert_array_equal(flags, [True, False])
 
 
-def _in_domain_broadcast(g, points):
-    """The broadcast formula ``in_domain`` used to evaluate, kept as an oracle."""
+def _inside_broadcast(g, points):
+    """The broadcast formula the domain test used to evaluate, kept as an oracle."""
     lows, uppers = grid_bounds(g)
     slack = g.spacings * 1e-9
     pts = np.asarray(points, dtype=float)
@@ -160,7 +160,7 @@ def _in_domain_broadcast(g, points):
     ndim=st.integers(1, 3),
     batch=st.sampled_from([(), (1,), (9,), (3, 4)]),
 )
-def test_in_domain_equals_the_broadcast_formula(seed, ndim, batch):
+def test_inside_equals_the_broadcast_formula(seed, ndim, batch):
     # any batch shape; NaN, infinities, signed zeros, faces and points just
     # inside or outside the face slack
     rng = np.random.default_rng(seed)
@@ -184,7 +184,7 @@ def test_in_domain_equals_the_broadcast_formula(seed, ndim, batch):
         [rng.uniform(lows - 2 * h, uppers + 2 * h, shape), face + slack],
         special,
     )
-    got, want = g.in_domain(pts), _in_domain_broadcast(g, pts)
+    got, want = g._inside(pts), _inside_broadcast(g, pts)
     assert type(got) is type(want) and np.shape(got) == batch
     np.testing.assert_array_equal(got, want)
 
@@ -208,7 +208,7 @@ def _locate_cells_corner_loop(g, points):
     """The per-corner loop ``locate_cells`` used to run, kept as an oracle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
-    inside = g.in_domain(pts)
+    inside = g._inside(pts)
     strides = [int(np.prod(g.shape[a + 1 :])) for a in range(g.ndim)]
     idx = np.zeros((k, 1 << g.ndim), dtype=np.int64)
     w = np.ones((k, 1 << g.ndim), dtype=float)
@@ -305,7 +305,7 @@ def test_cell_search_is_silent_on_nan_infinite_and_far_points():
         assert not inside.any() and not w.any() and not idx.any()
         for p in pts:
             assert g.interpolate(field, p) == math.inf
-            assert not g.in_domain(p)
+            assert not g._inside(p)
 
 
 def test_three_dimensional_interpolation(rng):

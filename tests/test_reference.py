@@ -24,6 +24,7 @@ from gridpolicy import (
     rollout_time_varying,
     solve,
 )
+from gridpolicy.dp import BackwardChain
 
 from _toys import fixpoint_lattice_toy, lattice_problem, random_lattice_toy
 
@@ -126,7 +127,7 @@ def _solved_engine(seed, horizon):
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
     config = SolverConfig(eps_mu=100.0, eps_x=100.0, n_init=horizon, n_max=horizon)
     report = solve(toy.problem, toy.xgrid, toy.ugrid, config, engine=engine, progress=None)
-    assert report.terminal_horizon == horizon == report.stages.count
+    assert report.terminal_horizon == horizon == report.stages.stage
     return engine, report
 
 
@@ -147,7 +148,7 @@ def test_reference_continued_from_a_solve_equals_a_fresh_one(seed, horizon, wind
     # the same runs share arrays on both sides
     for a, b in zip(zip(continued, continued[1:]), zip(fresh, fresh[1:])):
         assert (a[0] is a[1]) == (b[0] is b[1])
-    assert report.stages.count == max(horizon, w)
+    assert report.stages.stage == max(horizon, w)
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,7 +160,7 @@ def test_reusing_a_solve_hand_off_gives_equal_lists(seed, horizon):
         again = _reference(engine, w, stages=report.stages)
         assert len(first) == len(again) == w
         assert all(a is b for a, b in zip(first, again))
-    assert report.stages.count == horizon + 4
+    assert report.stages.stage == horizon + 4
 
 
 def test_a_hand_off_with_a_foreign_engine_is_rejected():
@@ -172,7 +173,7 @@ def test_a_hand_off_with_a_foreign_engine_is_rejected():
         finite_horizon_policies(
             toy.problem, toy.xgrid, toy.ugrid, 3, engine=other, stages=stages
         )
-    assert stages.count == 1
+    assert stages.stage == 1
     # without an engine the record's own must fit the arguments: a toy built
     # again has callables of its own
     twin = _trap_chain()
@@ -438,19 +439,44 @@ def test_horizon_sweep_rejects_non_integral_design_horizons():
     assert list(sweep) == [1, 3] and all(type(n) is int for n in sweep)
 
 
+def _record_chains(monkeypatch):
+    """Every :class:`BackwardChain` constructed from now on, a
+    :class:`PolicyRuns` included, in a list."""
+    chains = []
+    init = BackwardChain.__init__
+
+    def recording(self, engine):
+        init(self, engine)
+        chains.append(self)
+
+    monkeypatch.setattr(BackwardChain, "__init__", recording)
+    return chains
+
+
+def test_non_integral_horizons_are_rejected_before_any_stage(monkeypatch):
+    # 2.5 used to pull stages first: the sweep all 40 of them
+    toy = _trap_chain()
+    args = toy.problem, toy.xgrid, toy.ugrid
+    engine = DpEngine(*args)
+    chains = _record_chains(monkeypatch)
+    for bad in (2.5, 3.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            horizon_sweep(*args, [5, 40], bad, engine=engine)
+        with pytest.raises(TypeError):
+            finite_horizon_policies(*args, bad, engine=engine)
+        with pytest.raises(TypeError):
+            finite_horizon_policies(*args, bad)
+    assert not chains
+    assert len(finite_horizon_policies(*args, np.int64(3), engine=engine)) == 3
+    assert [c.stage for c in chains] == [3]
+
+
 def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
     # a toy whose cost never settles runs the kernel at every stage: the
     # longest horizon, 7, takes 7 steps, and no stage past it is pulled
     toy = fixpoint_lattice_toy(rng, (6,), 3, settles=False)
     engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
-    chains = []
-    chain = DpEngine.chain
-
-    def recording(self):
-        chains.append(chain(self))
-        return chains[-1]
-
-    monkeypatch.setattr(DpEngine, "chain", recording)
+    chains = _record_chains(monkeypatch)
     horizon_sweep(toy.problem, toy.xgrid, toy.ugrid, [3, 7], 4, engine=engine)
     assert [c.stage for c in chains] == [7]
     chains.clear()
@@ -466,7 +492,7 @@ def test_sweep_and_policies_run_one_backward_step_per_stage(rng, monkeypatch):
         finite_horizon_policies(
             toy.problem, toy.xgrid, toy.ugrid, window, engine=engine, stages=stages
         )
-        assert not chains and stages.count - 4 == max(window - 4, 0), window
+        assert not chains and stages.stage - 4 == max(window - 4, 0), window
 
 
 def _unparked_sweep(engine, horizons, steps):

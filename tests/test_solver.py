@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridpolicy.reference
 import gridpolicy.solver
 from gridpolicy import (
     AxisSpec,
@@ -26,9 +27,9 @@ from gridpolicy import (
     load_config,
     solve,
 )
-from gridpolicy.dp import ForwardEnsemble
+from gridpolicy.dp import BackwardChain, ForwardEnsemble
 
-from _toys import lattice_problem, random_lattice_toy
+from _toys import fixpoint_lattice_toy, lattice_problem, random_lattice_toy
 
 COARSE = pathlib.Path(__file__).resolve().parents[1] / "configs" / (
     "pendulum_min_time_coarse.cfg"
@@ -61,6 +62,16 @@ def test_config_validation():
         SolverConfig(n_init=10, n_max=9)
     with pytest.raises(ValueError):
         SolverConfig(growth=1)
+
+
+@pytest.mark.parametrize("key", ["n_init", "n_max", "growth"])
+@pytest.mark.parametrize("bad", [2.5, 20.0, np.float64(20.0), "20"])
+def test_config_rejects_settings_that_are_not_integers(key, bad):
+    # growth 2.5 used to construct, and solve pulled 13 stages before
+    # ``range`` raised; now the config itself raises, before any solve
+    with pytest.raises(TypeError):
+        SolverConfig(**{key: bad})
+    SolverConfig(**{key: np.int64(20)})  # a NumPy integer is an integer
 
 
 # -- termination metrics -----------------------------------------------------
@@ -459,6 +470,26 @@ def test_achieved_average_validation():
             )
 
 
+def test_achieved_average_rejects_settings_that_are_not_integers(monkeypatch):
+    toy = _funnel_toy()
+    report = solve(toy.problem, toy.xgrid, toy.ugrid, progress=None)
+    args = toy.problem, toy.xgrid, toy.ugrid, report.first_stage_policy, [0.0]
+    steps = []
+    real = gridpolicy.reference.apply_policy
+
+    def spy(*a):
+        steps.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(gridpolicy.reference, "apply_policy", spy)
+    for horizon, tail in ((6.0, 3), (6, 3.0), (6.5, 3), (np.float64(6.0), 3)):
+        with pytest.raises(TypeError):
+            achieved_average(*args, horizon=horizon, tail=tail)
+    assert not steps
+    achieved_average(*args, horizon=np.int64(6), tail=np.int64(3))
+    assert len(steps) == 6
+
+
 def test_achieved_average_raises_on_dead_rollout():
     toy = lattice_problem(
         xshape=(2,),
@@ -555,3 +586,31 @@ def test_engine_built_for_the_arguments_is_accepted(coarse, user):
         assert (out.status, out.terminal_horizon) == ("converged", 135)
     else:
         assert len(out) == (3 if user == "finite_horizon_policies" else 1)
+
+
+# -- the report's chain --------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["lattice", "coarse"])
+def test_report_stages_is_the_solves_own_chain(case, request):
+    # the solve's stages are one BackwardChain, pulled to the terminal
+    # horizon, whose work counters read as a fresh chain's at that stage
+    if case == "lattice":
+        toy = fixpoint_lattice_toy(np.random.default_rng(7), (8,), 3, settles=False)
+        problem, xg, ug = toy.problem, toy.xgrid, toy.ugrid
+        config = SolverConfig(eps_mu=1e-9, eps_x=1e-9, n_init=2, n_max=16, growth=2)
+        engine = DpEngine(problem, xg, ug)
+    else:
+        cfg, problem, xg, ug, engine = request.getfixturevalue("coarse")
+        config = cfg.solver
+    report = solve(problem, xg, ug, config, engine=engine, progress=None)
+    stages = report.stages
+    assert isinstance(stages, BackwardChain)
+    assert stages.stage == report.terminal_horizon > 2
+    fresh = engine.chain()
+    for _ in range(stages.stage):
+        next(fresh)
+    for name in ("rows", "certified"):
+        got, want = getattr(stages, name), getattr(fresh, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert stages.pairs == fresh.pairs
