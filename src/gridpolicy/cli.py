@@ -44,6 +44,7 @@ from .solver import (
     InfeasibleProblemError,
     InfeasibleRolloutError,
     SolveReport,
+    print_progress,
     solve,
 )
 
@@ -273,7 +274,7 @@ def _parse_x0(args: argparse.Namespace, cfg: RunConfig) -> np.ndarray:
 
 
 def _progress(args: argparse.Namespace):
-    return None if args.quiet else "stderr"
+    return None if args.quiet else print_progress
 
 
 def _problem_grids(cfg: RunConfig) -> tuple[ProblemDef, CartesianGrid, CartesianGrid]:

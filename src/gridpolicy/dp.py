@@ -50,31 +50,17 @@ results are bit-identical for every thread count.
 
 The build also records each state row's stencil nodes: the sorted distinct
 nodes its pairs read with positive weight (``base + off_c`` where
-``w_c > 0``), plus the sentinel.  A row's values read nothing but the
-engine's fixed weights and stage costs and the cost bits at those nodes, so
-when none of them changed between the last two cost fields of a backward
-chain, the row's new cost and argmin (tie-break included) are bitwise those
-of the previous stage.  A :class:`BackwardChain` uses this from stage 2 on
-(stage 1 is the full step) to copy the rows without a changed input
-(prioritized sweeping, made exact): a block of rows in which at least half
-of the rows need the kernel runs it whole, and the rows that need it in
-other blocks are gathered.
+``w_c > 0``), plus the sentinel.  A :class:`BackwardChain` uses them to skip
+work whose result is known (rows whose stencil nodes kept their cost bits,
+controls that a proven margin rules out, every stage past the cost
+fixpoint), so each of its stages has the bits of a full
+:meth:`DpEngine.backward` step; it states the rules and their rounding
+bound.
 
-A chain also eliminates controls (MacQueen 1967, Hastings 1976): a row
-whose minimum is attained by a single control keeps a *margin*, a proven
-lower bound on how far every other control's value lies above that one.
-Each later stage that changes a node of the row lowers the margin by the
-span of the change over the row's stencil nodes; while it stays above a
-rounding bound, the row is evaluated at that control alone, with the
-kernel's operations in its order, so its cost has the kernel's bits.  The
-row reruns the full kernel once its margin is spent, when a node it reads
-turns finite or infinite, and while its minimum is tied.  The rule, its
-rounding bound and the conditions it assumes are stated at
-:class:`BackwardChain`.
-
-The forward step advances an ensemble of closed-loop states and parks each
-entry at an exact closed-loop fixpoint, after which it is no longer stepped
-while the table stays the same read-only one (see :meth:`DpEngine.forward`).
+The forward step advances an ensemble of closed-loop states.  It parks an
+entry at an exact closed-loop fixpoint and no longer steps it while the
+table stays the same read-only one, yet returns the same states and
+controls as stepping it (see :meth:`DpEngine.forward`).
 """
 
 from __future__ import annotations
@@ -151,19 +137,14 @@ class ForwardEnsemble:
     constructor arguments.  An entry whose step under ``parked_under``
     returned its own state bit for bit is *parked*: ``parked`` marks it and
     ``held`` keeps the control of that step, NaN elsewhere.  A parked
-    entry's state must not be changed from outside.  ``stepped`` lists the
-    entries the last call stepped that stayed feasible, and ``stepped_from``
-    their states before that step.
+    entry's state must not be changed from outside.
     """
 
     states: np.ndarray
     feasible: np.ndarray
-    step: int = 0
     parked: np.ndarray = field(init=False, repr=False)
     held: np.ndarray | None = field(default=None, init=False, repr=False)
     parked_under: StageTable | None = field(default=None, init=False, repr=False)
-    stepped: np.ndarray = field(init=False, repr=False)
-    stepped_from: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
@@ -171,8 +152,6 @@ class ForwardEnsemble:
         if self.states.ndim != 2 or self.feasible.shape != (self.states.shape[0],):
             raise ValueError("states must be (k, n) with a (k,) feasibility mask")
         self.parked = np.zeros(self.feasible.shape, dtype=bool)
-        self.stepped = np.empty(0, dtype=np.int64)
-        self.stepped_from = self.states[:0].copy()
 
 
 def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
@@ -691,7 +670,6 @@ class DpEngine:
         return ForwardEnsemble(
             states=self._xcoords.copy(),
             feasible=table.feasible_mask.copy(),
-            step=0,
         )
 
     def forward(self, ensemble: ForwardEnsemble, table: StageTable) -> np.ndarray:
@@ -713,10 +691,9 @@ class DpEngine:
         in place between calls.
 
         Returns:
-            Applied controls, shape ``(k, control_dim)``; NaN rows for entries
-            that were already infeasible or failed during this step.  The
-            entries stepped are recorded on the ensemble (``stepped``,
-            ``stepped_from``).
+            Applied controls, shape ``(k, control_dim)``: a parked entry's
+            held control, NaN rows for entries that were already infeasible
+            or failed during this step.
         """
         fixed = not table.policy.flags.writeable
         if ensemble.parked_under is not table or not fixed:
@@ -741,8 +718,6 @@ class DpEngine:
                 if still.any():
                     ensemble.parked[active[still]] = True
                     ensemble.held[active[still]] = u[still]
-        ensemble.stepped, ensemble.stepped_from = active, x
-        ensemble.step += 1
         return u_out
 
 
@@ -753,15 +728,16 @@ class BackwardChain:
     Stage 1 is the full step :meth:`DpEngine.backward` on the zero terminal
     field.  Three exact skips keep later stages off work whose result is known:
 
-    * Rows.  A row's values ``T(x, .)`` read only the engine's fixed
-      weights and stage costs and the cost bits at the row's stencil
-      nodes.  The chain keeps its own cost and policy of the last stage,
-      which a step updates in place, and the cost field they were computed
-      from; a step copies every row none of whose stencil nodes changed bit
-      for bit between those two fields (cost and argmin, tie-break
-      included).  Each yielded table is a copy, so the kept arrays cannot
-      be changed from outside and the rule is exact whatever the caller
-      does with the tables; each chain keeps its own.
+    * Rows (prioritized sweeping, made exact).  A row's values ``T(x, .)``
+      read only the engine's fixed weights and stage costs and the cost
+      bits at the row's stencil nodes (the nodes its pairs read with
+      positive weight).  The chain keeps its own cost and policy of the
+      last stage, which a step updates in place, and the cost field they
+      were computed from; a step copies every row none of whose stencil
+      nodes changed bit for bit between those two fields (cost and argmin,
+      tie-break included).  Each yielded table is a copy, so the kept
+      arrays cannot be changed from outside and the rule is exact whatever
+      the caller does with the tables; each chain keeps its own.
     * Controls (action elimination: MacQueen 1967, Hastings 1976).  A row
       evaluated in full whose minimum ``m`` is attained by one control keeps
       that control as its survivor and a *margin*, the fresh margin of its

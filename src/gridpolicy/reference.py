@@ -95,7 +95,11 @@ class PolicyRuns(BackwardChain):
     def policies(self, horizon: int) -> list[np.ndarray]:
         """The policies of stages ``horizon, horizon - 1, ..., 1`` (forward
         time order), pulling the stages past ``stage`` first.  Equal
-        consecutive entries are one array object."""
+        consecutive entries are one array object.  A ``horizon`` that is not
+        an integer raises :class:`TypeError`, one below 1
+        :class:`ValueError`, before any stage is pulled."""
+        if operator.index(horizon) < 1:
+            raise ValueError("horizon must be at least 1")
         for _ in range(horizon - self.stage):
             next(self)
         out: list[np.ndarray] = []
@@ -229,7 +233,9 @@ def horizon_sweep(
     For each ``N`` in ``problem_horizons``, the ``N``-step first-stage policy
     is rolled out ``trajectory_horizon`` steps from *every* grid node (one
     vectorized ensemble), and the relaxed stage costs are averaged along each
-    surviving trajectory.  Of the backward chain only the wanted
+    surviving trajectory.  Each step adds the cost of every live entry at
+    its state before the step and the control :meth:`DpEngine.forward`
+    returned for it.  Of the backward chain only the wanted
     first-stage tables are kept; design horizons past the cost fixpoint
     (see :meth:`DpEngine.chain`) share one read-only table.
     ``engine`` is as in :func:`finite_horizon_policies`.
@@ -257,20 +263,15 @@ def horizon_sweep(
         table = first_stage[n]
         ens = engine.seed_ensemble(table)
         acc = np.zeros(engine.nx, dtype=float)
-        # ``forward`` steps only the entries it has not parked; a parked
-        # entry repeats the step it parked on, so it keeps that step's stage
-        # cost.  The cost is still added once per step, as ``acc + n * c``
-        # is not ``c`` added ``n`` times.
-        cost = np.zeros(engine.nx, dtype=float)
         for _ in range(trajectory_horizon):
+            x = ens.states.copy()
             u = engine.forward(ens, table)
-            alive = ens.feasible
-            if not alive.any():
+            live = np.flatnonzero(ens.feasible)
+            if not live.size:
                 break
-            moved = ens.stepped
-            if moved.size:
-                cost[moved] = relaxed_cost(problem, ens.stepped_from, np.take(u, moved, axis=0))
-            np.add(acc, cost, out=acc, where=alive)
+            # the problem callables act row by row
+            x, u = (np.take(a, live, axis=0) for a in (x, u))
+            acc[live] += relaxed_cost(problem, x, u)
         costs = np.full(engine.nx, np.nan)
         costs[ens.feasible] = acc[ens.feasible] / float(trajectory_horizon)
         out[n] = costs

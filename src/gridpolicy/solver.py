@@ -28,6 +28,7 @@ import math
 import operator
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,13 +223,9 @@ def achieved_average(
 # ---------------------------------------------------------------------------
 
 
-def _emit_progress(progress, line: str) -> None:
-    if progress is None:
-        return
-    if callable(progress):
-        progress(line)
-    else:
-        print(line, file=sys.stderr)
+def print_progress(line: str) -> None:
+    """:func:`solve`'s default ``progress``: print ``line`` to stderr."""
+    print(line, file=sys.stderr)
 
 
 def solve(
@@ -237,7 +234,7 @@ def solve(
     ugrid: CartesianGrid,
     config: SolverConfig | None = None,
     engine: DpEngine | None = None,
-    progress: object = "stderr",
+    progress: Callable[[str], None] | None = print_progress,
 ) -> SolveReport:
     """Solve for a stationary grid policy on a growing horizon.
 
@@ -257,8 +254,8 @@ def solve(
         engine: a prebuilt :class:`DpEngine` for exactly these ``problem``,
             ``xgrid`` and ``ugrid``, which also sets the thread count; None
             builds a one-thread engine.
-        progress: ``"stderr"`` (default) prints one line per tested horizon,
-            ``None`` silences, a callable receives each line.
+        progress: called with one line per tested horizon (the default,
+            :func:`print_progress`, prints it to stderr); None silences.
 
     Returns:
         A :class:`SolveReport`.
@@ -301,15 +298,15 @@ def solve(
                 feasible_count=int(survivors.size),
             )
         )
-        _emit_progress(
-            progress,
-            "horizon={} delta_mu={} delta_x={} feasible={}".format(
-                target,
-                ",".join(repr(float(v)) for v in dmu),
-                ",".join(repr(float(v)) for v in dx),
-                survivors.size,
-            ),
-        )
+        if progress is not None:
+            progress(
+                "horizon={} delta_mu={} delta_x={} feasible={}".format(
+                    target,
+                    ",".join(repr(float(v)) for v in dmu),
+                    ",".join(repr(float(v)) for v in dx),
+                    survivors.size,
+                )
+            )
 
         if (dmu < eps_mu).all() and (dx < eps_x).all():
             status = "converged"

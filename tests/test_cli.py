@@ -141,6 +141,22 @@ def test_solve_hit_n_max_exit_code(tmp_path, capsys):
     assert (tmp_path / "o" / "policy.csv").is_file()
 
 
+def test_solve_progress_goes_to_stderr_unless_quiet(tmp_path, capsys):
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(
+        pathlib.Path(COARSE)
+        .read_text(encoding="utf-8")
+        .replace("solver.n_max = 10000", "solver.n_max = 5"),
+        encoding="utf-8",
+    )
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("horizon=5 delta_mu=")
+    assert main(argv + ["--quiet"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_infeasible_exit_code(tmp_path, capsys):
     cfg = tmp_path / "box.cfg"
     cfg.write_text(INFEASIBLE_BOX, encoding="utf-8")
@@ -405,6 +421,17 @@ def test_compare_writes_csv(tmp_path, capsys):
         assert dev <= 0.15
 
 
+def test_compare_truncated_window_exit_code(tmp_path, capsys):
+    # the stationary policy leaves its feasible set at step 12 from this
+    # start (see test_rollout_truncated_trajectory), inside the window
+    out = tmp_path / "o"
+    argv = ["compare", "--config", COARSE, "--out", str(out), "--quiet"]
+    assert main(argv + ["--x0=-1.5,1.2"]) == 3
+    err = capsys.readouterr().err
+    assert "comparison window truncated (solver: policy_undefined, reference:" in err
+    assert not (out / "compare.csv").exists()
+
+
 def test_compare_csv_zero_reference(tmp_path):
     path = tmp_path / "compare.csv"
     write_compare_csv(str(path), [("a", 0.0, 0.0), ("b", 0.5, 0.0), ("c", 1.0, 4.0)])
@@ -493,6 +520,21 @@ def test_equilibrium_stdout_frozen_values(capsys):
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "3.1500000000000004,0.0,0.0,0.0,0.0016926811724387028"
+
+
+def test_equilibrium_without_a_stationary_pair_exit_code(tmp_path, capsys):
+    # no velocity node is 0, so every node pair moves the angle
+    cfg = tmp_path / "moving.cfg"
+    cfg.write_text(
+        TINY_AVG.replace("state.1.lo = -1.0", "state.1.lo = -0.9").replace(
+            "state.1.hi = 1.0", "state.1.hi = 0.9"
+        ),
+        encoding="utf-8",
+    )
+    rc = main(["equilibrium", "--config", str(cfg), "--tolerance", "1e-6"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("no equilibrium: no node pair is stationary")
 
 
 def test_equilibrium_tolerance_validation(tmp_path, capsys):

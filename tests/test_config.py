@@ -21,6 +21,11 @@ def _with(extra: str) -> str:
     return BASE + extra + "\n"
 
 
+def _without(text: str, prefix: str) -> str:
+    """``text`` without its lines that start with ``prefix``."""
+    return "".join(ln for ln in text.splitlines(True) if not ln.startswith(prefix))
+
+
 def test_full_parse_round_trip():
     cfg = parse_config(
         _with(
@@ -162,6 +167,17 @@ def test_comments_and_whitespace():
             lambda t: t.replace("state.0.spacing = 0.02", "state.0.spacing = -0.02"),
             "spacing",
         ),
+        (
+            lambda t: t + "state.2.lo = 0.0\nstate.2.hi = 1.0\nstate.2.spacing = 0.5\n",
+            "exactly 2 state axes, got 3",
+        ),
+        (lambda t: _without(t, "state.1."), "exactly 2 state axes, got 1"),
+        (
+            lambda t: t + "control.1.lo = 0.0\ncontrol.1.hi = 1.0\ncontrol.1.spacing = 0.5\n",
+            "exactly 1 control axis, got 2",
+        ),
+        (lambda t: _without(t, "state."), "no state axes configured"),
+        (lambda t: _without(t, "control."), "no control axes configured"),
     ],
 )
 def test_rejects_bad_configs(mutate, fragment):

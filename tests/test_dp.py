@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -46,6 +47,38 @@ def test_stage_table_invariant():
         StageTable(cost=np.array([1.0, np.inf]), policy=np.array([0, 0]))
     with pytest.raises(ValueError):
         StageTable(cost=np.array([np.inf, 1.0]), policy=np.array([0, -1]))
+    for cost, policy in ((np.zeros(3), np.zeros(2)), (np.zeros((2, 1)), np.zeros((2, 1)))):
+        with pytest.raises(ValueError, match="flat arrays of equal length"):
+            StageTable(cost=cost, policy=policy)
+
+
+def test_forward_ensemble_rejects_a_mismatched_mask():
+    for states, feasible in (
+        (np.zeros((3, 2)), np.ones(2, bool)),
+        (np.zeros((3, 2)), np.ones((3, 1), bool)),
+        (np.zeros(3), np.ones(3, bool)),
+    ):
+        with pytest.raises(ValueError, match=re.escape("states must be (k, n)")):
+            ForwardEnsemble(states=states, feasible=feasible)
+
+
+def test_engine_rejects_grids_with_another_axis_count():
+    problem = gp.builtin_min_time_pendulum()
+    axis = AxisSpec(-1.0, 1.0, 0.5)
+    xg, ug = CartesianGrid([axis, axis]), CartesianGrid([axis])
+    with pytest.raises(ValueError, match="state grid has 1 axes, problem has 2"):
+        DpEngine(problem, ug, ug)
+    with pytest.raises(ValueError, match="control grid has 2 axes, problem has 1"):
+        DpEngine(problem, xg, xg)
+
+
+def test_backward_rejects_a_prev_cost_of_another_shape():
+    toy = random_lattice_toy(np.random.default_rng(3))
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    nx = engine.nx
+    for bad in (np.zeros(nx + 1), np.zeros(nx - 1), np.zeros((nx, 1))):
+        with pytest.raises(ValueError, match=re.escape(f"prev_cost must have shape ({nx},)")):
+            engine.backward(bad)
 
 
 # -- backward recursion ------------------------------------------------------
@@ -1260,6 +1293,22 @@ def test_side_list_is_every_admissible_pair_with_a_zero_weight_corner(rng):
 # -- forward propagation -----------------------------------------------------
 
 
+@contextlib.contextmanager
+def _policy_calls():
+    """Inside the block, a list of the states of every :func:`apply_policy`
+    call :mod:`dp` makes (one copy per call)."""
+    calls = []
+    step = dp.apply_policy
+
+    def spy(problem, xgrid, ugrid, policy, x):
+        calls.append(np.array(x, dtype=float))
+        return step(problem, xgrid, ugrid, policy, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "apply_policy", spy)
+        yield calls
+
+
 def _absorbing_toy():
     # nodes 0..3 on a line; control 0 stays, control 1 moves right (off the
     # end from node 3); node 2 is a trap with no admissible control
@@ -1282,8 +1331,10 @@ def test_forward_step_deaths_and_freeze():
     ens = engine.seed_ensemble(table)
     np.testing.assert_array_equal(np.flatnonzero(ens.feasible), [0, 1, 3])
 
-    controls = engine.forward(ens, table)
-    assert ens.step == 1
+    with _policy_calls() as calls:
+        controls = engine.forward(ens, table)
+    # one step, of the three feasible nodes
+    assert [x.tolist() for x in calls] == [[[0.0], [1.0], [3.0]]]
     # node 0 stays at 0; node 1's policy (u=0, stay) keeps it alive at 1;
     # node 3 stays; node 2 was never active
     assert ens.feasible[0] and ens.feasible[1] and ens.feasible[3]
@@ -1323,13 +1374,15 @@ def test_forward_step_out_of_box_freezes_last_state():
     # node 1, then the next step leaves the box and freezes
     t_hand = StageTable(cost=np.zeros(2), policy=np.zeros(2, dtype=int))
     ens = ForwardEnsemble(states=np.array([[0.0]]), feasible=np.array([True]))
-    engine.forward(ens, t_hand)
-    assert ens.feasible[0]
-    np.testing.assert_array_equal(ens.states[0], [1.0])
-    engine.forward(ens, t_hand)
+    with _policy_calls() as calls:
+        engine.forward(ens, t_hand)
+        assert ens.feasible[0]
+        np.testing.assert_array_equal(ens.states[0], [1.0])
+        engine.forward(ens, t_hand)
     assert not ens.feasible[0]
     np.testing.assert_array_equal(ens.states[0], [1.0])
-    assert ens.step == 2
+    # two steps, the second from the state the first reached
+    assert [x.tolist() for x in calls] == [[[0.0]], [[1.0]]]
 
 
 def test_forward_matches_apply_policy(rng):
@@ -1372,8 +1425,12 @@ def test_forward_equals_single_state_steps(seed):
     alive = rng.random(k) >= 0.25
 
     ens = ForwardEnsemble(states=starts.copy(), feasible=alive.copy())
-    controls = engine.forward(ens, table)
-    assert ens.step == 1 and controls.shape == (k, ug.ndim)
+    with _policy_calls() as calls:
+        controls = engine.forward(ens, table)
+    # one step, of exactly the live entries
+    assert len(calls) == int(alive.any()) and controls.shape == (k, ug.ndim)
+    if calls:
+        assert calls[0].tobytes() == starts[alive].tobytes()
     for i in range(k):
         ok = False
         if alive[i]:
@@ -1428,9 +1485,10 @@ def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
     ens = ForwardEnsemble(states=starts.copy(), feasible=np.ones(k, bool))
     x, ok = starts.copy(), np.ones(k, bool)
     for step in range(4):
-        controls = engine.forward(ens, table)
-        if step == 0:
-            assert ens.stepped.size == k  # every entry stepped
+        with _policy_calls() as calls:
+            controls = engine.forward(ens, table)
+        if step == 0:  # every entry stepped, in one batch
+            assert len(calls) == 1 and calls[0].tobytes() == starts.tobytes()
         for i in np.flatnonzero(ok):
             r, ui, xi = apply_policy(problem, xg, ug, table.policy, x[i])
             ok[i] = r == 0
@@ -1485,7 +1543,8 @@ def _policy_table(policy, writeable=False):
 def _forward_chain(toy, tables, starts, alive):
     """Run ``forward`` under ``tables[j]`` at step ``j`` and check every step
     against a chain of per-entry ``apply_policy`` calls, bit for bit: states,
-    controls, feasibility, parks and the entries stepped.
+    controls, feasibility, parks and the states ``forward`` passes to
+    :func:`apply_policy` (every live entry not parked, none parked).
 
     Returns:
         ``(kinds, ever_parked)``: per call, how many entries were dead,
@@ -1502,7 +1561,8 @@ def _forward_chain(toy, tables, starts, alive):
         if step and table is not tables[step - 1]:
             still[:] = False
         stepping, before, was_ok = ok & ~still, x.copy(), ok.copy()
-        controls = engine.forward(ens, table)
+        with _policy_calls() as calls:
+            controls = engine.forward(ens, table)
         for i in np.flatnonzero(ok):
             reason, u, xn = apply_policy(toy.problem, xg, ug, table.policy, x[i])
             if reason != 0:
@@ -1516,8 +1576,9 @@ def _forward_chain(toy, tables, starts, alive):
         assert ens.states.tobytes() == x.tobytes(), step
         np.testing.assert_array_equal(ens.feasible, ok)
         np.testing.assert_array_equal(ens.parked, still)
-        np.testing.assert_array_equal(ens.stepped, np.flatnonzero(stepping & ok))
-        assert ens.stepped_from.tobytes() == before[stepping & ok].tobytes()
+        assert len(calls) == int(stepping.any())
+        if calls:
+            assert calls[0].tobytes() == before[stepping].tobytes(), step
         assert ens.parked_under is table
         kinds.append(
             tuple(
@@ -1619,12 +1680,15 @@ def test_forward_never_parks_under_a_writeable_policy(seed=7):
 
 
 def test_forward_state_is_not_a_constructor_argument():
-    ens = ForwardEnsemble(np.zeros((2, 1)), np.ones(2, bool), 0)
-    assert [f.name for f in dataclasses.fields(ens) if f.init] == [
+    ens = ForwardEnsemble(np.zeros((2, 1)), np.ones(2, bool))
+    assert [f.name for f in dataclasses.fields(ens)] == [
         "states",
         "feasible",
-        "step",
+        "parked",
+        "held",
+        "parked_under",
     ]
+    assert [f.name for f in dataclasses.fields(ens) if f.init] == ["states", "feasible"]
     assert not ens.parked.any() and ens.held is None and ens.parked_under is None
     with pytest.raises(TypeError):
         ForwardEnsemble(np.zeros((2, 1)), np.ones(2, bool), parked=np.ones(2, bool))

@@ -204,6 +204,13 @@ def test_locate_cells_weights(rng):
     assert (idx[:-1] >= 0).all() and (idx[:-1] < g.size).all()
 
 
+def test_locate_cells_rejects_points_with_another_axis_count():
+    g = CartesianGrid([AxisSpec(0.0, 2.0, 0.5), AxisSpec(-1.0, 1.0, 0.25)])
+    for pts in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2))):
+        with pytest.raises(ValueError, match=r"expected \(k, 2\) points"):
+            g.locate_cells(pts)
+
+
 def _locate_cells_corner_loop(g, points):
     """The per-corner loop ``locate_cells`` used to run, kept as an oracle."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

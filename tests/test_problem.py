@@ -215,6 +215,12 @@ def test_builtin_problems_reject_a_bad_torque_limit(build, limit):
         build(torque_limit=limit)
 
 
+@pytest.mark.parametrize("halfwidth", [(0.0, 0.1), (0.1, -0.1)])
+def test_min_time_rejects_a_target_halfwidth_that_is_not_positive(halfwidth):
+    with pytest.raises(ValueError, match="target halfwidths must be positive"):
+        builtin_min_time_pendulum(target_halfwidth=halfwidth)
+
+
 def test_lambda_stationarity():
     # c_eq(th) = sin(th)^2 + lam*th has a stationary minimum at theta_ref
     theta_ref = 0.5

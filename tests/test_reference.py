@@ -24,6 +24,7 @@ from gridpolicy import (
     rollout_time_varying,
     solve,
 )
+from gridpolicy import dp
 from gridpolicy.dp import BackwardChain
 
 from _toys import fixpoint_lattice_toy, lattice_problem, random_lattice_toy
@@ -66,6 +67,18 @@ def test_finite_horizon_policies_validation():
     toy = _trap_chain()
     with pytest.raises(ValueError):
         finite_horizon_policies(toy.problem, toy.xgrid, toy.ugrid, 0)
+
+
+def test_policy_runs_reject_a_horizon_below_one_or_not_an_integer():
+    # policies(0) and policies(-2) used to return [] silently
+    toy = _trap_chain()
+    stages = PolicyRuns(DpEngine(toy.problem, toy.xgrid, toy.ugrid))
+    next(stages)
+    for bad, error in ((0, ValueError), (-2, ValueError), (2.5, TypeError)):
+        with pytest.raises(error):
+            stages.policies(bad)
+        assert stages.stage == 1, bad  # no stage pulled
+    assert len(stages.policies(2)) == 2 and stages.stage == 2
 
 
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -522,19 +535,34 @@ def test_horizon_sweep_parks_and_equals_unparked_loop(monkeypatch):
     # on the damped pendulum entries reach exact closed-loop fixpoints
     # within 600 steps and are parked there; which ones do depends on the
     # rounding of sin and RK4, but the entry that starts at the origin parks
-    # at once, and the means equal the unparked loop's bit for bit
+    # at once, and the means equal the unparked loop's bit for bit; parked
+    # entries are never stepped again
     xg = CartesianGrid([AxisSpec(-1.0, 1.0, 0.2), AxisSpec(-1.0, 1.0, 0.2)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1)])
     problem = builtin_avg_angle_pendulum(0.2)
     engine = DpEngine(problem, xg, ug)
-    ensembles = []
-    forward = DpEngine.forward
+    ensembles, stepped = [], []  # per forward call: its ensemble, the states stepped
+    skipped = 0  # live parked entries over all calls
+    forward, step = DpEngine.forward, dp.apply_policy
 
     def recording(self, ensemble, table):
+        nonlocal skipped
+        # each ensemble is stepped under one table, so parks carry over
+        live, parked = ensemble.feasible.copy(), ensemble.parked.copy()
+        before = ensemble.states.copy()
         ensembles.append(ensemble)
-        return forward(self, ensemble, table)
+        stepped.append(before[:0])
+        u = forward(self, ensemble, table)
+        assert stepped[-1].tobytes() == before[live & ~parked].tobytes()
+        skipped += int((live & parked).sum())
+        return u
+
+    def spy(problem, xgrid, ugrid, policy, x):
+        stepped[-1] = np.array(x)
+        return step(problem, xgrid, ugrid, policy, x)
 
     monkeypatch.setattr(DpEngine, "forward", recording)
+    monkeypatch.setattr(dp, "apply_policy", spy)
     sweep = horizon_sweep(problem, xg, ug, [5, 40], 600, engine=engine)
     monkeypatch.undo()
     want = _unparked_sweep(engine, (5, 40), 600)
@@ -544,7 +572,12 @@ def test_horizon_sweep_parks_and_equals_unparked_loop(monkeypatch):
         assert sweep[n].tobytes() == want[n].tobytes(), n
         assert np.isfinite(sweep[n]).sum() > 80
     short, long = ensembles[0], ensembles[-1]
-    assert short is not long and short.step == long.step == 600
+    assert short is not long
+    assert [e is short for e in ensembles] == [True] * 600 + [False] * 600
+    assert all(e is long for e in ensembles[600:])
     origin = xg.size // 2
     assert short.parked[origin] and not short.states[origin].any()
     assert long.parked.any()
+    # each call stepped exactly its live entries not parked (the first call
+    # every live entry), and parked entries were left out
+    assert skipped > 0

@@ -101,6 +101,11 @@ def test_delta_mu_rejects_undefined_survivor():
         delta_mu(_forward(stages), survivors=[0, 1], ugrid=_ugrid3())
 
 
+def test_delta_mu_rejects_an_empty_policy_list():
+    with pytest.raises(ValueError, match="empty policy list"):
+        delta_mu([], survivors=[0, 1], ugrid=_ugrid3())
+
+
 def test_delta_mu_empty_survivors():
     with pytest.raises(InfeasibleProblemError):
         delta_mu(_forward([_table([0, 1])]), survivors=[], ugrid=_ugrid3())
@@ -408,6 +413,14 @@ def test_solve_progress_lines():
     solve(toy.problem, toy.xgrid, toy.ugrid, progress=lines.append)
     assert len(lines) == 1
     assert lines[0] == "horizon=5 delta_mu=0.0 delta_x=0.0 feasible=3"
+
+
+def test_solve_prints_progress_to_stderr_by_default(capsys):
+    toy = _funnel_toy()
+    solve(toy.problem, toy.xgrid, toy.ugrid)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "horizon=5 delta_mu=0.0 delta_x=0.0 feasible=3\n"
 
 
 def test_solve_thread_count_is_immaterial():
