@@ -34,19 +34,23 @@ list, and the backward step forms their values again before the argmin
 with the same operations in the same order, each zero-weight corner
 reading the sentinel (cost 0) and so adding an exact ``0 * 0``.
 
-The build and the backward step walk the same blocks of whole state rows of
-about :data:`BLOCK_PAIRS` pairs.  The build evaluates constraints, dynamics,
-the cell search and stage costs one block at a time and writes straight
+The build and the backward step walk blocks of whole state rows.  The
+build evaluates constraints, dynamics, the cell search and stage costs one
+block of about ``_BUILD_BLOCK_PAIRS`` pairs at a time and writes straight
 into the engine arrays, so its peak memory is the engine plus one block's
 temporaries per thread (:func:`engine_bytes` estimates it, and the build
 raises :class:`MemoryError` up front when that exceeds what the process can
-still get).  The backward step streams each corner row once per block into
-two reused work buffers that stay in cache.  Every pair is evaluated
-element by element in row-major order, summed corner by corner in the same
-order with the stage cost last, and the argmin is taken per state row, so
-results are bit-identical for every block size.  Work is split over
-contiguous state-row chunks; each chunk writes a disjoint output slice, so
-results are bit-identical for every thread count.
+still get); those temporaries stay in L2 and are reused from the heap,
+block after block.  The backward step streams each corner row once per
+block of about :data:`BLOCK_PAIRS` pairs into two work buffers that stay in
+cache; the stages of a :class:`BackwardChain` reuse one set of kernel
+buffers per row chunk, kept on the engine between steps, instead of
+allocating them at every stage.  Every pair is evaluated element by
+element in row-major order, summed corner by corner in the same order with
+the stage cost last, and the argmin is taken per state row, so results are
+bit-identical for every block size.  Work is split over contiguous
+state-row chunks; each chunk writes a disjoint output slice, so results are
+bit-identical for every thread count.
 
 The build also records each state row's stencil nodes: the sorted distinct
 nodes its pairs read with positive weight (``base + off_c`` where
@@ -83,10 +87,17 @@ INFEASIBLE = -1  # policy marker for nodes with no admissible control
 # run so many short numpy calls that row-chunk threads stall on the GIL.
 BLOCK_PAIRS = 65536
 
+# Pairs per block of the engine build and of the equilibrium search, rounded
+# down to whole state rows (at least one).  One block's temporaries (about
+# 1.1 MiB) stay in L2, and with two state axes each of their arrays (at most
+# 128 KiB) stays below glibc's default mmap threshold, so it is reused from
+# the heap instead of being mapped and faulted in afresh for every block.
+_BUILD_BLOCK_PAIRS = 8192
+
 # Bound on the build's temporaries per pair of one block (inputs, successors,
 # the integrator's and the cell search's arrays); tracemalloc measures
-# 141 B on the coarse min-time pendulum in 4096-pair blocks (132 B on a
-# repeated build in the same process).
+# 135 B on the coarse min-time pendulum in its 8160-pair build blocks (131 B
+# on a repeated build in the same process).
 BUILD_BYTES_PER_BLOCK_PAIR = 512
 
 # Closed-loop step outcomes, also used as rollout truncation reasons.
@@ -162,25 +173,26 @@ def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     entry of the side list; the row map stores at most ``2**ndim * nu + 1``
     int32 nodes per state row, and the row map and the side list one offset
     per row each; each of ``threads`` row chunks holds the temporaries of one
-    block of :data:`BLOCK_PAIRS`.
+    build block of about ``_BUILD_BLOCK_PAIRS`` pairs, at most
+    :data:`BUILD_BYTES_PER_BLOCK_PAIR` each.
     """
     pairs = nx * nu
     row_maps = nx * (2**ndim * nu + 1) * 4 + 2 * (nx + 1) * 8
-    block_pairs = min(_block_rows(nu), nx) * nu
+    block_pairs = min(_block_rows(nu, _BUILD_BLOCK_PAIRS), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
     return pairs * (8 * 2**ndim + 20) + row_maps + temps
 
 
-def _block_rows(nu: int) -> int:
-    """State rows of ``nu`` pairs per block of about :data:`BLOCK_PAIRS`
-    pairs (at least one)."""
-    return max(1, BLOCK_PAIRS // nu)
+def _block_rows(nu: int, pairs: int) -> int:
+    """State rows of ``nu`` pairs per block of about ``pairs`` pairs (at
+    least one)."""
+    return max(1, pairs // nu)
 
 
-def _row_blocks(r0: int, r1: int, nu: int) -> list[tuple[int, int]]:
+def _row_blocks(r0: int, r1: int, nu: int, pairs: int) -> list[tuple[int, int]]:
     """State rows ``[r0, r1)`` of ``nu`` pairs each, cut into blocks of
-    :func:`_block_rows` rows."""
-    rows = _block_rows(nu)
+    ``_block_rows(nu, pairs)`` rows."""
+    rows = _block_rows(nu, pairs)
     return [(b0, min(b0 + rows, r1)) for b0 in range(r0, r1, rows)]
 
 
@@ -219,9 +231,11 @@ class DpEngine:
         xgrid: state grid.
         ugrid: control grid.
         threads: worker threads for chunked evaluation, capped at the CPUs
-            this process may run on; 0 picks all of them.  The chunks write
-            disjoint slices, so the numerical output is independent of this
-            setting.
+            this process may run on; 0 picks all of them, and a negative
+            count raises :class:`ValueError`.  The chunks write disjoint
+            slices, so the numerical output is independent of this setting.
+            The attribute of that name may be assigned later under the same
+            rules.
     """
 
     def __init__(
@@ -242,13 +256,25 @@ class DpEngine:
         self.problem = problem
         self.xgrid = xgrid
         self.ugrid = ugrid
-        self.threads = self._resolve_threads(threads)
+        self.threads = threads
         self.nx = xgrid.size
         self.nu = ugrid.size
         self._xcoords = xgrid.node_coords()
         self._ucoords = ugrid.node_coords()
         self._ncorners = 1 << xgrid.ndim
+        # sets of kernel buffers that no chain step holds now
+        self._scratch_pool: list[dict[tuple[int, int], tuple[np.ndarray, ...]]] = []
         self._build()
+
+    @property
+    def threads(self) -> int:
+        """The row-chunk threads: the assigned count capped at the CPUs this
+        process may run on (0 = all of them)."""
+        return self._threads
+
+    @threads.setter
+    def threads(self, threads: int) -> None:
+        self._threads = self._resolve_threads(threads)
 
     @staticmethod
     def _resolve_threads(threads: int) -> int:
@@ -291,7 +317,7 @@ class DpEngine:
 
         # Pair p = ix * nu + iu, row-major over (state node, control node).
         def build_rows(r0: int, r1: int) -> None:
-            for b0, b1 in _row_blocks(r0, r1, nu):
+            for b0, b1 in _row_blocks(r0, r1, nu, _BUILD_BLOCK_PAIRS):
                 x = np.repeat(self._xcoords[b0:b1], nu, axis=0)
                 u = np.tile(self._ucoords, (b1 - b0, 1))
                 s = slice(b0 * nu, b1 * nu)
@@ -327,11 +353,12 @@ class DpEngine:
         pairs read with positive weight, plus the sentinel ``nx``, so no row
         is empty.  ``_side[_side_starts[r]:_side_starts[r + 1]]`` holds the
         ascending flat positions of the row's admissible pairs that have a
-        zero-weight corner (see :meth:`backward`).  Two passes over the row
-        blocks (counts, then entries) keep the peak at the map and the list
-        plus one block's sort per thread.  The first pass also bounds how far
-        an admissible pair's weights may sum from 1 (``_weight_error``, the
-        ``eps`` of :class:`BackwardChain`'s rounding bound).
+        zero-weight corner (see :meth:`backward`).  Two passes over the
+        build's row blocks (counts, then entries) keep the peak at the map
+        and the list plus one block's sort per thread.  The first pass also
+        bounds how far an admissible pair's weights may sum from 1
+        (``_weight_error``, the ``eps`` of :class:`BackwardChain`'s rounding
+        bound).
         """
         nx, nu, nc = self.nx, self.nu, self._ncorners
         offsets = self.xgrid._corner_offsets.tolist()
@@ -360,7 +387,7 @@ class DpEngine:
         sum_errors = [0.0]
 
         def count_rows(r0: int, r1: int) -> None:
-            for b0, b1 in _row_blocks(r0, r1, nu):
+            for b0, b1 in _row_blocks(r0, r1, nu, _BUILD_BLOCK_PAIRS):
                 _, first, side = scan(b0, b1)
                 starts[b0 + 1 : b1 + 1] = np.count_nonzero(first, axis=1)
                 side_starts[b0 + 1 : b1 + 1] = np.count_nonzero(side, axis=1)
@@ -371,7 +398,7 @@ class DpEngine:
                 sum_errors.append(float(error.max(where=self._base[s] != nx, initial=0.0)))
 
         def fill_rows(r0: int, r1: int) -> None:
-            for b0, b1 in _row_blocks(r0, r1, nu):
+            for b0, b1 in _row_blocks(r0, r1, nu, _BUILD_BLOCK_PAIRS):
                 nodes, first, side = scan(b0, b1)
                 self._row_nodes[starts[b0] : starts[b1]] = nodes[first]
                 self._side[side_starts[b0] : side_starts[b1]] = (
@@ -398,16 +425,23 @@ class DpEngine:
     def backward(self, prev_cost: np.ndarray | None) -> StageTable:
         """One full backward recursion step on top of cost-to-go
         ``prev_cost``, every pair evaluated; ``None`` stands for the
-        all-zero terminal field."""
+        all-zero terminal field.
+
+        ``prev_cost`` holds one cost per state node, finite or ``+inf``
+        (infeasible); another shape, a NaN or a ``-inf`` raises
+        :class:`ValueError`.
+        """
         nx = self.nx
         caug = self._augmented(prev_cost)
+        if not (caug > -np.inf).all():  # False at NaN and -inf
+            raise ValueError("prev_cost must hold finite costs or +inf, not NaN or -inf")
         cost = np.empty(nx, dtype=float)
         policy = np.empty(nx, dtype=np.int64)
 
         def step_rows(r0: int, r1: int) -> None:
-            val, tmp = self._work_buffers(r1 - r0)
-            for b0, b1 in _row_blocks(r0, r1, self.nu):
-                v = self._values(caug, slice(b0, b1), val, tmp)
+            scratch = self._kernel_scratch(r1 - r0)
+            for b0, b1 in _row_blocks(r0, r1, self.nu, BLOCK_PAIRS):
+                v = self._values(caug, slice(b0, b1), scratch)
                 arg = v.argmin(axis=1)
                 best = v[np.arange(b1 - b0), arg]
                 arg[~np.isfinite(best)] = INFEASIBLE
@@ -429,17 +463,15 @@ class DpEngine:
             caug[:nx] = prev_cost
         return caug
 
-    def _work_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two float buffers for the largest block of ``rows`` state rows."""
-        size = min(_block_rows(self.nu), rows) * self.nu
-        return np.empty(size, dtype=float), np.empty(size, dtype=float)
+    def _kernel_scratch(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Buffers of :meth:`_values` for the largest block of ``rows`` state
+        rows: two float work buffers, the intp base indices and the gathered
+        stencil rows."""
+        size = min(_block_rows(self.nu, BLOCK_PAIRS), rows) * self.nu
+        return tuple(np.empty(size, dtype=t) for t in (float, float, np.intp, float))
 
     def _values(
-        self,
-        caug: np.ndarray,
-        rows: slice | np.ndarray,
-        val_buf: np.ndarray,
-        tmp_buf: np.ndarray,
+        self, caug: np.ndarray, rows: slice | np.ndarray, scratch: tuple[np.ndarray, ...]
     ) -> np.ndarray:
         """The values ``T(x, .)`` of state rows ``rows``, shape ``(rows, nu)``.
 
@@ -447,10 +479,14 @@ class DpEngine:
         sorted array of rows, whose stencil rows are gathered first.  Either
         way every pair gets the same operations in the same order: corner 0's
         product, the other corners added in turn, the stage cost last.  The
-        values are formed in ``val_buf``; ``tmp_buf`` is scratch.
+        values are formed in the first buffer of ``scratch`` (see
+        :meth:`_kernel_scratch`); the others are overwritten.
         """
         nu, nc = self.nu, self._ncorners
+        val_buf, tmp_buf, base_buf, gathered_buf = scratch
         corners = [caug[off:] for off in self.xgrid._corner_offsets.tolist()]
+        # Every index below stays inside its array by construction;
+        # mode="clip" only spares np.take a buffered copy of ``out``.
         if isinstance(rows, slice):
             n = rows.stop - rows.start
             s = slice(rows.start * nu, rows.stop * nu)
@@ -463,26 +499,27 @@ class DpEngine:
 
         else:
             n = rows.size
-            base = np.take(self._base.reshape(-1, nu), rows, axis=0).reshape(-1)
+            # np.take gathers only into its input's dtype: the rows' int32
+            # bases go to the gather buffer, until the stencil rows need it.
+            base = gathered_buf.view(np.int32)[: n * nu]
+            np.take(self._base.reshape(-1, nu), rows, 0, base.reshape(n, nu), "clip")
             side = self._side[_ranges(self._side_starts[rows], self._side_starts[rows + 1])]
             at = np.searchsorted(rows, side // nu) * nu + side % nu
-            gathered = np.empty((n, nu))
+            gathered = gathered_buf[: n * nu].reshape(n, nu)
 
             def stencil(a: np.ndarray) -> np.ndarray:
-                np.take(a.reshape(-1, nu), rows, axis=0, out=gathered)
+                np.take(a.reshape(-1, nu), rows, axis=0, out=gathered, mode="clip")
                 return gathered.reshape(-1)
 
-        val, tmp = val_buf[: n * nu], tmp_buf[: n * nu]
-        base = base.astype(np.intp)  # np.take would convert int32 per corner
+        val, tmp, idx = val_buf[: n * nu], tmp_buf[: n * nu], base_buf[: n * nu]
+        np.copyto(idx, base)  # np.take would convert int32 indices per corner
         # A side pair's zero-weight corner may read +inf here; its value is
         # formed again below.
         with np.errstate(invalid="ignore") if side.size else contextlib.nullcontext():
-            # Every index stays inside its view by construction; mode="clip"
-            # only spares np.take a buffered copy of ``out``.
-            np.take(corners[0], base, out=val, mode="clip")
+            np.take(corners[0], idx, out=val, mode="clip")
             np.multiply(stencil(self._w[0]), val, out=val)
             for c in range(1, nc):
-                np.take(corners[c], base, out=tmp, mode="clip")
+                np.take(corners[c], idx, out=tmp, mode="clip")
                 np.multiply(stencil(self._w[c]), tmp, out=tmp)
                 np.add(val, tmp, out=val)
             np.add(val, stencil(self._sc), out=val)
@@ -519,11 +556,12 @@ class DpEngine:
         certified = self._spend_margins(chain, prev, changed, dirty, scale)
         full_rows = np.flatnonzero(dirty & ~certified)
         alone: list[np.ndarray] = []  # rows evaluated at their policy control
+        pooled = self._pooled_scratch()
 
         def step_rows(r0: int, r1: int) -> None:
-            val, tmp = self._work_buffers(r1 - r0)
+            scratch = pooled[r0, r1]
             gathered = [full_rows[:0]]  # never empty, for np.concatenate
-            for b0, b1 in _row_blocks(r0, r1, nu):
+            for b0, b1 in _row_blocks(r0, r1, nu, BLOCK_PAIRS):
                 rows = _within(full_rows, b0, b1)
                 if 2 * rows.size < b1 - b0:
                     gathered.append(rows)
@@ -532,24 +570,40 @@ class DpEngine:
                 # it runs over the whole block as slices: gathering stencil
                 # rows costs about twice as much per row.  The block's other
                 # rows get their own bits again, and a fresh margin.
-                v = self._values(caug, slice(b0, b1), val, tmp)
+                v = self._values(caug, slice(b0, b1), scratch)
                 self._certify(v, slice(b0, b1), chain, scale)
                 dirty[b0:b1] = True  # dirty: the rows not copied
                 certified[b0:b1] = False  # certified: the rows run alone
             rows = np.concatenate(gathered)
-            step = _block_rows(nu)
+            step = _block_rows(nu, BLOCK_PAIRS)
             for i in range(0, rows.size, step):
                 part = rows[i : i + step]
-                v = self._values(caug, part, val, tmp)
+                v = self._values(caug, part, scratch)
                 self._certify(v, part, chain, scale)
             rows = np.flatnonzero(certified[r0:r1]) + r0
             alone.append(self._certified_values(caug, rows, chain))
 
         self._run_chunks(step_rows)
+        self._scratch_pool.append(pooled)
         chain.rows = np.flatnonzero(dirty)
         chain.certified = np.sort(np.concatenate(alone))
         chain.pairs = (chain.rows.size - np.count_nonzero(certified)) * nu + chain.certified.size
         chain._source = prev
+
+    def _pooled_scratch(self) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
+        """Kernel buffers for each row chunk (see :meth:`_kernel_scratch`),
+        taken from the engine's pool, to which :meth:`_chain_step` gives
+        them back: chain steps taken one after another reuse one set, steps
+        taken at once from several threads get one set each, and a set for
+        other row chunks (another thread count) is dropped."""
+        chunks = self._row_chunks()
+        try:
+            pooled = self._scratch_pool.pop()  # atomic: no set goes to two steps
+        except IndexError:
+            pooled = {}
+        if list(pooled) != chunks:
+            pooled = {(r0, r1): self._kernel_scratch(r1 - r0) for r0, r1 in chunks}
+        return pooled
 
     def _spend_margins(
         self,

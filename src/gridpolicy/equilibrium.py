@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import _row_blocks
+from . import dp
 from .grid import CartesianGrid
 from .problem import ProblemDef, relaxed_cost
 
@@ -52,9 +52,9 @@ def equilibrium_search(
 ) -> EquilibriumPoint:
     """Search every state/control node pair for the best near-equilibrium.
 
-    The pairs are evaluated in the engine build's blocks of about
-    ``dp.BLOCK_PAIRS`` pairs, so only one block's temporaries and the
-    candidates' keys are held at a time.
+    The pairs are evaluated in the engine build's blocks of whole state
+    rows (about 8,192 pairs), so only one block's temporaries, which stay
+    in L2, and the candidates' keys are held at a time.
 
     Args:
         problem: the control problem.
@@ -88,7 +88,7 @@ def equilibrium_search(
     nu = ugrid.size
     # Pair p = ix * nu + iu; a block keeps only its candidates' sort keys.
     found = []
-    for b0, b1 in _row_blocks(0, xgrid.size, nu):
+    for b0, b1 in dp._row_blocks(0, xgrid.size, nu, dp._BUILD_BLOCK_PAIRS):
         x = np.repeat(xc[b0:b1], nu, axis=0)
         u = np.tile(uc, (b1 - b0, 1))
         xn = np.asarray(problem.dynamics(x, u), dtype=float)

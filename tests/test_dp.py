@@ -81,6 +81,23 @@ def test_backward_rejects_a_prev_cost_of_another_shape():
             engine.backward(bad)
 
 
+def test_backward_rejects_a_nan_or_negative_infinite_prev_cost():
+    # either would leave NaN or -inf costs where a table holds +inf and
+    # policy -1; +inf marks an infeasible node and is accepted
+    toy = random_lattice_toy(np.random.default_rng(3))
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    prev = engine.backward(None).cost
+    for bad in (np.nan, -np.inf):
+        cost = prev.copy()
+        cost[engine.nx // 2] = bad
+        with pytest.raises(ValueError, match="not NaN or -inf"):
+            engine.backward(cost)
+    cost = prev.copy()
+    cost[engine.nx // 2] = np.inf
+    table = engine.backward(cost)
+    assert not np.isnan(table.cost).any() and (table.cost > -np.inf).all()
+
+
 # -- backward recursion ------------------------------------------------------
 
 
@@ -281,6 +298,11 @@ def _seam_blocks(nx, nu):
     return [1, nu - 1, nu, nu + 1, prime, 10**9]
 
 
+def _blocks_of(pairs):
+    """Build blocks and backward blocks of about ``pairs`` pairs each."""
+    return mock.patch.multiple(dp, BLOCK_PAIRS=pairs, _BUILD_BLOCK_PAIRS=pairs)
+
+
 def _interpolating_pendulum():
     # off-node successors, bounds tighter than the grid: many infeasible nodes
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.25), AxisSpec(-1.5, 2.0, 0.25)])
@@ -324,28 +346,27 @@ def _engine_arrays(engine):
 def test_build_block_seams_are_immaterial(rng, monkeypatch):
     # engines built in one-row blocks, blocks around the row length, a
     # ragged prime and threads 1 and 2 hold the same bytes as a single-block
-    # build and step the same
+    # build and step the same; the backward kernel keeps its own blocks
     toy = random_lattice_toy(rng)
     cases = [(toy.problem, toy.xgrid, toy.ugrid), _interpolating_pendulum()]
     for problem, xg, ug in cases:
-        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+        monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", 10**9)
         single = DpEngine(problem, xg, ug, threads=1)
         want, want_chain = _engine_arrays(single), _chain(single, 4)
         for threads in (1, 2):
             for block in _seam_blocks(xg.size, ug.size):
-                monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+                monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", block)
                 engine = DpEngine(problem, xg, ug, threads=threads)
                 assert _engine_arrays(engine) == want, (threads, block)
-                monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
                 for a, b in zip(_chain(engine, 4), want_chain):
                     assert a.cost.tobytes() == b.cost.tobytes(), (threads, block)
                     assert a.policy.tobytes() == b.policy.tobytes(), (threads, block)
 
 
-def test_build_temporaries_stay_within_one_block(monkeypatch):
+def test_build_temporaries_stay_within_one_block():
     # numpy reports its buffers to tracemalloc: beyond the engine's own
-    # arrays the build holds at most 512 B per pair of one block
-    monkeypatch.setattr(dp, "BLOCK_PAIRS", 4096)
+    # arrays the build holds at most 512 B per pair of one build block, a
+    # block of 160 rows of the coarse config's 2016, far below BLOCK_PAIRS
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
     assert (xg.shape, ug.size) == ((56, 36), 51)
@@ -356,17 +377,18 @@ def test_build_temporaries_stay_within_one_block(monkeypatch):
     finally:
         tracemalloc.stop()
     arrays = engine._base.nbytes + engine._w.nbytes + engine._sc.nbytes
-    block_pairs = (4096 // ug.size) * ug.size
+    block_pairs = (dp._BUILD_BLOCK_PAIRS // ug.size) * ug.size
+    assert 8 * block_pairs <= dp.BLOCK_PAIRS
     assert peak - arrays <= 512 * block_pairs, (peak - arrays) / block_pairs
 
 
-def test_engine_bytes_bounds_a_three_dimensional_build(monkeypatch):
+def test_engine_bytes_bounds_a_three_dimensional_build():
     # eight corners per pair: the estimate still bounds the build's traced
     # peak, and beyond the engine's arrays and row map the build holds at
-    # most BUILD_BYTES_PER_BLOCK_PAIR per pair of one block
-    monkeypatch.setattr(dp, "BLOCK_PAIRS", 1024)
-    problem, xg, ug = _three_axis_problem(u_spacing=0.25)
-    assert (xg.size, ug.size) == (729, 9)
+    # most BUILD_BYTES_PER_BLOCK_PAIR per pair of one build block (of 199
+    # rows here, under a third of the grid)
+    problem, xg, ug = _three_axis_problem(u_spacing=0.05)
+    assert (xg.size, ug.size) == (729, 41)
     tracemalloc.start()
     try:
         engine = DpEngine(problem, xg, ug, threads=1)
@@ -378,7 +400,8 @@ def test_engine_bytes_bounds_a_three_dimensional_build(monkeypatch):
         a.nbytes
         for a in (engine._base, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
     )
-    block_pairs = (1024 // ug.size) * ug.size
+    block_pairs = (dp._BUILD_BLOCK_PAIRS // ug.size) * ug.size
+    assert 3 * block_pairs < xg.size * ug.size
     assert peak - arrays <= dp.BUILD_BYTES_PER_BLOCK_PAIR * block_pairs, (
         (peak - arrays) / block_pairs
     )
@@ -388,7 +411,7 @@ def test_engine_bytes_bounds_a_build_of_side_pairs_only(rng, monkeypatch):
     # lattice successors give every admissible pair a zero-weight corner:
     # the estimate still bounds the traced peak with the side list at its
     # largest
-    monkeypatch.setattr(dp, "BLOCK_PAIRS", 1024)
+    monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", 1024)
     nx, nu = 900, 8
     toy = lattice_problem(
         (30, 30),
@@ -745,7 +768,11 @@ def _assert_rows_skipped(engine, full, work):
     skipped."""
     stencils = _brute_stencils(engine)
     costs = [np.zeros(engine.nx)] + [t.cost for t in full]
-    blocks = [b for r0, r1 in engine._row_chunks() for b in dp._row_blocks(r0, r1, engine.nu)]
+    blocks = [
+        b
+        for r0, r1 in engine._row_chunks()
+        for b in dp._row_blocks(r0, r1, engine.nu, dp.BLOCK_PAIRS)
+    ]
     skipped = 0
     for k, w in enumerate(work, start=1):
         if w is None:  # past the fixpoint
@@ -782,7 +809,7 @@ def test_chain_skips_exactly_the_rows_whose_stencil_is_unchanged(
     # threads and at every block seam of _seam_blocks
     toy = _fixpoint_toy(np.random.default_rng(seed), settles)
     nx, nu = toy.xgrid.size, toy.ugrid.size
-    with mock.patch.object(dp, "BLOCK_PAIRS", _seam_blocks(nx, nu)[seam]):
+    with _blocks_of(_seam_blocks(nx, nu)[seam]):
         engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads)
         _assert_chain_equals_full_chain(engine, 3 * (nx + 1))
 
@@ -922,16 +949,16 @@ def test_three_dimensional_chain_skips_rows(threads):
     assert _assert_chain_equals_full_chain(engine, 60) > 0
 
 
-def test_three_dimensional_block_seams_and_threads(rng, monkeypatch):
+def test_three_dimensional_block_seams_and_threads(rng):
     # 3-D builds and backward chains in one-row blocks, blocks around the
     # row length, a ragged prime and threads 1 and 2 give the bytes of a
     # single block; on the lattice toy every admissible pair is a side pair
     toy = lattice_toy_3d(rng, settles=False)
     cases = [(toy.problem, toy.xgrid, toy.ugrid), _three_axis_problem()]
     for problem, xg, ug in cases:
-        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
-        single = DpEngine(problem, xg, ug, threads=1)
-        want, want_chain = _engine_arrays(single), _chain(single, 6)
+        with _blocks_of(10**9):
+            single = DpEngine(problem, xg, ug, threads=1)
+            want, want_chain = _engine_arrays(single), _chain(single, 6)
         admissible = np.count_nonzero(single._base != single.nx)
         if problem is toy.problem:
             assert single._side.size == admissible > 0
@@ -939,10 +966,11 @@ def test_three_dimensional_block_seams_and_threads(rng, monkeypatch):
             assert 0 < single._side.size < admissible
         for threads in (1, 2):
             for block in _seam_blocks(xg.size, ug.size):
-                monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
-                engine = DpEngine(problem, xg, ug, threads=threads)
-                assert _engine_arrays(engine) == want, (threads, block)
-                for a, b in zip(_chain(engine, 6), want_chain):
+                with _blocks_of(block):
+                    engine = DpEngine(problem, xg, ug, threads=threads)
+                    assert _engine_arrays(engine) == want, (threads, block)
+                    got = _chain(engine, 6)
+                for a, b in zip(got, want_chain):
                     assert a.cost.tobytes() == b.cost.tobytes(), (threads, block)
                     assert a.policy.tobytes() == b.policy.tobytes(), (threads, block)
 
@@ -1003,7 +1031,7 @@ def test_eliminating_chain_equals_step_chain_and_enumeration(seed, settles, thre
     nx, nu = toy.xgrid.size, toy.ugrid.size
     steps = 6 * (nx + 1)
     full = _chain(DpEngine(toy.problem, toy.xgrid, toy.ugrid), steps)
-    with mock.patch.object(dp, "BLOCK_PAIRS", _seam_blocks(nx, nu)[seam]):
+    with _blocks_of(_seam_blocks(nx, nu)[seam]):
         engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=threads)
         stages, work = _chain_work(engine, steps)
     assert _same_tables(stages, full)
@@ -1126,13 +1154,13 @@ def test_certified_rows_keep_every_other_control_above_their_margin(threads):
     stages, work = _chain_work(engine, 300)
     assert _same_tables(stages, _chain(engine, 300))
     checked = 0
-    val, tmp = engine._work_buffers(engine.nx)
+    scratch = engine._kernel_scratch(engine.nx)
     for k, w in enumerate(work, start=1):
         if w is None or not w.certified.size:
             continue
         caug = np.zeros(engine.nx + 1 + int(xg._corner_offsets[-1]))
         caug[: engine.nx] = w.prev
-        v = engine._values(caug, w.certified, val, tmp).copy()
+        v = engine._values(caug, w.certified, scratch).copy()
         at = np.arange(w.certified.size)
         s = stages[k - 1].policy[w.certified]
         mine = v[at, s]
@@ -1146,7 +1174,7 @@ def test_certified_rows_keep_every_other_control_above_their_margin(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_elimination_block_seams_and_threads(threads, monkeypatch):
+def test_elimination_block_seams_and_threads(threads):
     # a chain long enough for most rows to be certified gives the
     # full-step chain's bytes at every block seam, gathering full rows,
     # running dense blocks whole and evaluating certified rows alone; on
@@ -1157,21 +1185,23 @@ def test_elimination_block_seams_and_threads(threads, monkeypatch):
     ):
         full = _chain(DpEngine(problem, xg, ug), steps)
         for block in _seam_blocks(xg.size, ug.size):
-            monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
-            engine = DpEngine(problem, xg, ug, threads=threads)
-            stages, work = _chain_work(engine, steps)
+            with _blocks_of(block):
+                engine = DpEngine(problem, xg, ug, threads=threads)
+                stages, work = _chain_work(engine, steps)
             assert _same_tables(stages, full), block
             assert _certified_pairs(work) > 0, block
 
 
-def test_elimination_with_more_threads_than_cores():
+def test_elimination_with_more_threads_than_cores(monkeypatch):
     # four row-chunk threads on at most two CPUs, switching every
     # microsecond: the rows, margins and counts each thread writes are
     # neither lost nor mixed, so the chain keeps the full-step chain's bytes
     problem, xg, ug = _small_pendulum()
     full = _chain(DpEngine(problem, xg, ug), 120)
     engine = DpEngine(problem, xg, ug)
-    engine.threads = 4  # past the cap that the constructor applies
+    # past the CPUs the process may really run on, which cap the count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    engine.threads = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1181,6 +1211,63 @@ def test_elimination_with_more_threads_than_cores():
     assert len(engine._row_chunks()) == 4
     assert _same_tables(stages, full)
     assert _certified_pairs(work) > 0
+
+
+def test_assigned_threads_follow_the_constructors_rules(monkeypatch):
+    # 0 picks every usable CPU, a larger count is capped, a negative one
+    # raises and keeps the setting; a chain whose row chunks change between
+    # stages gets kernel buffers for the new chunks in place of the old ones
+    # and keeps the full-step chain's bytes
+    problem, xg, ug = _small_pendulum()
+    full = _chain(DpEngine(problem, xg, ug), 80)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    engine = DpEngine(problem, xg, ug)
+    chain = engine.chain()
+    stages = list(itertools.islice(chain, 20))
+    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()] == [[(0, engine.nx)]]
+    engine.threads = 0
+    assert engine.threads == 3
+    stages += itertools.islice(chain, 20)
+    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()]
+    assert len(engine._row_chunks()) == 3
+    engine.threads = 10**6
+    assert engine.threads == 3
+    engine.threads = 2
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        engine.threads = -1
+    assert engine.threads == 2
+    stages += itertools.islice(chain, 40)
+    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()]
+    assert len(engine._row_chunks()) == 2
+    assert _same_tables(stages, full)
+
+
+def test_chain_steps_after_the_first_reuse_the_kernel_buffers():
+    # the coarse config's grid, two blocks of BLOCK_PAIRS: the first chain
+    # step (stage 2) allocates the kernel's buffers for its row chunk, and
+    # no later stage allocates as much as one of them, nor does the first
+    # chain step of a second chain stepped in turn with it
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
+    engine = DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)
+    buffer = dp._block_rows(ug.size, dp.BLOCK_PAIRS) * ug.size * 8
+    assert engine.nx * engine.nu > buffer // 8
+    chain, other = engine.chain(), engine.chain()
+    next(chain), next(chain), next(other)  # stage 1 is a full backward step
+    peaks, pairs = [], 0
+    tracemalloc.start()
+    try:
+        for c in [chain] * 30 + [other, chain] * 10:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            next(c)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            pairs += c.pairs
+    finally:
+        tracemalloc.stop()
+    assert pairs > 50 * engine.nu
+    assert max(peaks) < buffer, max(peaks)
+    assert len(engine._scratch_pool) == 1
 
 
 @pytest.fixture(scope="module")
@@ -1240,7 +1327,7 @@ def _snap_problem():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_side_pairs_snapped_next_to_infinite_nodes_stay_finite(threads, monkeypatch):
+def test_side_pairs_snapped_next_to_infinite_nodes_stay_finite(threads):
     # successors exactly on a grid line whose neighbour line is +inf, and
     # zero-weight corners holding negative costs: each such corner adds an
     # exact 0 * 0, so no NaN, no inf and no -0.0 reaches a value, and no
@@ -1253,8 +1340,7 @@ def test_side_pairs_snapped_next_to_infinite_nodes_stay_finite(threads, monkeypa
     # rows 2 and 3: -0.0 + 0 + 0 + 0, then + (-0.0), is +0.0
     want = np.repeat([-0.5, 8.0, 0.0, 0.0], 4)
     for block in _seam_blocks(xg.size, ug.size):
-        monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
-        with warnings.catch_warnings():
+        with _blocks_of(block), warnings.catch_warnings():
             warnings.simplefilter("error")
             engine = DpEngine(problem, xg, ug, threads=threads)
             table = engine.backward(prev.reshape(-1))

@@ -200,19 +200,19 @@ def test_block_seams_are_immaterial(monkeypatch):
         (tied.problem, tied.xgrid, tied.ugrid, {}),
     ]
     for problem, xgrid, ugrid, kwargs in cases:
-        monkeypatch.setattr(dp, "BLOCK_PAIRS", 10**9)
+        monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", 10**9)
         want = _point_bytes(equilibrium_search(problem, xgrid, ugrid, **kwargs))
         nu = ugrid.size
         for block in (1, 2 * nu, 7 * nu + 5):
-            monkeypatch.setattr(dp, "BLOCK_PAIRS", block)
+            monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", block)
             got = _point_bytes(equilibrium_search(problem, xgrid, ugrid, **kwargs))
             assert got == want, block
     assert want[2:4] == (0, 0)
 
 
-def test_search_temporaries_stay_within_one_block(monkeypatch):
-    # as for the engine build, at most 512 B per pair of one block are live
-    monkeypatch.setattr(dp, "BLOCK_PAIRS", 4096)
+def test_search_temporaries_stay_within_one_block():
+    # as for the engine build, at most 512 B per pair of one build block
+    # are live
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
     problem = builtin_min_time_pendulum()
@@ -222,6 +222,6 @@ def test_search_temporaries_stay_within_one_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block_pairs = (4096 // ug.size) * ug.size
+    block_pairs = (dp._BUILD_BLOCK_PAIRS // ug.size) * ug.size
     assert peak <= 512 * block_pairs, peak / block_pairs
     assert eq.residual <= 0.01 and eq.cost == 0.0
