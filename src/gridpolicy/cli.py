@@ -448,8 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=_thread_count,
             default=1,
             help=(
-                "worker threads for the backward kernel (0 = all usable CPUs; "
-                "default 1); never changes the results"
+                "worker threads for the engine build and full backward steps; "
+                "chain steps run on one (0 = all usable CPUs; default 1); "
+                "never changes the results"
             ),
         )
         p.add_argument(

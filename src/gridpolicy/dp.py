@@ -44,13 +44,14 @@ still get); those temporaries stay in L2 and are reused from the heap,
 block after block.  The backward step streams each corner row once per
 block of about :data:`BLOCK_PAIRS` pairs into two work buffers that stay in
 cache; the stages of a :class:`BackwardChain` reuse one set of kernel
-buffers per row chunk, kept on the engine between steps, instead of
-allocating them at every stage.  Every pair is evaluated element by
-element in row-major order, summed corner by corner in the same order with
-the stage cost last, and the argmin is taken per state row, so results are
-bit-identical for every block size.  Work is split over contiguous
-state-row chunks; each chunk writes a disjoint output slice, so results are
-bit-identical for every thread count.
+buffers, kept on the engine between steps, instead of allocating them at
+every stage.  Every pair is evaluated element by element in row-major
+order, summed corner by corner in the same order with the stage cost last,
+and the argmin is taken per state row, so results are bit-identical for
+every block size.  The build and the full backward step split their rows
+into one contiguous chunk per thread, each writing a disjoint output
+slice, so results are bit-identical for every thread count; a chain step
+runs on the thread that pulls it.
 
 The build also records each state row's stencil nodes: the sorted distinct
 nodes its pairs read with positive weight (``base + off_c`` where
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -230,10 +232,12 @@ class DpEngine:
         problem: the control problem.
         xgrid: state grid.
         ugrid: control grid.
-        threads: worker threads for chunked evaluation, capped at the CPUs
-            this process may run on; 0 picks all of them, and a negative
-            count raises :class:`ValueError`.  The chunks write disjoint
-            slices, so the numerical output is independent of this setting.
+        threads: worker threads of the build and of the full
+            :meth:`backward` step, capped at the CPUs this process may run
+            on; 0 picks all of them, a negative count raises
+            :class:`ValueError` and a non-integer one :class:`TypeError`.
+            Chain steps run on one thread.  The threads write disjoint row
+            chunks, so the numerical output is independent of this setting.
             The attribute of that name may be assigned later under the same
             rules.
     """
@@ -263,13 +267,14 @@ class DpEngine:
         self._ucoords = ugrid.node_coords()
         self._ncorners = 1 << xgrid.ndim
         # sets of kernel buffers that no chain step holds now
-        self._scratch_pool: list[dict[tuple[int, int], tuple[np.ndarray, ...]]] = []
+        self._scratch_pool: list[tuple[np.ndarray, ...]] = []
         self._build()
 
     @property
     def threads(self) -> int:
-        """The row-chunk threads: the assigned count capped at the CPUs this
-        process may run on (0 = all of them)."""
+        """The threads of the build and the full backward step: the
+        assigned count capped at the CPUs this process may run on (0 = all
+        of them)."""
         return self._threads
 
     @threads.setter
@@ -279,6 +284,7 @@ class DpEngine:
     @staticmethod
     def _resolve_threads(threads: int) -> int:
         """``threads`` capped at the CPUs this process may run on (0 = all)."""
+        threads = operator.index(threads)
         if threads < 0:
             raise ValueError("threads must be >= 0")
         try:
@@ -555,55 +561,42 @@ class DpEngine:
         dirty = np.logical_or.reduceat(read, self._row_starts)
         certified = self._spend_margins(chain, prev, changed, dirty, scale)
         full_rows = np.flatnonzero(dirty & ~certified)
-        alone: list[np.ndarray] = []  # rows evaluated at their policy control
-        pooled = self._pooled_scratch()
-
-        def step_rows(r0: int, r1: int) -> None:
-            scratch = pooled[r0, r1]
-            gathered = [full_rows[:0]]  # never empty, for np.concatenate
-            for b0, b1 in _row_blocks(r0, r1, nu, BLOCK_PAIRS):
-                rows = _within(full_rows, b0, b1)
-                if 2 * rows.size < b1 - b0:
-                    gathered.append(rows)
-                    continue
-                # At least half of the block's rows need the full kernel, so
-                # it runs over the whole block as slices: gathering stencil
-                # rows costs about twice as much per row.  The block's other
-                # rows get their own bits again, and a fresh margin.
-                v = self._values(caug, slice(b0, b1), scratch)
-                self._certify(v, slice(b0, b1), chain, scale)
-                dirty[b0:b1] = True  # dirty: the rows not copied
-                certified[b0:b1] = False  # certified: the rows run alone
-            rows = np.concatenate(gathered)
-            step = _block_rows(nu, BLOCK_PAIRS)
-            for i in range(0, rows.size, step):
-                part = rows[i : i + step]
-                v = self._values(caug, part, scratch)
-                self._certify(v, part, chain, scale)
-            rows = np.flatnonzero(certified[r0:r1]) + r0
-            alone.append(self._certified_values(caug, rows, chain))
-
-        self._run_chunks(step_rows)
-        self._scratch_pool.append(pooled)
+        scratch = self._pooled_scratch()
+        gathered = [full_rows[:0]]  # never empty, for np.concatenate
+        for b0, b1 in _row_blocks(0, nx, nu, BLOCK_PAIRS):
+            rows = _within(full_rows, b0, b1)
+            if 2 * rows.size < b1 - b0:
+                gathered.append(rows)
+                continue
+            # At least half of the block's rows need the full kernel, so it
+            # runs over the whole block as slices: gathering stencil rows
+            # costs about twice as much per row.  The block's other rows get
+            # their own bits again, and a fresh margin.
+            v = self._values(caug, slice(b0, b1), scratch)
+            self._certify(v, slice(b0, b1), chain, scale)
+            dirty[b0:b1] = True  # dirty: the rows not copied
+            certified[b0:b1] = False  # certified: the rows run alone
+        rows = np.concatenate(gathered)
+        step = _block_rows(nu, BLOCK_PAIRS)
+        for i in range(0, rows.size, step):
+            part = rows[i : i + step]
+            v = self._values(caug, part, scratch)
+            self._certify(v, part, chain, scale)
+        self._scratch_pool.append(scratch)
         chain.rows = np.flatnonzero(dirty)
-        chain.certified = np.sort(np.concatenate(alone))
+        chain.certified = self._certified_values(caug, np.flatnonzero(certified), chain)
         chain.pairs = (chain.rows.size - np.count_nonzero(certified)) * nu + chain.certified.size
         chain._source = prev
 
-    def _pooled_scratch(self) -> dict[tuple[int, int], tuple[np.ndarray, ...]]:
-        """Kernel buffers for each row chunk (see :meth:`_kernel_scratch`),
+    def _pooled_scratch(self) -> tuple[np.ndarray, ...]:
+        """Kernel buffers for a chain step (see :meth:`_kernel_scratch`),
         taken from the engine's pool, to which :meth:`_chain_step` gives
-        them back: chain steps taken one after another reuse one set, steps
-        taken at once from several threads get one set each, and a set for
-        other row chunks (another thread count) is dropped."""
-        chunks = self._row_chunks()
+        them back: chain steps taken one after another reuse one set, and
+        steps taken at once from several threads get one set each."""
         try:
-            pooled = self._scratch_pool.pop()  # atomic: no set goes to two steps
+            return self._scratch_pool.pop()  # atomic: no set goes to two steps
         except IndexError:
-            pooled = {}
-        if list(pooled) != chunks:
-            pooled = {(r0, r1): self._kernel_scratch(r1 - r0) for r0, r1 in chunks}
-        return pooled
+            return self._kernel_scratch(self.nx)
 
     def _spend_margins(
         self,

@@ -430,8 +430,9 @@ def test_engine_bytes_bounds_a_build_of_side_pairs_only(rng, monkeypatch):
     assert peak <= dp.engine_bytes(nx, nu, 2, threads=1)
 
 
-def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
-    toy = random_lattice_toy(rng)
+def _recording_problem(problem):
+    """``problem`` with each callable wrapped to append its name to a list
+    on every call; returns the problem and that list."""
     calls = []
 
     def recording(name, fn):
@@ -443,8 +444,14 @@ def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
 
     fields = ("dynamics", "stage_cost", "inequality", "average_fn")
     problem = dataclasses.replace(
-        toy.problem, **{f: recording(f, getattr(toy.problem, f)) for f in fields}
+        problem, **{f: recording(f, getattr(problem, f)) for f in fields}
     )
+    return problem, calls
+
+
+def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
+    toy = random_lattice_toy(rng)
+    problem, calls = _recording_problem(toy.problem)
     nx, nu = toy.xgrid.size, toy.ugrid.size
     need = dp.engine_bytes(nx, nu, toy.xgrid.ndim)
     monkeypatch.setattr(dp, "_available_bytes", lambda: need - 1)
@@ -762,17 +769,12 @@ def _assert_rows_skipped(engine, full, work):
     """Each kernel call of a chain, ``work[k - 1]`` at stage ``k``, recomputed
     every changed row: every row whose stencil holds a node whose cost bits
     changed between the two stages of ``full`` before it (every row at stage
-    1).  Within each row block of each thread's chunk it recomputed either
-    exactly the block's changed rows or the whole block, and the latter only
-    when at least half of the block's rows changed.  Returns the rows
-    skipped."""
+    1).  Within each of the chain's row blocks it recomputed either exactly
+    the block's changed rows or the whole block, and the latter only when at
+    least half of the block's rows changed.  Returns the rows skipped."""
     stencils = _brute_stencils(engine)
     costs = [np.zeros(engine.nx)] + [t.cost for t in full]
-    blocks = [
-        b
-        for r0, r1 in engine._row_chunks()
-        for b in dp._row_blocks(r0, r1, engine.nu, dp.BLOCK_PAIRS)
-    ]
+    blocks = dp._row_blocks(0, engine.nx, engine.nu, dp.BLOCK_PAIRS)
     skipped = 0
     for k, w in enumerate(work, start=1):
         if w is None:  # past the fixpoint
@@ -1193,9 +1195,9 @@ def test_elimination_block_seams_and_threads(threads):
 
 
 def test_elimination_with_more_threads_than_cores(monkeypatch):
-    # four row-chunk threads on at most two CPUs, switching every
-    # microsecond: the rows, margins and counts each thread writes are
-    # neither lost nor mixed, so the chain keeps the full-step chain's bytes
+    # four threads on at most two CPUs, switching every microsecond: stage
+    # 1's row chunks are neither lost nor mixed, and the chain steps after
+    # it keep the full-step chain's bytes
     problem, xg, ug = _small_pendulum()
     full = _chain(DpEngine(problem, xg, ug), 120)
     engine = DpEngine(problem, xg, ug)
@@ -1215,20 +1217,20 @@ def test_elimination_with_more_threads_than_cores(monkeypatch):
 
 def test_assigned_threads_follow_the_constructors_rules(monkeypatch):
     # 0 picks every usable CPU, a larger count is capped, a negative one
-    # raises and keeps the setting; a chain whose row chunks change between
-    # stages gets kernel buffers for the new chunks in place of the old ones
-    # and keeps the full-step chain's bytes
+    # raises and keeps the setting; a chain whose thread count changes
+    # between stages keeps its one set of kernel buffers and the full-step
+    # chain's bytes
     problem, xg, ug = _small_pendulum()
     full = _chain(DpEngine(problem, xg, ug), 80)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     engine = DpEngine(problem, xg, ug)
     chain = engine.chain()
     stages = list(itertools.islice(chain, 20))
-    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()] == [[(0, engine.nx)]]
+    assert len(engine._scratch_pool) == 1
+    pooled = engine._scratch_pool[0]
     engine.threads = 0
     assert engine.threads == 3
     stages += itertools.islice(chain, 20)
-    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()]
     assert len(engine._row_chunks()) == 3
     engine.threads = 10**6
     assert engine.threads == 3
@@ -1237,16 +1239,66 @@ def test_assigned_threads_follow_the_constructors_rules(monkeypatch):
         engine.threads = -1
     assert engine.threads == 2
     stages += itertools.islice(chain, 40)
-    assert [list(s) for s in engine._scratch_pool] == [engine._row_chunks()]
     assert len(engine._row_chunks()) == 2
+    assert len(engine._scratch_pool) == 1 and engine._scratch_pool[0] is pooled
     assert _same_tables(stages, full)
+
+
+def test_non_integer_thread_counts_raise_before_any_work(rng):
+    # the constructor raises before any problem callable runs; the setter
+    # raises and keeps the previous setting; a NumPy integer is a count
+    toy = random_lattice_toy(rng)
+    problem, calls = _recording_problem(toy.problem)
+    for bad in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            DpEngine(problem, toy.xgrid, toy.ugrid, threads=bad)
+    assert calls == []
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid, threads=1)
+    for bad in (1.5, 2.0, None):
+        with pytest.raises(TypeError):
+            engine.threads = bad
+        assert engine.threads == 1
+    engine.threads = np.int64(2)
+    assert engine.threads == min(2, len(os.sched_getaffinity(0)))
+    assert type(engine.threads) is int
+
+
+def test_chain_steps_start_no_thread_pool(monkeypatch):
+    # two threads, whatever the host's CPUs: past stage 1 no chain step
+    # starts a pool, and every stage and its counters equal those of a
+    # one-thread chain
+    problem, xg, ug = _small_pendulum()
+    one = DpEngine(problem, xg, ug, threads=1)
+    stages_one, work_one = _chain_work(one, 60)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    engine = DpEngine(problem, xg, ug, threads=2)
+    assert len(engine._row_chunks()) == 2
+    chain = engine.chain()
+    first = next(chain)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a chain step started a thread pool")
+
+    monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
+    stages, work = _chain_work(engine, 59, chain)
+    stages.insert(0, first)
+    assert _same_tables(stages, stages_one)
+    work_one = work_one[1:]
+    assert sum(w is not None for w in work) >= 40
+    for a, b in zip(work, work_one):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.rows.tolist() == b.rows.tolist()
+            assert a.certified.tolist() == b.certified.tolist()
+            assert a.pairs == b.pairs
+    assert _certified_pairs(work) > 0
 
 
 def test_chain_steps_after_the_first_reuse_the_kernel_buffers():
     # the coarse config's grid, two blocks of BLOCK_PAIRS: the first chain
-    # step (stage 2) allocates the kernel's buffers for its row chunk, and
-    # no later stage allocates as much as one of them, nor does the first
-    # chain step of a second chain stepped in turn with it
+    # step (stage 2) allocates the kernel's buffers, and no later stage
+    # allocates as much as one of them, nor does the first chain step of a
+    # second chain stepped in turn with it
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
     engine = DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)
