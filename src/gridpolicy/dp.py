@@ -43,9 +43,9 @@ raises :class:`MemoryError` up front when that exceeds what the process can
 still get); those temporaries stay in L2 and are reused from the heap,
 block after block.  The backward step streams each corner row once per
 block of about :data:`BLOCK_PAIRS` pairs into two work buffers that stay in
-cache; the stages of a :class:`BackwardChain` reuse one set of kernel
-buffers, kept on the engine between steps, instead of allocating them at
-every stage.  Every pair is evaluated element by element in row-major
+cache; backward steps, full or in a :class:`BackwardChain`, take their
+kernel buffers from a pool kept on the engine instead of allocating them
+at every stage.  Every pair is evaluated element by element in row-major
 order, summed corner by corner in the same order with the stage cost last,
 and the argmin is taken per state row, so results are bit-identical for
 every block size.  The build and the full backward step split their rows
@@ -60,7 +60,9 @@ work whose result is known (rows whose stencil nodes kept their cost bits,
 controls that a proven margin rules out, every stage past the cost
 fixpoint), so each of its stages has the bits of a full
 :meth:`DpEngine.backward` step; it states the rules and their rounding
-bound.
+bound.  A chain step reads the row map in runs of rows whose nodes fit
+one pooled kernel buffer, converted there to intp, so its temporaries do
+not grow with the row map.
 
 The forward step advances an ensemble of closed-loop states.  It parks an
 entry at an exact closed-loop fixpoint and no longer steps it while the
@@ -445,7 +447,7 @@ class DpEngine:
         policy = np.empty(nx, dtype=np.int64)
 
         def step_rows(r0: int, r1: int) -> None:
-            scratch = self._kernel_scratch(r1 - r0)
+            scratch = self._pooled_scratch()
             for b0, b1 in _row_blocks(r0, r1, self.nu, BLOCK_PAIRS):
                 v = self._values(caug, slice(b0, b1), scratch)
                 arg = v.argmin(axis=1)
@@ -453,6 +455,7 @@ class DpEngine:
                 arg[~np.isfinite(best)] = INFEASIBLE
                 cost[b0:b1] = best
                 policy[b0:b1] = arg
+            self._scratch_pool.append(scratch)
 
         self._run_chunks(step_rows)
         return StageTable(cost=cost, policy=policy)
@@ -469,13 +472,6 @@ class DpEngine:
             caug[:nx] = prev_cost
         return caug
 
-    def _kernel_scratch(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Buffers of :meth:`_values` for the largest block of ``rows`` state
-        rows: two float work buffers, the intp base indices and the gathered
-        stencil rows."""
-        size = min(_block_rows(self.nu, BLOCK_PAIRS), rows) * self.nu
-        return tuple(np.empty(size, dtype=t) for t in (float, float, np.intp, float))
-
     def _values(
         self, caug: np.ndarray, rows: slice | np.ndarray, scratch: tuple[np.ndarray, ...]
     ) -> np.ndarray:
@@ -486,7 +482,7 @@ class DpEngine:
         way every pair gets the same operations in the same order: corner 0's
         product, the other corners added in turn, the stage cost last.  The
         values are formed in the first buffer of ``scratch`` (see
-        :meth:`_kernel_scratch`); the others are overwritten.
+        :meth:`_pooled_scratch`); the others are overwritten.
         """
         nu, nc = self.nu, self._ncorners
         val_buf, tmp_buf, base_buf, gathered_buf = scratch
@@ -557,11 +553,13 @@ class DpEngine:
         scale = float(np.max(np.abs(prev), where=np.isfinite(prev), initial=0.0))
         changed = np.zeros(nx + 1, dtype=bool)  # the sentinel never changes
         np.not_equal(prev.view(np.uint64), chain._source.view(np.uint64), out=changed[:nx])
-        read = np.take(changed, self._row_nodes, mode="clip")  # all in [0, nx]
-        dirty = np.logical_or.reduceat(read, self._row_starts)
-        certified = self._spend_margins(chain, prev, changed, dirty, scale)
-        full_rows = np.flatnonzero(dirty & ~certified)
         scratch = self._pooled_scratch()
+        if not np.array_equal(changed, chain._changed):
+            self._dirty_rows(changed, chain._dirty, scratch)
+            chain._changed = changed
+        dirty = chain._dirty.copy()
+        certified = self._spend_margins(chain, prev, changed, dirty, scale, scratch)
+        full_rows = np.flatnonzero(dirty & ~certified)
         gathered = [full_rows[:0]]  # never empty, for np.concatenate
         for b0, b1 in _row_blocks(0, nx, nu, BLOCK_PAIRS):
             rows = _within(full_rows, b0, b1)
@@ -589,14 +587,68 @@ class DpEngine:
         chain._source = prev
 
     def _pooled_scratch(self) -> tuple[np.ndarray, ...]:
-        """Kernel buffers for a chain step (see :meth:`_kernel_scratch`),
-        taken from the engine's pool, to which :meth:`_chain_step` gives
-        them back: chain steps taken one after another reuse one set, and
-        steps taken at once from several threads get one set each."""
-        try:
-            return self._scratch_pool.pop()  # atomic: no set goes to two steps
-        except IndexError:
-            return self._kernel_scratch(self.nx)
+        """Kernel buffers, taken from the engine's pool, to which the caller
+        gives them back: backward steps taken one after another reuse one
+        set, and steps taken at once from several threads get one set each.
+        A set is two float work buffers, the intp base indices and the
+        gathered stencil rows of :meth:`_values`, sized for its largest
+        block and for the widest row of :meth:`_stencils`; a pooled set
+        made for smaller blocks is dropped."""
+        nu = self.nu
+        size = min(_block_rows(nu, BLOCK_PAIRS), self.nx) * nu
+        size = max(size, min(self._ncorners * nu, self.nx) + 1)
+        with contextlib.suppress(IndexError):
+            scratch = self._scratch_pool.pop()  # atomic: no set goes to two steps
+            if scratch[0].size >= size:
+                return scratch
+        return tuple(np.empty(size, dtype=t) for t in (float, float, np.intp, float))
+
+    def _row_runs(self, scratch: tuple[np.ndarray, ...]):
+        """Runs ``(r0, r1)`` of consecutive state rows, in order, whose
+        stencils fit one buffer of ``scratch`` together, or one row (which
+        always fits; see :meth:`_stencils`)."""
+        r0 = 0
+        while r0 < self.nx:
+            end = self._row_starts[r0] + scratch[2].size
+            r1 = int(np.searchsorted(self._row_ends, end, "right"))
+            r1 = max(r1, r0 + 1)
+            yield r0, r1
+            r0 = r1
+
+    def _stencils(
+        self, rows: np.ndarray, scratch: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The stencil nodes of the sorted ``rows``, all in one run of
+        :meth:`_row_runs`, as intp in the base-index buffer of ``scratch``
+        (its last buffer is overwritten), and each row's offset in them."""
+        starts = self._row_starts[rows]
+        sizes = self._row_ends[rows] - starts
+        offs = np.cumsum(sizes) - sizes
+        nodes = scratch[2][: offs[-1] + sizes[-1]]
+        if rows[-1] - rows[0] + 1 == rows.size:  # consecutive rows
+            np.copyto(nodes, self._row_nodes[starts[0] : starts[0] + nodes.size])
+            return nodes, offs
+        # the entries' positions in the row map, as a running sum of steps:
+        # 1 within a row, a jump to the start of each row
+        nodes.fill(1)
+        nodes[offs] = starts
+        nodes[offs[1:]] -= starts[:-1] + sizes[:-1] - 1
+        np.cumsum(nodes, out=nodes)
+        picked = scratch[3].view(np.int32)[: nodes.size]  # np.take keeps the dtype
+        np.take(self._row_nodes, nodes, out=picked, mode="clip")
+        np.copyto(nodes, picked)
+        return nodes, offs
+
+    def _dirty_rows(
+        self, changed: np.ndarray, out: np.ndarray, scratch: tuple[np.ndarray, ...]
+    ) -> None:
+        """Write to ``out`` whether each state row's stencil holds a node
+        that ``changed`` marks."""
+        read = scratch[1].view(bool)
+        for r0, r1 in self._row_runs(scratch):
+            nodes, offs = self._stencils(np.arange(r0, r1), scratch)
+            part = np.take(changed, nodes, out=read[: nodes.size], mode="clip")
+            np.logical_or.reduceat(part, offs, out=out[r0:r1])
 
     def _spend_margins(
         self,
@@ -605,51 +657,60 @@ class DpEngine:
         changed: np.ndarray,
         dirty: np.ndarray,
         scale: float,
+        scratch: tuple[np.ndarray, ...],
     ) -> np.ndarray:
         """Lower the margin of every dirty row of ``chain`` that holds one by
-        the span of ``D = prev - source`` over its stencil nodes, and return
-        the mask of the rows whose margin still certifies their policy
-        control."""
+        the span of ``D = prev - source`` over all nodes, or, where that
+        spends it, over the row's stencil nodes, and return the mask of the
+        rows whose margin still certifies their policy control."""
         margin = chain._margin
         _, _, c3, tau = self._slack
         bound = _up(_up(c3 * scale) + tau)
-        live = np.flatnonzero(dirty & (margin > bound))  # spans are >= 0
-        if live.size:
-            d = np.zeros(self.nx + 1)
-            d[-1] = np.nan  # the sentinel, read by no finite pair
-            with np.errstate(invalid="ignore"):
-                np.subtract(prev, chain._source, out=d[:-1], where=changed[:-1])
-            d[:-1][np.isinf(prev) & ~changed[:-1]] = np.nan  # infinite at both
-            d[changed & ~np.isfinite(d)] = np.inf  # a node turned (in)finite
-            with np.errstate(invalid="ignore"):  # inf - inf when both are inf
+        live = dirty & (margin > bound)  # spans are >= 0
+        if not live.any():
+            return live
+        d = np.zeros(self.nx + 1)
+        d[-1] = np.nan  # the sentinel, read by no finite pair
+        with np.errstate(invalid="ignore"):
+            np.subtract(prev, chain._source, out=d[:-1], where=changed[:-1])
+        d[:-1][np.isinf(prev) & ~changed[:-1]] = np.nan  # infinite at both
+        d[changed & ~np.isfinite(d)] = np.inf  # a node turned (in)finite
+        with np.errstate(invalid="ignore"):  # inf - inf when both are inf
+            # MacQueen's bound: no row's span exceeds the span over all nodes
+            span = _up(_up(np.fmax.reduce(d)) - _down(np.fmin.reduce(d)))
+            lowered = _down(margin - span)
+            kept = live & (lowered > bound)
+            np.copyto(margin, lowered, where=kept)
+            live ^= kept  # the rows left to their own span
+            for r0, r1 in self._row_runs(scratch):
+                rows = np.flatnonzero(live[r0:r1])
+                if not rows.size:
+                    continue
+                rows += r0
                 # The change between a row's first and last stencil nodes
                 # (the sentinel sorts after them) is at most its span: a row
                 # whose margin that spends goes to the full kernel without
                 # reading the rest of its stencil.
-                first = np.take(d, self._row_nodes[self._row_starts[live]])
-                last = np.take(d, self._row_nodes[self._row_ends[live] - 2])
-                spent = margin[live] - np.abs(first - last) <= bound
-                margin[live[spent]] = -np.inf
-                live = live[~spent]
-                margin[live] = _down(margin[live] - self._spans(d, live))
+                first = np.take(d, self._row_nodes[self._row_starts[rows]])
+                last = np.take(d, self._row_nodes[self._row_ends[rows] - 2])
+                spent = margin[rows] - np.abs(first - last) <= bound
+                margin[rows[spent]] = -np.inf
+                rows = rows[~spent]
+                if rows.size:
+                    margin[rows] = _down(margin[rows] - self._spans(d, rows, scratch))
         return dirty & (margin > bound)
 
-    def _spans(self, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Upper bounds on ``max - min`` of ``d`` over each row's stencil
-        nodes, NaN entries left out (every dirty row reads a number)."""
-        starts, ends = self._row_starts[rows], self._row_ends[rows]
-        sizes = ends - starts
-        out = np.empty(rows.size)
-        # about 20 bytes per stencil entry: a quarter block of entries
-        # keeps them within the kernel's buffers
-        for i, j in _cuts(sizes, max(1, BLOCK_PAIRS // 4)):
-            nodes = np.take(self._row_nodes, _ranges(starts[i:j], ends[i:j]))
-            vals = np.take(d, nodes)
-            offs = np.cumsum(sizes[i:j]) - sizes[i:j]
-            hi = _up(np.fmax.reduceat(vals, offs))
-            lo = _down(np.fmin.reduceat(vals, offs))
-            out[i:j] = _up(hi - lo)
-        return out
+    def _spans(
+        self, d: np.ndarray, rows: np.ndarray, scratch: tuple[np.ndarray, ...]
+    ) -> np.ndarray:
+        """Upper bounds on ``max - min`` of ``d`` over the stencil nodes of
+        each of ``rows`` (sorted rows of one run of :meth:`_row_runs`), NaN
+        entries left out (every dirty row reads a number)."""
+        nodes, offs = self._stencils(rows, scratch)
+        vals = np.take(d, nodes, out=scratch[0][: nodes.size], mode="clip")
+        hi = _up(np.fmax.reduceat(vals, offs))
+        lo = _down(np.fmin.reduceat(vals, offs))
+        return _up(hi - lo)
 
     def _gap_bound(self, best: np.ndarray, second: np.ndarray, scale: float) -> np.ndarray:
         """A fresh margin: a lower bound on ``(second - best) - c1 * (|second|
@@ -784,15 +845,20 @@ class BackwardChain:
       nodes changed bit for bit between those two fields (cost and argmin,
       tie-break included).  Each yielded table is a copy, so the kept
       arrays cannot be changed from outside and the rule is exact whatever
-      the caller does with the tables; each chain keeps its own.
+      the caller does with the tables; each chain keeps its own.  The rows
+      to run are a function of the changed nodes alone, so a stage whose
+      changed nodes are bit for bit those of the stage before reuses its
+      rows without reading the row map.
     * Controls (action elimination: MacQueen 1967, Hastings 1976).  A row
       evaluated in full whose minimum ``m`` is attained by one control keeps
       that control as its survivor and a *margin*, the fresh margin of its
       second smallest value ``m2`` (below).  Every margin starts at -inf
       (none), so the full kernel runs of stage 2 form the first ones.  Each
       later stage that reads a changed node of the row lowers the margin by an
-      upper bound on the span (max - min) of ``D = C_{j-1} - C_{j-2}`` over the
-      row's stencil nodes; a node that turned finite or infinite makes the span
+      upper bound on the span (max - min) of ``D = C_{j-1} - C_{j-2}``: over
+      all nodes (MacQueen's bound, formed once per stage) where the margin
+      stays above the bound below, else over the row's stencil nodes, which
+      is never larger; a node that turned finite or infinite makes a span
       +inf.  While the margin exceeds ``c3 B_j + tau``, no other control can
       reach the survivor's value, and the row is evaluated at its survivor
       alone, with the kernel's operations in its order, so its cost has the
@@ -854,6 +920,8 @@ class BackwardChain:
         self.pairs = 0
         self._margin = np.full(engine.nx, -np.inf)  # per row; -inf: none
         self._source = np.zeros(engine.nx)  # the cost field the last step read
+        # the dirty rows of the last changed-node mask (None: none read yet)
+        self._changed, self._dirty = None, np.empty(engine.nx, dtype=bool)
         self._cost = self._policy = None  # the last stage's, updated in place
         self._fixpoint: StageTable | None = None
 
@@ -940,18 +1008,6 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
     out += np.arange(out.size)
     return out
-
-
-def _cuts(sizes: np.ndarray, limit: int) -> list[tuple[int, int]]:
-    """Consecutive items of ``sizes`` cut into runs ``[i, j)`` whose sizes sum
-    to at most ``limit`` (at least one item each)."""
-    ends = np.cumsum(sizes)
-    cuts = [0]
-    while cuts[-1] < sizes.size:
-        i = cuts[-1]
-        j = int(np.searchsorted(ends, ends[i] - sizes[i] + limit, side="right"))
-        cuts.append(max(i + 1, j))
-    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _within(rows: np.ndarray, r0: int, r1: int) -> np.ndarray:

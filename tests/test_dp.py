@@ -1156,7 +1156,7 @@ def test_certified_rows_keep_every_other_control_above_their_margin(threads):
     stages, work = _chain_work(engine, 300)
     assert _same_tables(stages, _chain(engine, 300))
     checked = 0
-    scratch = engine._kernel_scratch(engine.nx)
+    scratch = engine._pooled_scratch()
     for k, w in enumerate(work, start=1):
         if w is None or not w.certified.size:
             continue
@@ -1295,10 +1295,10 @@ def test_chain_steps_start_no_thread_pool(monkeypatch):
 
 
 def test_chain_steps_after_the_first_reuse_the_kernel_buffers():
-    # the coarse config's grid, two blocks of BLOCK_PAIRS: the first chain
-    # step (stage 2) allocates the kernel's buffers, and no later stage
-    # allocates as much as one of them, nor does the first chain step of a
-    # second chain stepped in turn with it
+    # the coarse config's grid, two blocks of BLOCK_PAIRS: stage 1 allocates
+    # the kernel's buffers, and no later stage allocates as much as one of
+    # them, nor does the first chain step of a second chain stepped in turn
+    # with it
     xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
     ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
     engine = DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)
@@ -1320,6 +1320,121 @@ def test_chain_steps_after_the_first_reuse_the_kernel_buffers():
     assert pairs > 50 * engine.nu
     assert max(peaks) < buffer, max(peaks)
     assert len(engine._scratch_pool) == 1
+
+
+def test_a_second_chain_takes_its_first_stage_buffers_from_the_pool():
+    # one thread, the coarse config's grid: the full backward step of a
+    # second chain's stage 1 takes the kernel buffers the first chain gave
+    # back, so it allocates less than one of them, and the pool keeps one set
+    xg = CartesianGrid([AxisSpec(-2.0, 3.5, 0.1), AxisSpec(-1.5, 2.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, 0.04)])
+    engine = DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)
+    buffer = dp._block_rows(ug.size, dp.BLOCK_PAIRS) * ug.size * 8
+    first = list(itertools.islice(engine.chain(), 5))
+    assert len(engine._scratch_pool) == 1
+    other = engine.chain()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = next(other)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < buffer, peak
+    assert len(engine._scratch_pool) == 1
+    assert _same_tables([table], first[:1])
+
+
+def test_chain_stages_read_the_row_map_in_bounded_cuts():
+    # the sweep config's grid, whose row map as intp is over six kernel
+    # buffers: no chain stage past stage 2 allocates as much as one buffer,
+    # neither stages 3 and 4, which read the row map for their dirty rows,
+    # nor the later ones, which reuse the last dirty mask (no row is
+    # certified this early on this grid)
+    cfg = gp.load_config(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_avg_angle_sweep.cfg")
+    )
+    engine = DpEngine(cfg.build_problem(), cfg.state_grid(), cfg.control_grid(), threads=1)
+    buffer = dp._block_rows(engine.nu, dp.BLOCK_PAIRS) * engine.nu * 8
+    assert engine._row_nodes.size * 8 > 6 * buffer
+    chain = engine.chain()
+    next(chain), next(chain)
+    peaks = []
+    with mock.patch.object(engine, "_dirty_rows", wraps=engine._dirty_rows) as reads:
+        tracemalloc.start()
+        try:
+            for _ in range(8):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                next(chain)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert reads.call_count == 2
+    assert max(peaks) < buffer, peaks
+
+
+def test_dirty_row_memo_equals_the_row_map_read():
+    # a stage whose changed nodes are those of the stage before reuses the
+    # last dirty mask without reading the row map, and that mask is exactly
+    # the row map's (and the brute-force stencils'); a stage that changes
+    # other nodes after such a stage reads the row map again
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug)
+    full = _chain(engine, 280)
+    stencils = _brute_stencils(engine)
+    chain = engine.chain()
+    stages, hits, misses_after_hits, last = [next(chain)], 0, 0, None
+    with mock.patch.object(engine, "_dirty_rows", wraps=engine._dirty_rows) as reads:
+        for _ in range(279):
+            changed = np.append(chain._cost.view(np.uint64) != chain._source.view(np.uint64), False)
+            hit = last is not None and np.array_equal(changed, last)
+            calls = reads.call_count
+            stages.append(next(chain))
+            assert reads.call_count == calls + (not hit)
+            read = np.empty(engine.nx, dtype=bool)
+            dp.DpEngine._dirty_rows(engine, changed, read, engine._pooled_scratch())
+            assert chain._dirty.tobytes() == read.tobytes()
+            assert read.tolist() == [bool(changed[s].any()) for s in stencils]
+            misses_after_hits += bool(hits) and not hit
+            hits += hit
+            last = changed
+    assert _same_tables(stages, full)
+    assert hits > 200 and misses_after_hits > 0, (hits, misses_after_hits)
+
+
+def test_margins_spend_the_global_span_first_then_the_rows_own(monkeypatch):
+    # on one chain, the span of D over all nodes keeps some live margins
+    # above the stage's bound, and the rows whose margin it would spend fall
+    # back to the span over their own stencil; every stage keeps the
+    # full-step chain's bytes and skips rows
+    problem, xg, ug = _small_pendulum()
+    engine = DpEngine(problem, xg, ug)
+    spend, spans = engine._spend_margins, engine._spans
+    fallback, kept = [], []
+
+    def own_spans(d, rows, scratch):
+        fallback.extend(rows.tolist())
+        return spans(d, rows, scratch)
+
+    def spend_margins(chain, prev, changed, dirty, scale, scratch):
+        before, calls = chain._margin.copy(), len(fallback)
+        out = spend(chain, prev, changed, dirty, scale, scratch)
+        bound = dp._up(dp._up(engine._slack[2] * scale) + engine._slack[3])
+        live = dirty & (before > bound)
+        live[fallback[calls:]] = False
+        # live rows with a finite margin that no row span and no first/last
+        # test lowered
+        lowered = live & np.isfinite(before) & (chain._margin > bound)
+        assert (chain._margin[lowered] < before[lowered]).all()
+        kept.append(np.count_nonzero(lowered))
+        return out
+
+    monkeypatch.setattr(engine, "_spans", own_spans)
+    monkeypatch.setattr(engine, "_spend_margins", spend_margins)
+    assert _assert_chain_equals_full_chain(engine, 300) > 0
+    assert sum(kept) > 0 and len(fallback) > 0, (sum(kept), len(fallback))
 
 
 @pytest.fixture(scope="module")
