@@ -28,11 +28,14 @@ exactly 0 before the stage cost is added last.
 
 An admissible pair whose successor lies on a cell face has a zero-weight
 corner, and that corner's node may hold ``+inf`` (``0 * inf`` is NaN) or a
-negative cost (``0 * negative`` is ``-0.0``).  Such pairs, one per shipped
-config and nearly every pair of a lattice problem, are listed in a side
-list, and the backward step forms their values again before the argmin
-with the same operations in the same order, each zero-weight corner
-reading the sentinel (cost 0) and so adding an exact ``0 * 0``.
+negative cost (``0 * negative`` is ``-0.0``).  Such a pair's value is the
+one formed with the same operations in the same order but each zero-weight
+corner reading the sentinel (cost 0), so that it adds an exact ``0 * 0``.
+The backward step forms again, that way, every kernel value that comes out
+NaN or ``-0.0``, and only those: a zero-weight corner's product changes
+the sum at most by the sign of a zero, and the sentinel's ``+0.0`` term
+never leaves a ``-0.0``, so every other kernel value already has those
+bits.
 
 The build and the backward step walk blocks of whole state rows.  The
 build evaluates constraints, dynamics, the cell search and stage costs one
@@ -76,7 +79,6 @@ import contextlib
 import functools
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,18 +175,17 @@ def engine_bytes(nx: int, nu: int, ndim: int, threads: int = 1) -> int:
     """Bytes a :class:`DpEngine` build needs: its arrays plus live temporaries.
 
     Each of the ``nx * nu`` pairs stores one int32 base index, ``2**ndim``
-    float64 weights and one float64 stage cost, and at worst one int64
-    entry of the side list; the row map stores at most ``2**ndim * nu + 1``
-    int32 nodes per state row, and the row map and the side list one offset
-    per row each; each of ``threads`` row chunks holds the temporaries of one
-    build block of about ``_BUILD_BLOCK_PAIRS`` pairs, at most
-    :data:`BUILD_BYTES_PER_BLOCK_PAIR` each.
+    float64 weights and one float64 stage cost; the row map stores at most
+    ``2**ndim * nu + 1`` int32 nodes per state row and one intp offset per
+    row and one past the last; each of ``threads`` row chunks holds the
+    temporaries of one build block of about ``_BUILD_BLOCK_PAIRS`` pairs, at
+    most :data:`BUILD_BYTES_PER_BLOCK_PAIR` each.
     """
     pairs = nx * nu
-    row_maps = nx * (2**ndim * nu + 1) * 4 + 2 * (nx + 1) * 8
+    row_map = nx * (2**ndim * nu + 1) * 4 + (nx + 1) * 8
     block_pairs = min(_block_rows(nu, _BUILD_BLOCK_PAIRS), nx) * nu
     temps = min(threads, nx) * block_pairs * BUILD_BYTES_PER_BLOCK_PAIR
-    return pairs * (8 * 2**ndim + 20) + row_maps + temps
+    return pairs * (8 * 2**ndim + 12) + row_map + temps
 
 
 def _block_rows(nu: int, pairs: int) -> int:
@@ -304,6 +305,8 @@ class DpEngine:
         if len(chunks) == 1:
             fn(*chunks[0])
             return
+        from concurrent.futures import ThreadPoolExecutor  # only threaded steps pay for it
+
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(lambda ab: fn(*ab), chunks))
 
@@ -354,24 +357,20 @@ class DpEngine:
         self._build_row_index()
 
     def _build_row_index(self) -> None:
-        """Each state row's stencil nodes and side pairs, as CSR.
+        """Each state row's stencil nodes, as CSR.
 
-        Row ``r`` reads ``_row_nodes[_row_starts[r]:_row_starts[r + 1]]``
-        (the last row up to the end): the sorted distinct nodes that its
-        pairs read with positive weight, plus the sentinel ``nx``, so no row
-        is empty.  ``_side[_side_starts[r]:_side_starts[r + 1]]`` holds the
-        ascending flat positions of the row's admissible pairs that have a
-        zero-weight corner (see :meth:`backward`).  Two passes over the
+        Row ``r`` reads ``_row_nodes[_row_starts[r]:_row_ends[r]]``: the
+        sorted distinct nodes that its pairs read with positive weight, plus
+        the sentinel ``nx``, so no row is empty.  Two passes over the
         build's row blocks (counts, then entries) keep the peak at the map
-        and the list plus one block's sort per thread.  The first pass also
-        bounds how far an admissible pair's weights may sum from 1
-        (``_weight_error``, the ``eps`` of :class:`BackwardChain`'s rounding
-        bound).
+        plus one block's sort per thread.  The first pass also bounds how
+        far an admissible pair's weights may sum from 1 (``_weight_error``,
+        the ``eps`` of :class:`BackwardChain`'s rounding bound).
         """
         nx, nu, nc = self.nx, self.nu, self._ncorners
         offsets = self.xgrid._corner_offsets.tolist()
 
-        def scan(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def scan(b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
             rows, s = b1 - b0, slice(b0 * nu, b1 * nu)
             base = self._base[s]
             zero = self._w[:, s] == 0.0
@@ -385,20 +384,16 @@ class DpEngine:
             first = np.empty(nodes.shape, dtype=bool)
             first[:, 0] = True
             np.not_equal(nodes[:, 1:], nodes[:, :-1], out=first[:, 1:])
-            side = np.logical_or.reduce(zero, axis=0)
-            side &= base != nx  # inadmissible pairs read the pad, not a node
-            return nodes, first, side.reshape(rows, nu)
+            return nodes, first
 
         starts = np.zeros(nx + 1, dtype=np.intp)
-        side_starts = np.zeros(nx + 1, dtype=np.intp)
 
         sum_errors = [0.0]
 
         def count_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu, _BUILD_BLOCK_PAIRS):
-                _, first, side = scan(b0, b1)
+                _, first = scan(b0, b1)
                 starts[b0 + 1 : b1 + 1] = np.count_nonzero(first, axis=1)
-                side_starts[b0 + 1 : b1 + 1] = np.count_nonzero(side, axis=1)
                 s = slice(b0 * nu, b1 * nu)
                 total = np.add.reduce(self._w[:, s], axis=0)
                 # |total - 1| is exact: total lies in [1/2, 2] (Sterbenz)
@@ -407,21 +402,15 @@ class DpEngine:
 
         def fill_rows(r0: int, r1: int) -> None:
             for b0, b1 in _row_blocks(r0, r1, nu, _BUILD_BLOCK_PAIRS):
-                nodes, first, side = scan(b0, b1)
+                nodes, first = scan(b0, b1)
                 self._row_nodes[starts[b0] : starts[b1]] = nodes[first]
-                self._side[side_starts[b0] : side_starts[b1]] = (
-                    np.flatnonzero(side) + b0 * nu
-                )
 
         self._run_chunks(count_rows)
         np.cumsum(starts, out=starts)
-        np.cumsum(side_starts, out=side_starts)
         self._row_nodes = np.empty(starts[-1], dtype=np.int32)
-        self._side = np.empty(side_starts[-1], dtype=np.intp)
         self._run_chunks(fill_rows)
         self._row_starts = starts[:-1]
         self._row_ends = starts[1:]
-        self._side_starts = side_starts
         # The computed sum of nc weights is within gamma_{nc-1} * W of their
         # exact sum W, so |W - 1| <= (e + g) / (1 - g) <= 2 * (e + g).
         g = _gamma(nc - 1)
@@ -480,8 +469,10 @@ class DpEngine:
         ``rows`` is a slice of rows, whose stencil is read as slices, or a
         sorted array of rows, whose stencil rows are gathered first.  Either
         way every pair gets the same operations in the same order: corner 0's
-        product, the other corners added in turn, the stage cost last.  The
-        values are formed in the first buffer of ``scratch`` (see
+        product, the other corners added in turn, the stage cost last.  A
+        value that comes out NaN or ``-0.0`` is formed again by
+        :meth:`_pair_values` (see the module docstring).  The values are
+        formed in the first buffer of ``scratch`` (see
         :meth:`_pooled_scratch`); the others are overwritten.
         """
         nu, nc = self.nu, self._ncorners
@@ -493,8 +484,6 @@ class DpEngine:
             n = rows.stop - rows.start
             s = slice(rows.start * nu, rows.stop * nu)
             base = self._base[s]
-            side = self._side[self._side_starts[rows.start] : self._side_starts[rows.stop]]
-            at = side - s.start
 
             def stencil(a: np.ndarray) -> np.ndarray:
                 return a[s]
@@ -505,8 +494,6 @@ class DpEngine:
             # bases go to the gather buffer, until the stencil rows need it.
             base = gathered_buf.view(np.int32)[: n * nu]
             np.take(self._base.reshape(-1, nu), rows, 0, base.reshape(n, nu), "clip")
-            side = self._side[_ranges(self._side_starts[rows], self._side_starts[rows + 1])]
-            at = np.searchsorted(rows, side // nu) * nu + side % nu
             gathered = gathered_buf[: n * nu].reshape(n, nu)
 
             def stencil(a: np.ndarray) -> np.ndarray:
@@ -515,9 +502,9 @@ class DpEngine:
 
         val, tmp, idx = val_buf[: n * nu], tmp_buf[: n * nu], base_buf[: n * nu]
         np.copyto(idx, base)  # np.take would convert int32 indices per corner
-        # A side pair's zero-weight corner may read +inf here; its value is
-        # formed again below.
-        with np.errstate(invalid="ignore") if side.size else contextlib.nullcontext():
+        # A zero-weight corner may read +inf here; that value is formed again
+        # below.
+        with np.errstate(invalid="ignore"):
             np.take(corners[0], idx, out=val, mode="clip")
             np.multiply(stencil(self._w[0]), val, out=val)
             for c in range(1, nc):
@@ -525,16 +512,26 @@ class DpEngine:
                 np.multiply(stencil(self._w[c]), tmp, out=tmp)
                 np.add(val, tmp, out=val)
             np.add(val, stencil(self._sc), out=val)
-        if side.size:
-            val[at] = self._pair_values(caug, side)
+        # |v| > 0 fails exactly at NaN and at both zeros; of those, +0.0
+        # (bits all clear) has the right bits already.
+        nonzero = idx.view(bool)[: n * nu]
+        np.greater(np.abs(val, out=tmp), 0.0, out=nonzero)
+        if not nonzero.all():
+            at = np.flatnonzero(np.logical_not(nonzero, out=nonzero))
+            at = at[val[at].view(np.uint64) != 0]
+            if at.size:
+                row, col = np.divmod(at, nu)
+                row = row + rows.start if isinstance(rows, slice) else rows[row]
+                val[at] = self._pair_values(caug, row * nu + col)
         return val.reshape(n, nu)
 
     def _pair_values(self, caug: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """``T`` of the flat ``pairs``, formed with the operations of
         :meth:`_values` in its order, but with each zero-weight corner
         reading the sentinel: it adds an exact ``0 * 0``, never ``0 * inf``
-        (NaN) or ``0 * negative`` (``-0.0``).  That is the value of a side
-        pair, and bitwise the kernel's value of any other pair."""
+        (NaN) or ``0 * negative`` (``-0.0``).  That is the value of a pair
+        with a zero-weight corner, and bitwise the kernel's value of any
+        other pair."""
         w = self._w[:, pairs]
         nodes = self._base[pairs] + self.xgrid._corner_offsets[:, None]
         np.copyto(nodes, self.nx, where=w == 0.0)
@@ -1000,14 +997,6 @@ def _rounding_slack(ncorners: int, eps: float) -> tuple[float, float, float, flo
     # the four values' underflow, (4 + 2 g (q + 1)) n 2**-1074, with g < 1/2
     tau = np.ldexp(8.0 * ncorners, -1074)
     return float(c1), float(c2), float(c3), float(tau)
-
-
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The integer ranges ``[starts[i], ends[i])``, concatenated."""
-    lengths = ends - starts
-    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    out += np.arange(out.size)
-    return out
 
 
 def _within(rows: np.ndarray, r0: int, r1: int) -> np.ndarray:

@@ -1,9 +1,11 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import itertools
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -339,8 +341,13 @@ def test_backward_block_seams_are_immaterial(rng, monkeypatch):
 
 
 def _engine_arrays(engine):
-    arrays = (engine._base, engine._w, engine._sc, engine._side, engine._side_starts)
+    arrays = (engine._base, engine._w, engine._sc, engine._row_nodes, engine._row_starts)
     return tuple(a.tobytes() for a in arrays)
+
+
+def _zero_weight_pairs(engine):
+    """The admissible pairs of ``engine`` with a zero-weight corner."""
+    return np.count_nonzero((engine._base != engine.nx) & (engine._w == 0.0).any(axis=0))
 
 
 def test_build_block_seams_are_immaterial(rng, monkeypatch):
@@ -409,8 +416,7 @@ def test_engine_bytes_bounds_a_three_dimensional_build():
 
 def test_engine_bytes_bounds_a_build_of_side_pairs_only(rng, monkeypatch):
     # lattice successors give every admissible pair a zero-weight corner:
-    # the estimate still bounds the traced peak with the side list at its
-    # largest
+    # the estimate still bounds the traced peak
     monkeypatch.setattr(dp, "_BUILD_BLOCK_PAIRS", 1024)
     nx, nu = 900, 8
     toy = lattice_problem(
@@ -426,7 +432,7 @@ def test_engine_bytes_bounds_a_build_of_side_pairs_only(rng, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert engine._side.size == nx * nu
+    assert _zero_weight_pairs(engine) == nx * nu
     assert peak <= dp.engine_bytes(nx, nu, 2, threads=1)
 
 
@@ -470,8 +476,6 @@ def test_memory_estimate_fails_before_any_callable(rng, monkeypatch):
         engine._sc,
         engine._row_nodes,
         engine._row_starts,
-        engine._side,
-        engine._side_starts,
     )
     assert need >= sum(a.nbytes for a in arrays)
     assert dp.engine_bytes(nx, nu, toy.xgrid.ndim, threads=2) > need
@@ -954,7 +958,8 @@ def test_three_dimensional_chain_skips_rows(threads):
 def test_three_dimensional_block_seams_and_threads(rng):
     # 3-D builds and backward chains in one-row blocks, blocks around the
     # row length, a ragged prime and threads 1 and 2 give the bytes of a
-    # single block; on the lattice toy every admissible pair is a side pair
+    # single block; on the lattice toy every admissible pair has a
+    # zero-weight corner
     toy = lattice_toy_3d(rng, settles=False)
     cases = [(toy.problem, toy.xgrid, toy.ugrid), _three_axis_problem()]
     for problem, xg, ug in cases:
@@ -963,9 +968,9 @@ def test_three_dimensional_block_seams_and_threads(rng):
             want, want_chain = _engine_arrays(single), _chain(single, 6)
         admissible = np.count_nonzero(single._base != single.nx)
         if problem is toy.problem:
-            assert single._side.size == admissible > 0
+            assert _zero_weight_pairs(single) == admissible > 0
         else:
-            assert 0 < single._side.size < admissible
+            assert 0 < _zero_weight_pairs(single) < admissible
         for threads in (1, 2):
             for block in _seam_blocks(xg.size, ug.size):
                 with _blocks_of(block):
@@ -1279,7 +1284,7 @@ def test_chain_steps_start_no_thread_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a chain step started a thread pool")
 
-    monkeypatch.setattr(dp, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     stages, work = _chain_work(engine, 59, chain)
     stages.insert(0, first)
     assert _same_tables(stages, stages_one)
@@ -1292,6 +1297,27 @@ def test_chain_steps_start_no_thread_pool(monkeypatch):
             assert a.certified.tolist() == b.certified.tolist()
             assert a.pairs == b.pairs
     assert _certified_pairs(work) > 0
+
+
+def test_one_thread_engines_import_no_thread_pool():
+    # in a fresh process: building a one-thread engine and taking full
+    # backward steps leaves concurrent.futures unimported
+    code = (
+        "import sys\n"
+        "import gridpolicy as gp\n"
+        "axis = gp.AxisSpec(-1.0, 1.0, 0.25)\n"
+        "xg, ug = gp.CartesianGrid([axis, axis]), gp.CartesianGrid([axis])\n"
+        "engine = gp.DpEngine(gp.builtin_min_time_pendulum(), xg, ug, threads=1)\n"
+        "engine.backward(engine.backward(None).cost)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_chain_steps_after_the_first_reuse_the_kernel_buffers():
@@ -1511,15 +1537,63 @@ def test_side_pairs_snapped_next_to_infinite_nodes_stay_finite(threads):
             warnings.simplefilter("error")
             engine = DpEngine(problem, xg, ug, threads=threads)
             table = engine.backward(prev.reshape(-1))
-        assert engine._side.size == 16
+        assert _zero_weight_pairs(engine) == 16
         assert table.cost.tobytes() == want.tobytes(), (block, table.cost)
         np.testing.assert_array_equal(table.policy, np.repeat([0, 1, 2, 3], 4))
 
 
-def test_side_list_is_every_admissible_pair_with_a_zero_weight_corner(rng):
-    # from the problem's own callables: the side list holds, in ascending
-    # order, exactly the admissible pairs with a zero-weight corner, and
-    # every corner of a positive weight is base + offset
+@contextlib.contextmanager
+def _kernel_pair_values():
+    """The sizes of the ``_pair_values`` calls made from ``_values`` while
+    the block runs, on one thread."""
+    calls, inside = [], []
+    values, pair_values = DpEngine._values, DpEngine._pair_values
+
+    def in_values(self, *args):
+        inside.append(True)
+        try:
+            return values(self, *args)
+        finally:
+            inside.pop()
+
+    def counted(self, caug, pairs):
+        if inside:
+            calls.append(pairs.size)
+        return pair_values(self, caug, pairs)
+
+    with mock.patch.object(DpEngine, "_values", in_values):
+        with mock.patch.object(DpEngine, "_pair_values", counted):
+            yield calls
+
+
+def test_kernel_forms_again_only_its_nan_and_negative_zero_values(coarse_config_engine):
+    # the snapped problem's zero-weight corners reading +inf make NaN kernel
+    # values, which are formed again; on the coarse config no kernel value
+    # of a full step or of a 40-stage chain is NaN or -0.0, so none is,
+    # though many pairs have a zero-weight corner or a +0.0 value (the
+    # chain's certified rows, evaluated by _pair_values alone, not counted)
+    problem, xg, ug = _snap_problem()
+    prev = np.zeros((4, 4))
+    prev[2] = np.inf
+    engine = DpEngine(problem, xg, ug)
+    with _kernel_pair_values() as calls:
+        engine.backward(prev.reshape(-1))
+    assert 0 < sum(calls) <= _zero_weight_pairs(engine)
+
+    engine = DpEngine(*coarse_config_engine, threads=1)
+    assert _zero_weight_pairs(engine) > 0
+    with _kernel_pair_values() as calls:
+        stages, work = _chain_work(engine, 40)
+        table = engine.backward(stages[-1].cost)
+    assert calls == []
+    assert _certified_pairs(work) > 0
+    assert (table.cost == 0.0).any()
+
+
+def test_stencil_is_the_cell_search_of_the_admissible_pairs(rng):
+    # from the problem's own callables: an admissible pair's base and
+    # weights are those of its successor's cell, and an inadmissible one's
+    # base is the sentinel with all weights 0
     toy = random_lattice_toy(rng)
     cases = [
         (toy.problem, toy.xgrid, toy.ugrid),
@@ -1534,11 +1608,6 @@ def test_side_list_is_every_admissible_pair_with_a_zero_weight_corner(rng):
         ok = (np.asarray(problem.inequality(x, u)) <= 0.0).all(axis=-1)
         idx, w, inside = xg.locate_cells(np.asarray(problem.dynamics(x, u), dtype=float))
         ok &= inside
-        side = np.flatnonzero(ok & (w == 0.0).any(axis=1))
-        np.testing.assert_array_equal(engine._side, side)
-        np.testing.assert_array_equal(
-            engine._side_starts, np.searchsorted(side, np.arange(xg.size + 1) * ug.size)
-        )
         np.testing.assert_array_equal(engine._base, np.where(ok, idx[:, 0], xg.size))
         np.testing.assert_array_equal(engine._w, np.where(ok[:, None], w, 0.0).T)
 
