@@ -1121,6 +1121,7 @@ def apply_policy(
     # for a batch as for one state, bit for bit.
     u = np.einsum("kc,kcm->km", w.reshape(-1, nc), ugrid.node_coords()[pol.reshape(-1, nc)])
     u = u.reshape(batch + u.shape[-1:])
+    del w, base, inside, pol  # not read again: freed before the callables run
     violated = _any_rows(_on_live(problem.inequality, x, u, undefined) > 0.0)
     failed = undefined | violated
     xn = _on_live(problem.dynamics, x, u, failed)

@@ -7,9 +7,10 @@ that sequence out is the exact (up to interpolation) finite-horizon optimum
 and serves as the comparison baseline for the stationary policy produced by
 the growing-horizon solver.  The rollout reads nothing of a stage but its
 policy, so the reference keeps the policies alone: one read-only array per
-run of consecutive stages whose policies are bitwise equal
-(:class:`PolicyRuns`).  A solve's record of its stages 1..N is handed on
-explicitly, so the reference computes only the stages past ``N``.
+run of consecutive stages whose policies are equal, in the narrowest
+integer type that holds every control index (:class:`PolicyRuns`).  A
+solve's record of its stages 1..N is handed on explicitly, so the
+reference computes only the stages past ``N``.
 
 A *horizon sweep* evaluates how the mean per-step relaxed cost of closed
 loop trajectories -- same fixed trajectory length for every entry -- varies
@@ -69,9 +70,12 @@ class PolicyRuns(BackwardChain):
     """A :class:`~gridpolicy.dp.BackwardChain` that keeps the policy of
     every stage pulled so far, as runs.
 
-    Of each stage only its policy array is kept, and only once per run of
-    consecutive stages whose policies are bitwise equal: the record of
-    ``stage`` stages holds one grid-sized int64 array per run.
+    Of each stage only its policy is kept, and only once per run of
+    consecutive stages whose policies are equal: the record of ``stage``
+    stages holds one grid-sized read-only array per run, in the narrowest
+    signed integer type that holds -1 and every control index
+    (``np.min_scalar_type(-engine.nu)``: int8 up to 128 controls, int16 up
+    to 32,768), equal in value to the stage's int64 ``StageTable.policy``.
     :func:`~gridpolicy.solver.solve` pulls its stages through one and
     returns it as ``SolveReport.stages``; :func:`finite_horizon_policies`
     given it reads the stages already pulled from the record and pulls only
@@ -82,13 +86,19 @@ class PolicyRuns(BackwardChain):
     def __init__(self, engine: DpEngine):
         super().__init__(engine)
         self._runs: list[list] = []  # [policy, stages in the run], stage 1's first
+        self._dtype = np.min_scalar_type(-engine.nu)
 
     def __next__(self) -> StageTable:
+        # past the cost fixpoint the chain hands back the table of the last
+        # run's stage, so the stage extends that run without a compare
+        settled = self._fixpoint is not None
         table = super().__next__()
-        runs, policy = self._runs, table.policy
-        if runs and (runs[-1][0] is policy or np.array_equal(runs[-1][0], policy)):
+        runs = self._runs
+        if settled or (runs and np.array_equal(runs[-1][0], table.policy)):
             runs[-1][1] += 1
         else:
+            policy = table.policy.astype(self._dtype)
+            policy.flags.writeable = False
             runs.append([policy, 1])
         return table
 
@@ -132,10 +142,11 @@ def finite_horizon_policies(
     :class:`TypeError` before any stage is computed.
 
     Returns:
-        Read-only int64 policy arrays in forward time order: entry ``k`` is
-        the policy to apply at step ``k``, that of the stage with
-        ``horizon - k`` steps to go.  Consecutive entries whose policies are
-        bitwise equal are one array object.
+        Read-only policy arrays in forward time order: entry ``k`` is the
+        policy to apply at step ``k``, equal in value to the int64 policy of
+        the stage with ``horizon - k`` steps to go.  The arrays are of the
+        record's narrow integer type (see :class:`PolicyRuns`); consecutive
+        entries whose policies are equal are one array object.
     """
     if operator.index(horizon) < 1:
         raise ValueError("horizon must be at least 1")
@@ -236,7 +247,8 @@ def horizon_sweep(
     surviving trajectory.  Each step adds the cost of every live entry at
     its state before the step and the control :meth:`DpEngine.forward`
     returned for it.  Of the backward chain only the wanted
-    first-stage tables are kept; design horizons past the cost fixpoint
+    first-stage tables are kept, and the chain itself is released before
+    the first rollout; design horizons past the cost fixpoint
     (see :meth:`DpEngine.chain`) share one read-only table.
     ``engine`` is as in :func:`finite_horizon_policies`.
 
@@ -255,8 +267,11 @@ def horizon_sweep(
     engine = _engine_for(problem, xgrid, ugrid, engine)
 
     # The range comes first: zip stops on it before pulling one more stage.
-    stages = zip(range(1, horizons[-1] + 1), engine.chain())
-    first_stage = {n: table for n, table in stages if n in horizons}
+    # No name holds the chain, so its node-sized arrays are freed before the
+    # rollouts.
+    first_stage = {
+        n: table for n, table in zip(range(1, horizons[-1] + 1), engine.chain()) if n in horizons
+    }
 
     out: dict[int, np.ndarray] = {}
     for n in horizons:

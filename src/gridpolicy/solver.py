@@ -141,8 +141,9 @@ def delta_mu(
 
     Args:
         policies: one horizon's ``N`` stage policies in forward order, as
-            :meth:`~gridpolicy.reference.PolicyRuns.policies` lists them;
-            entry 0 is the candidate.  The window is the first
+            :meth:`~gridpolicy.reference.PolicyRuns.policies` lists them
+            (in the record's narrow integer type; any integer dtype is read
+            by value); entry 0 is the candidate.  The window is the first
             ``N - ceil(N/2) + 1`` entries (stages ``ceil(N/2)..N``), and an
             entry that is the very object before it is read only once.
         survivors: flat node indices that stayed feasible forward; only

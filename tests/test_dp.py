@@ -1821,6 +1821,25 @@ def test_batches_equal_single_states_when_interpolating(coarse_min_time, k):
         np.testing.assert_array_equal(ens.feasible, ok)
 
 
+def test_apply_policy_temporaries_stay_within_a_few_arrays_per_entry(coarse_min_time):
+    # numpy reports its buffers to tracemalloc: beyond its results a batch
+    # step holds at most 140 B per entry, since the corner stencil (73 B per
+    # entry) is freed before the problem's callables run; held through
+    # them, it took the step to about 175 B
+    problem, xg, ug, table = coarse_min_time
+    k = 20_000
+    x = np.random.default_rng(0).uniform([-2.0, -1.5], [3.5, 2.0], (k, 2))
+    tracemalloc.start()
+    try:
+        reason, u, xn = apply_policy(problem, xg, ug, table.policy, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(reason) < k  # failing entries are gathered too
+    held = peak - reason.nbytes - u.nbytes - xn.nbytes
+    assert held <= 140 * k, held / k
+
+
 def _parking_toy(rng, parks, make=random_lattice_toy):
     """A random lattice toy (``make(rng)``) whose node 0 parks under its
     table, or where no entry can ever park.

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridpolicy import (
     builtin_min_time_pendulum,
     finite_horizon_policies,
     horizon_sweep,
+    load_config,
     relaxed_cost,
     rollout_stationary,
     rollout_time_varying,
@@ -59,8 +61,8 @@ def test_finite_horizon_policies_order():
     # entry k is applied at forward step k and is the policy of the stage
     # with 4 - k steps to go
     for k in range(4):
-        assert policies[k].dtype == np.int64
-        assert policies[k].tobytes() == chain[3 - k].policy.tobytes()
+        assert policies[k].dtype == np.int8  # the record's type for 2 controls
+        assert np.array_equal(policies[k], chain[3 - k].policy)
 
 
 def test_finite_horizon_policies_validation():
@@ -106,8 +108,8 @@ def test_reference_entry_k_is_the_policy_of_chain_stage_h_minus_k(seed, settles,
     policies = _reference(engine, horizon)
     assert len(policies) == horizon
     for k, policy in enumerate(policies):
-        assert policy.dtype == np.int64 and policy.shape == (engine.nx,)
-        assert policy.tobytes() == chain[horizon - k - 1].policy.tobytes(), k
+        assert policy.dtype == np.int8 and policy.shape == (engine.nx,)
+        assert np.array_equal(policy, chain[horizon - k - 1].policy), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +200,49 @@ def test_a_hand_off_with_a_foreign_engine_is_rejected():
     ]
 
 
+@pytest.mark.parametrize(
+    "nu, narrow", [(2, np.int8), (128, np.int8), (129, np.int16), (201, np.int16)]
+)
+def test_record_keeps_each_run_in_the_narrowest_type_of_its_controls(nu, narrow):
+    # node 0 admits no control and the last control is the cheapest, so
+    # the record holds -1 and nu - 1, in the narrowest type that holds both
+    toy = lattice_problem(
+        xshape=(3,),
+        ushape=(nu,),
+        next_index=np.repeat([[0], [0], [1]], nu, axis=1),
+        cost=np.tile(np.arange(nu, 0, -1.0), (3, 1)),
+        admissible=np.repeat([[False], [True], [True]], nu, axis=1),
+    )
+    engine = DpEngine(toy.problem, toy.xgrid, toy.ugrid)
+    chain = list(itertools.islice(engine.chain(), 4))
+    policies = PolicyRuns(engine).policies(4)
+    assert {p.dtype for p in policies} == {np.dtype(narrow)}
+    assert policies[-1].tolist() == [-1, nu - 1, nu - 1]
+    for k, policy in enumerate(policies):
+        assert np.array_equal(policy, chain[3 - k].policy), k
+
+
+def test_coarse_reference_compares_no_stage_past_the_cost_fixpoint(monkeypatch):
+    # the coarse config's 1,350-stage reference: 40 runs, and once the cost
+    # field settles (stage 294) each stage extends the last run unread
+    cfg = load_config(
+        os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_min_time_coarse.cfg")
+    )
+    stages = PolicyRuns(DpEngine(cfg.build_problem(), cfg.state_grid(), cfg.control_grid()))
+    compared, array_equal = [], np.array_equal
+
+    def spy(a, b, *args, **kwargs):
+        if np.asarray(a).dtype == np.int8:  # a run against a stage's policy
+            compared.append(stages.stage)
+        return array_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", spy)
+    policies = stages.policies(1350)
+    assert compared == list(range(2, 295))
+    assert len(stages._runs) == len({id(p) for p in policies}) == 40
+    assert sum(n for _, n in stages._runs) == stages.stage == 1350
+
+
 # -- rollouts ------------------------------------------------------------------
 
 
@@ -212,7 +257,7 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
             toy.problem, toy.xgrid, toy.ugrid, horizon, engine=engine
         )
         top = next(itertools.islice(engine.chain(), horizon - 1, None))
-        assert policies[0].tobytes() == top.policy.tobytes()
+        assert policies[0].dtype == np.int8 and np.array_equal(policies[0], top.policy)
         feas = np.flatnonzero(top.feasible_mask)
         if feas.size == 0:
             continue
@@ -228,6 +273,25 @@ def test_time_varying_rollout_reproduces_optimal_cost(rng):
         np.testing.assert_array_equal(
             trace.controls[0], toy.ugrid.node_coords()[int(top.policy[node])]
         )
+
+
+@pytest.mark.parametrize("u_spacing", [0.04, 0.01])  # 51 and 201 controls
+def test_time_varying_rollout_under_the_narrow_record_equals_int64_policies(u_spacing):
+    # off-node states interpolate the policy's controls, so any change in
+    # how the narrow arrays are read would show in the last bit
+    problem = builtin_avg_angle_pendulum(0.5)
+    xg = CartesianGrid([AxisSpec(-1.0, 1.0, 0.1), AxisSpec(-1.0, 1.0, 0.1)])
+    ug = CartesianGrid([AxisSpec(-1.0, 1.0, u_spacing)])
+    engine = DpEngine(problem, xg, ug)
+    policies = finite_horizon_policies(problem, xg, ug, 30, engine=engine)
+    assert policies[0].dtype == np.min_scalar_type(-ug.size) != np.int64
+    wide = [p.astype(np.int64) for p in policies]
+    for x0 in np.random.default_rng(3).uniform(-0.6, 0.6, (4, 2)):
+        a = rollout_time_varying(problem, xg, ug, policies, x0)
+        b = rollout_time_varying(problem, xg, ug, wide, x0)
+        assert a.reason == b.reason and a.length == b.length > 0
+        for name in ("states", "controls", "stage_costs", "relaxed_costs", "average_values"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def _bits(values) -> bytes:
